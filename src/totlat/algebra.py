@@ -74,17 +74,13 @@ class Ring:
 
     def coerce(self, c):
         if self.kind == "int":
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise UnsupportedRing(f"{c} is not an integer")
-                return c.numerator
-            return int(c)
+            if type(c) is int:
+                return c
+            return _exact_integer(c)
         if self.kind == "mod":
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise UnsupportedRing(f"{c} is not an integer")
-                c = c.numerator
-            return int(c) % self.modulus
+            if type(c) is int:
+                return c % self.modulus
+            return _exact_integer(c) % self.modulus
         return Fraction(c)
 
     def add(self, a, b):
@@ -104,6 +100,17 @@ class Ring:
 
 
 ZZ = Ring("int")
+
+
+def _exact_integer(c):
+    """c as an int; a value with a fractional part is refused, not truncated."""
+    try:
+        q = Fraction(c)
+    except (TypeError, ValueError, OverflowError):
+        raise UnsupportedRing(f"{c!r} is not an exact number") from None
+    if q.denominator != 1:
+        raise UnsupportedRing(f"{c} is not an integer")
+    return q.numerator
 
 
 class FormalSum:

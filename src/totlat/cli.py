@@ -10,7 +10,10 @@ Subcommands:
 INPUT is either a path to a lattice text file or a generator descriptor
 ("boolean:3", "divisor:12", "product:boolean:2,chain:1", ...).
 
-Exit status: 0 success, 1 verification failure, 2 usage or parse error.
+Exit status: 0 success, 1 verification failure, 2 usage or parse error,
+141 when the reader closes standard output before all output is written
+(128 + SIGPIPE, the status a shell gives a program stopped by that
+signal); no traceback or message is printed then.
 """
 
 from __future__ import annotations
@@ -172,10 +175,19 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except TotlatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the flush
+        # at interpreter exit does not raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -44,6 +44,10 @@ class SignatureMismatch(TotlatError):
     """Formal sums with different ring/source/target were combined."""
 
 
+class NotAChain(TotlatError, ValueError):
+    """Chain members are not strictly increasing in the ambient order."""
+
+
 class ChainNotInZ(TotlatError):
     """The chain must contain both the bottom and the top element."""
 

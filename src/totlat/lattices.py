@@ -8,6 +8,11 @@ A Lattice wraps a Poset with fully materialized join and meet tables
   kind "Z": chains containing both ends.
 
 `chain_family(kind, n)` filters to chains of size n+1 ("length n").
+
+Each Lattice computes its derived structure once: the strict upper sets
+and `max_chain_length` on construction, each chain family and the
+opposite lattice on first use.  `Poset.chains()` does not share this code;
+it stays the slow oracle that the chain families are tested against.
 """
 
 from __future__ import annotations
@@ -16,14 +21,19 @@ import functools
 import itertools
 
 from .errors import NotALattice, NotComparable, UnsupportedSpec
-from .posets import Poset, poset_from_covers
+from .posets import Chain, Poset, poset_from_covers
 
 PARTITION_DEFAULT_CAP = 4
 PARTITION_HARD_CAP = 6
 
 
 class Lattice:
-    """A poset in which every pair has a unique join and meet."""
+    """A poset in which every pair has a unique join and meet.
+
+    Instances are immutable and cache per instance: the strict upper set of
+    each element, every chain family (one depth-first enumeration per kind)
+    and the opposite lattice, whose own opposite is this instance.
+    """
 
     def __init__(self, poset: Poset):
         self.poset = poset
@@ -39,7 +49,18 @@ class Lattice:
         # nonempty lattices always have both once pairwise bounds exist
         self.bottom = bottoms[0]
         self.top = tops[0]
-        self.max_chain_length = max(len(c) for c in poset.chains() ) - 1
+        above = self._above = tuple(
+            tuple(y for y in range(n) if poset.lt(x, y)) for x in range(n)
+        )
+        # longest path up from each element; an element's strict upper set
+        # is strictly smaller than that of anything below it, so sorting by
+        # its size reads a linear extension from the top down
+        height = [0] * n
+        for x in sorted(range(n), key=lambda v: len(above[v])):
+            height[x] = max((height[y] + 1 for y in above[x]), default=0)
+        self.max_chain_length = height[self.bottom]
+        self._families = {}
+        self._opposite = None
 
     def _bound(self, x, y, upper):
         p = self.poset
@@ -95,15 +116,16 @@ class Lattice:
             acc = self._join[acc][x]
         return acc
 
-    def meet_all(self, subset):
-        acc = self.top
-        for x in subset:
-            acc = self._meet[acc][x]
-        return acc
-
     def opposite(self):
-        """The order-reversed lattice; join and meet swap, so do the ends."""
-        return Lattice(self.poset.dual())
+        """The order-reversed lattice; join and meet swap, so do the ends.
+
+        Built once; `L.opposite().opposite() is L`.
+        """
+        if self._opposite is None:
+            op = Lattice(self.poset.dual())
+            op._opposite = self
+            self._opposite = op
+        return self._opposite
 
     def join_irreducibles(self):
         """Elements that are not the join of their strict lower set."""
@@ -116,20 +138,33 @@ class Lattice:
     # -- chains -----------------------------------------------------------
 
     def chain_family(self, kind, n=None):
-        """Nonempty chains filtered by which ends they must contain."""
+        """Nonempty chains filtered by which ends they must contain.
+
+        Lexicographic on the member indices, as `Poset.chains()` orders
+        them.  Returns a fresh list, restricted to length n when n is given.
+        """
         if kind not in ("A", "B", "Z"):
             raise ValueError(f"unknown chain family kind {kind!r}")
-        size = None if n is None else n + 1
+        family = self._families.get(kind)
+        if family is None:
+            family = self._families[kind] = self._enumerate_family(kind)
+        if n is None:
+            return list(family)
+        return [c for c in family if len(c) == n + 1]
+
+    def _enumerate_family(self, kind):
+        """Pre-order walk up the strict order, smaller indices first."""
+        roots = range(self.n) if kind == "B" else (self.bottom,)
+        to_top = kind != "A"
         out = []
-        for c in self.poset.chains(size=size):
-            if len(c) == 0:
-                continue
-            if kind in ("A", "Z") and c.members[0] != self.bottom:
-                continue
-            if kind in ("B", "Z") and c.members[-1] != self.top:
-                continue
-            out.append(c)
-        return out
+        stack = [(r,) for r in reversed(roots)]
+        while stack:
+            members = stack.pop()
+            last = members[-1]
+            if not to_top or last == self.top:
+                out.append(Chain(members, self.poset))
+            stack.extend(members + (y,) for y in reversed(self._above[last]))
+        return tuple(out)
 
     def is_complemented_interval(self, x, y):
         """True iff every z in [x, y] has a complement w: z v w = y, z ^ w = x."""
@@ -165,13 +200,22 @@ def lattice_from_poset(poset: Poset) -> Lattice:
 def chain_lattice(n):
     """Total order with n+1 elements labeled 0..n.  Cached: these serve as
     the index orders for every chain-indexed construction."""
+    if n < 0:
+        raise UnsupportedSpec("chain lattice needs n >= 0")
     names = [str(i) for i in range(n + 1)]
     return Lattice(poset_from_covers(names, list(zip(names, names[1:]))))
 
 
+BOOLEAN_ATOMS = "abcdefghij"
+
+
 def boolean_lattice(n):
     """Subsets of an n-set ordered by inclusion; labels concatenate atoms."""
-    atoms = "abcdefghij"[:n]
+    if not (0 <= n <= len(BOOLEAN_ATOMS)):
+        raise UnsupportedSpec(
+            f"boolean lattice needs 0 <= n <= {len(BOOLEAN_ATOMS)} atoms"
+        )
+    atoms = BOOLEAN_ATOMS[:n]
     subsets = []
     for k in range(n + 1):
         subsets.extend(itertools.combinations(atoms, k))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import CycleDetected, NotComparable, UnknownLabel
+from .errors import CycleDetected, NotAChain, NotComparable, UnknownLabel
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,10 @@ class Chain:
     def __post_init__(self):
         for a, b in zip(self.members, self.members[1:]):
             if not (a != b and self.ambient.leq(a, b)):
-                raise ValueError(f"members not strictly increasing at ({a}, {b})")
+                raise NotAChain(
+                    f"members not strictly increasing at "
+                    f"({self.ambient.names[a]}, {self.ambient.names[b]})"
+                )
 
     def __hash__(self):
         return hash(self.members)
@@ -53,7 +56,7 @@ class Poset:
     """Immutable finite poset with a precomputed order relation.
 
     `leq_table[i][j]` is True iff i <= j.  The Moebius memo table is filled
-    lazily; call `precompute_mobius()` before sharing across threads.
+    lazily.
     """
 
     def __init__(self, names, leq_table):
@@ -148,13 +151,6 @@ class Poset:
                     if self.leq(x, z) and self.lt(z, y)
                 )
         return memo[(x, y)]
-
-    def precompute_mobius(self):
-        for x in range((self.n)):
-            for y in range(self.n):
-                if self.leq(x, y):
-                    self.mobius(x, y)
-        return self
 
     def mobius_hall(self, x, y):
         """mu(x, y) as the alternating count of chains x = z_0 < ... < z_i = y.

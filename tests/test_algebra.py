@@ -61,6 +61,16 @@ def test_ring_coerce():
         ZZ.coerce(Fraction(1, 2))
 
 
+@pytest.mark.parametrize("ring", [ZZ, Ring("mod", 3)])
+def test_ring_coerce_refuses_to_truncate(ring):
+    for value in (2.5, -0.5, float("nan"), float("inf"), Fraction(5, 2)):
+        with pytest.raises(UnsupportedRing):
+            ring.coerce(value)
+    assert ring.coerce(Fraction(4, 2)) == 2
+    assert ring.coerce(2.0) == 2
+    assert ring.coerce(True) == 1
+
+
 # -- formal sums ----------------------------------------------------------
 
 

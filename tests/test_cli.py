@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import totlat
 from totlat.algebra import Ring, idempotent_direct
 from totlat.cli import main
 from totlat.errors import ParseError
@@ -169,6 +174,26 @@ def test_cmd_mobius_chain(capsys):
 def test_cmd_mobius_unknown_label(capsys):
     code, _, err = run_cli(capsys, "mobius", "boolean:2", "0", "zz")
     assert code == 2
+
+
+def test_cmd_mobius_chain_not_increasing(capsys):
+    code, out, err = run_cli(capsys, "mobius", "pentagon", "--chain", "0,b,a")
+    assert code == 2 and out == ""
+    assert err == "error: members not strictly increasing at (b, a)\n"
+
+
+def test_closed_stdout_ends_quietly():
+    src = str(Path(totlat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "totlat.cli", "verify", "boolean:2", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader goes away before any output arrives
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_cmd_verify_single_lattice(capsys):

@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
+from totlat.checks import DEFAULT_CORPUS
 from totlat.errors import NotALattice, UnsupportedSpec
 from totlat.lattices import (
+    Lattice,
     boolean_lattice,
     chain_lattice,
     diamond_lattice,
@@ -208,3 +210,53 @@ def test_max_chain_length():
     assert chain_lattice(4).max_chain_length == 4
     assert boolean_lattice(3).max_chain_length == 3
     assert chain_lattice(0).max_chain_length == 0
+
+
+# -- cached structure against the Poset.chains() oracle --------------------
+
+ORACLE_SPECS = list(DEFAULT_CORPUS) + ["divisor:60", "diamond:5", "partition:4"]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_chain_families_match_poset_chains(spec):
+    L = generate(spec)
+    chains = [c for c in L.poset.chains() if len(c)]
+    keep = {
+        "A": lambda c: c.members[0] == L.bottom,
+        "B": lambda c: c.members[-1] == L.top,
+        "Z": lambda c: c.members[0] == L.bottom and c.members[-1] == L.top,
+    }
+    for kind, ends in keep.items():
+        for n in [None, *range(L.max_chain_length + 2)]:
+            want = [c for c in chains if ends(c) and (n is None or len(c) == n + 1)]
+            assert L.chain_family(kind, n) == want, (kind, n)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_max_chain_length_matches_poset_chains(spec):
+    L = generate(spec)
+    assert L.max_chain_length == max(len(c) for c in L.poset.chains()) - 1
+
+
+def test_opposite_built_once(lattice):
+    op = lattice.opposite()
+    assert lattice.opposite() is op
+    assert op.opposite() is lattice
+    assert op == Lattice(lattice.poset.dual())
+
+
+def test_chain_family_returns_fresh_list():
+    L = boolean_lattice(2)
+    for n in (None, 1):
+        expected = [c.members for c in L.chain_family("B", n)]
+        L.chain_family("B", n).clear()
+        L.chain_family("B", n).append(None)
+        assert [c.members for c in L.chain_family("B", n)] == expected
+
+
+@pytest.mark.parametrize("spec", ["chain:-1", "boolean:-1", "boolean:11"])
+def test_generate_rejects_out_of_range_sizes(spec):
+    cached = chain_lattice.cache_info().currsize
+    with pytest.raises(UnsupportedSpec):
+        generate(spec)
+    assert chain_lattice.cache_info().currsize == cached
