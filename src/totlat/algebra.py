@@ -17,6 +17,7 @@ Both produce the same element; the equivalence is the main cross-check.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,19 +82,12 @@ class Ring:
             if type(c) is int:
                 return c % self.modulus
             return _exact_integer(c) % self.modulus
+        if type(c) is Fraction:
+            return c
         return Fraction(c)
 
-    def add(self, a, b):
-        return self.coerce(a + b)
-
-    def mul(self, a, b):
-        return self.coerce(a * b)
-
-    def neg(self, a):
-        return self.coerce(-a)
-
     def is_zero(self, a):
-        return self.coerce(a) == self.coerce(0)
+        return self.coerce(a) == 0
 
     def __str__(self):
         return f"mod:{self.modulus}" if self.kind == "mod" else self.kind
@@ -113,6 +107,36 @@ def _exact_integer(c):
     return q.numerator
 
 
+def _accumulate(ring, source, target, acc, terms):
+    """Add (JoinMap, coeff) pairs into the dict `acc` in place.
+
+    Each coefficient is coerced into the ring once, and a key is deleted as
+    soon as its coefficient becomes zero, so `acc` always holds a normalised
+    sum.  Raises SignatureMismatch on a term whose map has another source
+    or target.  Only a map not yet in `acc` needs that test: JoinMap
+    equality compares source and target, so a map equal to a stored key
+    has the key's signature.
+    """
+    coerce = ring.coerce
+    modulus = ring.modulus
+    for jm, c in terms:
+        c = coerce(c)
+        old = acc.get(jm)
+        if old is None:
+            if jm.source != source or jm.target != target:
+                raise SignatureMismatch("term does not match the declared signature")
+            if c:
+                acc[jm] = c
+            continue
+        c += old
+        if modulus is not None:
+            c %= modulus
+        if c:
+            acc[jm] = c
+        else:
+            del acc[jm]
+
+
 class FormalSum:
     """Finite linear combination of join-morphisms with a shared signature.
 
@@ -127,17 +151,11 @@ class FormalSum:
         self.ring = ring
         self.source = source
         self.target = target
-        collected: dict[JoinMap, object] = {}
-        for jm, coeff in dict(terms).items() if isinstance(terms, dict) else terms:
-            if jm.source != source or jm.target != target:
-                raise SignatureMismatch("term does not match the declared signature")
-            coeff = ring.coerce(coeff)
-            if jm in collected:
-                coeff = ring.add(collected[jm], coeff)
-            collected[jm] = coeff
-        self.terms = {
-            jm: c for jm, c in collected.items() if not ring.is_zero(c)
-        }
+        self.terms: dict[JoinMap, object] = {}
+        _accumulate(
+            ring, source, target, self.terms,
+            terms.items() if isinstance(terms, dict) else terms,
+        )
 
     @classmethod
     def from_map(cls, ring, jm: JoinMap, coeff=1):
@@ -146,6 +164,20 @@ class FormalSum:
     @classmethod
     def zero(cls, ring, source, target):
         return cls(ring, source, target)
+
+    @classmethod
+    def total(cls, ring, source, target, sums):
+        """The sum of an iterable of formal sums, added up in one pass.
+
+        Each summand is consumed as it comes and folded into one running
+        dict, so neither the partial sums nor the raw terms are kept.
+        """
+        acc: dict[JoinMap, object] = {}
+        for s in sums:
+            if s.ring != ring or s.source != source or s.target != target:
+                raise SignatureMismatch("formal sums have different signatures")
+            _accumulate(ring, source, target, acc, s.terms.items())
+        return cls(ring, source, target, acc)
 
     def _require_same_signature(self, other):
         if (
@@ -157,10 +189,10 @@ class FormalSum:
 
     def __add__(self, other):
         self._require_same_signature(other)
-        merged = dict(self.terms)
-        for jm, c in other.terms.items():
-            merged[jm] = self.ring.add(merged.get(jm, 0), c)
-        return FormalSum(self.ring, self.source, self.target, merged)
+        return FormalSum(
+            self.ring, self.source, self.target,
+            itertools.chain(self.terms.items(), other.terms.items()),
+        )
 
     def __neg__(self):
         return self.scale(-1)
@@ -174,7 +206,7 @@ class FormalSum:
             self.ring,
             self.source,
             self.target,
-            {jm: self.ring.mul(c, v) for jm, v in self.terms.items()},
+            ((jm, c * v) for jm, v in self.terms.items()),
         )
 
     def __mul__(self, other):
@@ -185,12 +217,14 @@ class FormalSum:
             raise SignatureMismatch("formal sums over different rings")
         if other.target != self.source:
             raise SourceTargetMismatch("inner target differs from outer source")
-        out: dict[JoinMap, object] = {}
-        for g, cg in self.terms.items():
-            for f, cf in other.terms.items():
-                gf = compose(g, f)
-                out[gf] = self.ring.add(out.get(gf, 0), self.ring.mul(cg, cf))
-        return FormalSum(self.ring, other.source, self.target, out)
+        return FormalSum(
+            self.ring, other.source, self.target,
+            (
+                (compose(g, f), cg * cf)
+                for g, cg in self.terms.items()
+                for f, cf in other.terms.items()
+            ),
+        )
 
     def __eq__(self, other):
         return (
@@ -342,8 +376,8 @@ def f_of_chain(L: Lattice, B, ring: Ring = ZZ) -> FormalSum:
 
 def idempotent_original(L: Lattice, ring: Ring = ZZ) -> FormalSum:
     """Sum of f_B over all top-ended chains B of every length."""
-    acc = FormalSum.zero(ring, L, L)
-    for n in range(L.max_chain_length + 1):
-        for B in L.chain_family("B", n):
-            acc = acc + f_of_chain(L, B, ring)
-    return acc
+    return FormalSum.total(ring, L, L, (
+        f_of_chain(L, B, ring)
+        for n in range(L.max_chain_length + 1)
+        for B in L.chain_family("B", n)
+    ))

@@ -215,9 +215,7 @@ def check_f_family(L: Lattice, ring: Ring = ZZ, descriptor="?"):
                     counterexample={"chains": [B.labels(), C.labels()],
                                     "kind": "not orthogonal"},
                 )
-    total = FormalSum.zero(ring, L, L)
-    for _, f in fs:
-        total = total + f
+    total = FormalSum.total(ring, L, L, (f for _, f in fs))
     if total != idempotent_direct(L, ring):
         return _report("f_family", descriptor, t0, status="fail",
                        counterexample={"kind": "sum differs from direct idempotent",

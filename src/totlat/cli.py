@@ -173,8 +173,14 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            # --help and usage errors exit from inside argparse; flush their
+            # text here so that a closed pipe is handled below
+            sys.stdout.flush()
+            raise
         status = args.func(args)
         sys.stdout.flush()
         return status

@@ -27,6 +27,10 @@ class NotALattice(TotlatError):
         super().__init__(f"pair ({x}, {y}) has no unique {which}")
 
 
+class EmptyLattice(TotlatError):
+    """A lattice needs at least one element: the empty poset has no bottom."""
+
+
 class NotJoinMorphism(TotlatError):
     """A value table fails the join-preservation check."""
 

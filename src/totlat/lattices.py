@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import NotALattice, NotComparable, UnsupportedSpec
+from .errors import EmptyLattice, NotALattice, NotComparable, UnsupportedSpec
 from .posets import Chain, Poset, poset_from_covers
 
 PARTITION_DEFAULT_CAP = 4
@@ -38,6 +38,8 @@ class Lattice:
     def __init__(self, poset: Poset):
         self.poset = poset
         n = poset.n
+        if n == 0:
+            raise EmptyLattice("a lattice needs at least one element")
         self._join = [[None] * n for _ in range(n)]
         self._meet = [[None] * n for _ in range(n)]
         for x in range(n):

@@ -192,13 +192,11 @@ def j_of_family(L: Lattice, family: FamilyOverChain) -> JoinMap:
     """Section of the index order: 0 -> bottom, p -> a_p.
 
     Order preservation holds because a_p <= b_p <= b_{q-1} <= a_q for p < q.
+    The table is validated on every call: picks that break the order raise
+    NotJoinMorphism.
     """
     n = len(family.chain) - 1
-    P = chain_lattice(n)
-    values = (L.bottom,) + family.picks
-    jm = JoinMap(P, L, values)
-    assert is_join_map(P, L, values), "family picks violate the interval constraints"
-    return jm
+    return make_join_map(chain_lattice(n), L, (L.bottom,) + family.picks)
 
 
 def enumerate_join_endomorphisms(L: Lattice, tot_only=False):

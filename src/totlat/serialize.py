@@ -6,6 +6,8 @@ Lattice file grammar (blank lines and '#' comments ignored):
     covers:
     <label> <label>      # one cover pair per line
 
+There is exactly one 'elements:' line, and it names at least one element.
+
 Formal sums serialize to a JSON document carrying the ring, source and
 target lattice fingerprints, and the coefficient/value-table terms in
 canonical (value-table) order.  parse(serialize(s)) == s.
@@ -32,7 +34,11 @@ def parse_lattice_file(text) -> Lattice:
         if not line:
             continue
         if line.startswith("elements:"):
+            if names is not None:
+                raise ParseError(f"line {lineno}: second 'elements:' line")
             names = line[len("elements:"):].split()
+            if not names:
+                raise ParseError(f"line {lineno}: 'elements:' lists no elements")
             continue
         if line.startswith("covers:"):
             if names is None:

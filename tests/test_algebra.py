@@ -1,3 +1,5 @@
+import functools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from totlat.algebra import (
     mu_chain_infinity_oracle,
     mu_family,
 )
+from totlat.checks import DEFAULT_CORPUS
 from totlat.errors import (
     ChainNotInA,
     SignatureMismatch,
@@ -71,6 +74,14 @@ def test_ring_coerce_refuses_to_truncate(ring):
     assert ring.coerce(True) == 1
 
 
+def test_ring_is_zero_coerces_its_argument():
+    assert Ring("mod", 5).is_zero(5)
+    assert Ring("mod", 5).is_zero(-10)
+    assert not Ring("mod", 5).is_zero(6)
+    assert ZZ.is_zero(Fraction(0, 3)) and not ZZ.is_zero(2)
+    assert Ring("rat").is_zero(0) and not Ring("rat").is_zero(Fraction(1, 2))
+
+
 # -- formal sums ----------------------------------------------------------
 
 
@@ -84,6 +95,45 @@ def test_sum_cancel():
     L = boolean_lattice(2)
     a = embed(identity_map(L))
     assert (a + a.scale(-1)).is_zero()
+
+
+def test_sum_plus_negation_stores_no_terms():
+    L = generate("pentagon")
+    for ring in (ZZ, Ring("mod", 3), Ring("rat")):
+        x = idempotent_direct(L, ring)
+        assert x.terms
+        total = x + (-x)
+        assert total.is_zero() and total.terms == {}
+
+
+def test_sum_cancelling_term_by_term_stores_no_terms():
+    L = boolean_lattice(2)
+    a = identity_map(L)
+    b = alpha_of_chain(L, z_chain(L, "0", "a", "ab"))
+    s = FormalSum(ZZ, L, L, [(a, 1), (b, 2), (a, -1), (b, -2)])
+    assert s.is_zero() and s.terms == {}
+    s = FormalSum(Ring("mod", 2), L, L, [(a, 1), (b, 3), (a, 1), (b, 1)])
+    assert s.is_zero() and s.terms == {}
+    # a key that cancels and comes back holds only its new coefficient
+    s = FormalSum(ZZ, L, L, [(a, 1), (a, -1), (a, 5)])
+    assert s.terms == {a: 5}
+
+
+def test_total_of_sums():
+    L = boolean_lattice(2)
+    x = identity_sum(L)
+    y = idempotent_direct(L)
+    assert FormalSum.total(ZZ, L, L, []) == FormalSum.zero(ZZ, L, L)
+    assert FormalSum.total(ZZ, L, L, iter([x, y, -x])) == y
+    assert FormalSum.total(ZZ, L, L, [x, -x]).terms == {}
+
+
+def test_total_signature_mismatch():
+    L = boolean_lattice(2)
+    with pytest.raises(SignatureMismatch):
+        FormalSum.total(ZZ, L, L, [identity_sum(L, Ring("rat"))])
+    with pytest.raises(SignatureMismatch):
+        FormalSum.total(ZZ, L, L, [identity_sum(chain_lattice(2))])
 
 
 def test_sum_characteristic_two():
@@ -309,6 +359,21 @@ def test_original_equals_direct():
     for spec in SMALL_CORPUS + ["boolean:3", "product:boolean:2,chain:1"]:
         L = generate(spec)
         assert idempotent_original(L) == idempotent_direct(L), spec
+
+
+@pytest.mark.parametrize("ring", ["int", "mod:2", "mod:3", "rat"])
+@pytest.mark.parametrize("spec", DEFAULT_CORPUS + ("divisor:60",))
+def test_original_equals_left_fold(spec, ring):
+    L = generate(spec)
+    ring = Ring.parse(ring)
+    fs = [
+        f_of_chain(L, B, ring)
+        for n in range(L.max_chain_length + 1)
+        for B in L.chain_family("B", n)
+    ]
+    fold = functools.reduce(operator.add, fs)
+    assert idempotent_original(L, ring) == fold
+    assert fold == idempotent_direct(L, ring)
 
 
 def test_original_one_element():

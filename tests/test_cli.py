@@ -52,6 +52,16 @@ def test_parse_lattice_file_errors():
         parse_lattice_file("")
 
 
+def test_parse_lattice_file_empty_elements():
+    with pytest.raises(ParseError, match="line 2: 'elements:' lists no elements"):
+        parse_lattice_file("# nothing\nelements:\ncovers:\n")
+
+
+def test_parse_lattice_file_second_elements_line():
+    with pytest.raises(ParseError, match="line 2: second 'elements:' line"):
+        parse_lattice_file("elements: 0 1\nelements: 0\ncovers:\n0 1\n")
+
+
 # -- formal sum documents -------------------------------------------------
 
 
@@ -109,6 +119,14 @@ def test_cmd_info_malformed_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "info", str(path))
     assert code == 2
     assert "line 3" in err
+
+
+def test_cmd_info_empty_file(tmp_path, capsys):
+    path = tmp_path / "empty.lat"
+    path.write_text("elements:\n")
+    code, out, err = run_cli(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 1: 'elements:' lists no elements\n"
 
 
 def test_cmd_idempotent_text(capsys):
@@ -182,18 +200,47 @@ def test_cmd_mobius_chain_not_increasing(capsys):
     assert err == "error: members not strictly increasing at (b, a)\n"
 
 
-def test_closed_stdout_ends_quietly():
+def cli_process(*argv):
+    """Start `python -m totlat.cli argv` with buffered, piped stdout and stderr."""
     src = str(Path(totlat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "totlat.cli", "verify", "boolean:2", "--format", "json"],
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen(
+        [sys.executable, "-m", "totlat.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
+
+
+def assert_ends_quietly_on_closed_stdout(*argv):
+    proc = cli_process(*argv)
     proc.stdout.close()  # the reader goes away before any output arrives
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+def test_closed_stdout_ends_quietly():
+    assert_ends_quietly_on_closed_stdout("verify", "boolean:2", "--format", "json")
+
+
+def test_help_on_closed_stdout_ends_quietly():
+    # argparse prints the help and exits before any subcommand runs
+    assert_ends_quietly_on_closed_stdout("verify", "--help")
+
+
+def test_help_exits_zero():
+    proc = cli_process("--help")
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and err == b""
+    assert out.startswith(b"usage: totlat")
+
+
+def test_usage_error_exits_two():
+    proc = cli_process("verify", "--no-such-option")
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2 and out == b""
+    assert b"unrecognized arguments: --no-such-option" in err
 
 
 def test_cmd_verify_single_lattice(capsys):

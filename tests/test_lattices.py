@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from totlat.checks import DEFAULT_CORPUS
-from totlat.errors import NotALattice, UnsupportedSpec
+from totlat.errors import EmptyLattice, NotALattice, TotlatError, UnsupportedSpec
 from totlat.lattices import (
     Lattice,
     boolean_lattice,
@@ -15,7 +15,7 @@ from totlat.lattices import (
     partition_lattice,
     pentagon_lattice,
 )
-from totlat.posets import poset_from_covers
+from totlat.posets import Poset, poset_from_covers
 
 CORPUS = [
     "chain:0", "chain:3", "boolean:2", "boolean:3", "diamond:3",
@@ -40,6 +40,12 @@ def test_antichain_is_not_a_lattice():
     p = poset_from_covers(["a", "b"], [])
     with pytest.raises(NotALattice):
         lattice_from_poset(p)
+
+
+def test_empty_poset_is_not_a_lattice():
+    with pytest.raises(EmptyLattice):
+        lattice_from_poset(Poset([], []))
+    assert issubclass(EmptyLattice, TotlatError)
 
 
 def test_total_order_join_is_max():

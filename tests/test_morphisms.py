@@ -1,6 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import totlat
 
 from totlat.errors import (
     ChainNotInB,
@@ -15,6 +21,7 @@ from totlat.lattices import (
     pentagon_lattice,
 )
 from totlat.morphisms import (
+    FamilyOverChain,
     alpha_of_chain,
     compose,
     constant_bottom,
@@ -262,6 +269,34 @@ def test_j_of_family_point():
     L = boolean_lattice(2)
     fam = families_over_chain(L, (L.top,))[0]
     assert j_of_family(L, fam).values == (L.bottom,)
+
+
+def test_j_of_family_rejects_forged_picks():
+    L = boolean_lattice(2)
+    B = z_chain(L, "0", "a", "ab")
+    # a_1 must lie in [0, a]; ab and b do not, and both break the order
+    for labels in (("ab", "a"), ("b", "a")):
+        picks = tuple(L.poset.index_of(s) for s in labels)
+        with pytest.raises(NotJoinMorphism):
+            j_of_family(L, FamilyOverChain(B, picks))
+
+
+def test_j_of_family_validates_under_optimisation():
+    # python -O strips asserts; the chain is 0 < a < ab, the picks (ab, a)
+    code = (
+        "from totlat.lattices import boolean_lattice\n"
+        "from totlat.morphisms import FamilyOverChain, j_of_family\n"
+        "from totlat.errors import NotJoinMorphism\n"
+        "L = boolean_lattice(2)\n"
+        "try:\n"
+        "    j_of_family(L, FamilyOverChain((0, 1, 3), (3, 1)))\n"
+        "except NotJoinMorphism:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(totlat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
 def test_enumeration_counts():
