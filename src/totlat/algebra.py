@@ -18,6 +18,7 @@ Both produce the same element; the equivalence is the main cross-check.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +42,8 @@ from .morphisms import (
 )
 from .posets import Poset
 
-CHAIN_POSET_LIMIT = 10**5
+# the largest chain poset the brute-force Moebius oracle builds
+CHAIN_POSET_LIMIT = int(os.environ.get("TOTLAT_CHAIN_POSET_LIMIT", 10**5))
 
 
 @dataclass(frozen=True)

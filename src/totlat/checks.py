@@ -5,9 +5,10 @@ are exact; a failing report carries a structured counterexample that can be
 re-verified independently of the check that produced it.
 
 Feasibility gates keep the default suite fast: exhaustive endomorphism
-sweeps require at most MAX_IRREDUCIBLES join-irreducibles and at most
-MAX_ASSIGNMENTS candidate assignments; beyond that, centrality degrades to
-seeded sampling and other enumeration-based checks are skipped.
+sweeps require at most MAX_ASSIGNMENTS candidate assignments, n ** k for
+n elements and k join-irreducibles; beyond that, centrality degrades to
+seeded sampling and other enumeration-based checks are skipped.  The
+chain-poset oracle of the Moebius check is capped by CHAIN_POSET_LIMIT.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from .algebra import (
+    CHAIN_POSET_LIMIT,
     FormalSum,
     Ring,
     ZZ,
@@ -29,7 +31,7 @@ from .algebra import (
     mu_chain_infinity_oracle,
 )
 from .errors import FeasibilityLimit
-from .lattices import Lattice, generate
+from .lattices import Lattice
 from .morphisms import (
     enumerate_join_endomorphisms,
     image_chain,
@@ -37,10 +39,9 @@ from .morphisms import (
     pi_of_chain,
     sample_join_endomorphisms,
 )
+from .serialize import load_lattice
 
-MAX_IRREDUCIBLES = int(os.environ.get("TOTLAT_MAX_IRREDUCIBLES", 7))
 MAX_ASSIGNMENTS = int(os.environ.get("TOTLAT_MAX_ASSIGNMENTS", 10**7))
-CHAIN_POSET_LIMIT = int(os.environ.get("TOTLAT_CHAIN_POSET_LIMIT", 10**5))
 
 DEFAULT_CORPUS = (
     "chain:0",
@@ -101,8 +102,7 @@ def _report(name, descriptor, started, **kw):
 
 
 def _endo_enumeration_feasible(L: Lattice):
-    irr = L.join_irreducibles()
-    return len(irr) <= MAX_IRREDUCIBLES and L.n ** len(irr) <= MAX_ASSIGNMENTS
+    return L.n ** len(L.join_irreducibles()) <= MAX_ASSIGNMENTS
 
 
 def _sum_as_witness(s: FormalSum):
@@ -428,7 +428,10 @@ CHECKS = {
 
 
 def run_suite(corpus=DEFAULT_CORPUS, ring: Ring = ZZ, checks=None, **options):
-    """Run the selected checks over each corpus descriptor, in order.
+    """Run the selected checks over each corpus entry, in order.
+
+    An entry is a lattice file or a generator descriptor, as `load_lattice`
+    takes it; each report names the lattice by the entry as given.
 
     Returns the list of CheckReports; callers decide what a failure means
     (the CLI maps any non-pass to a nonzero exit status).
@@ -439,7 +442,7 @@ def run_suite(corpus=DEFAULT_CORPUS, ring: Ring = ZZ, checks=None, **options):
         raise ValueError(f"unknown checks: {unknown}")
     reports = []
     for descriptor in corpus:
-        L = generate(descriptor, allow_large=True)
+        L = load_lattice(descriptor)
         for name in selected:
             reports.append(CHECKS[name](L, ring, descriptor, options))
     return reports

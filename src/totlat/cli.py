@@ -5,10 +5,16 @@ Subcommands:
   info        structural summary of a lattice (size, ends, chain counts)
   idempotent  compute the total-order idempotent by either construction
   mobius      Moebius values of element pairs or bottom-rooted chains
-  verify      run the exact verification suite over a lattice or corpus
+  verify      run the exact verification suite over one lattice, or over the
+              default corpus when no INPUT is given
 
-INPUT is either a path to a lattice text file or a generator descriptor
-("boolean:3", "divisor:12", "product:boolean:2,chain:1", ...).
+Every INPUT, that of `verify` included, is either a path to a lattice text
+file or a generator descriptor ("boolean:3", "divisor:12",
+"product:boolean:2,chain:1", ...).
+
+Environment: TOTLAT_MAX_ASSIGNMENTS caps exhaustive endomorphism sweeps in
+`verify`; TOTLAT_CHAIN_POSET_LIMIT caps the chain-poset Moebius oracle, in
+`verify` and in `mobius --chain`.
 
 Exit status: 0 success, 1 verification failure, 2 usage or parse error,
 141 when the reader closes standard output before all output is written
@@ -32,20 +38,8 @@ from .algebra import (
 )
 from .checks import CHECKS, DEFAULT_CORPUS, run_suite
 from .errors import FeasibilityLimit, TotlatError
-from .lattices import generate
 from .posets import Chain
-from .serialize import (
-    formal_sum_to_json,
-    formal_sum_to_text,
-    parse_lattice_file,
-)
-
-
-def load_lattice(spec):
-    if os.path.exists(spec):
-        with open(spec) as fh:
-            return parse_lattice_file(fh.read())
-    return generate(spec, allow_large=True)
+from .serialize import formal_sum_to_json, formal_sum_to_text, load_lattice
 
 
 def cmd_info(args):
@@ -158,9 +152,8 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="run the verification suite")
     p_ver.add_argument("input", nargs="?",
-                       help="single lattice; omit to run the default corpus")
-    p_ver.add_argument("--corpus", choices=("default",), default=None,
-                       help="use the built-in corpus (the default when no input is given)")
+                       help="lattice file or generator descriptor; "
+                            "omit to run the default corpus")
     p_ver.add_argument("--checks", help="comma-separated check names")
     p_ver.add_argument("--ring", default="int")
     p_ver.add_argument("--seed", type=int, default=None)

@@ -23,7 +23,6 @@ import itertools
 from .errors import EmptyLattice, NotALattice, NotComparable, UnsupportedSpec
 from .posets import Chain, Poset, poset_from_covers
 
-PARTITION_DEFAULT_CAP = 4
 PARTITION_HARD_CAP = 6
 
 
@@ -91,7 +90,9 @@ class Lattice:
         return self.poset.n
 
     def __eq__(self, other):
-        return isinstance(other, Lattice) and self.poset == other.poset
+        return self is other or (
+            isinstance(other, Lattice) and self.poset == other.poset
+        )
 
     def __hash__(self):
         return hash(self.poset)
@@ -256,11 +257,10 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
-def partition_lattice(n, allow_large=False):
+def partition_lattice(n):
     """Set partitions of {1..n} by refinement; bottom is the discrete partition."""
-    cap = PARTITION_HARD_CAP if allow_large else PARTITION_DEFAULT_CAP
-    if not (1 <= n <= cap):
-        raise UnsupportedSpec(f"partition({n}) exceeds the size cap {cap}")
+    if not (1 <= n <= PARTITION_HARD_CAP):
+        raise UnsupportedSpec(f"partition({n}) exceeds the size cap {PARTITION_HARD_CAP}")
     parts = [
         tuple(sorted(tuple(sorted(b)) for b in p))
         for p in _set_partitions(list(range(1, n + 1)))
@@ -302,7 +302,7 @@ def product_lattice(left: Lattice, right: Lattice):
     return Lattice(Poset(names, leq))
 
 
-def generate(spec, allow_large=False):
+def generate(spec):
     """Build a lattice from a generator descriptor string.
 
     Descriptors: chain:N, boolean:N, divisor:M, partition:N, diamond:K,
@@ -322,7 +322,7 @@ def generate(spec, allow_large=False):
         if head == "divisor":
             return divisor_lattice(int(rest))
         if head == "partition":
-            return partition_lattice(int(rest), allow_large=allow_large)
+            return partition_lattice(int(rest))
         if head == "diamond":
             return diamond_lattice(int(rest))
         if head == "product":
@@ -331,9 +331,7 @@ def generate(spec, allow_large=False):
                 raise UnsupportedSpec(
                     f"product takes exactly two comma-separated factors: {spec!r}"
                 )
-            return product_lattice(
-                generate(parts[0], allow_large), generate(parts[1], allow_large)
-            )
+            return product_lattice(generate(parts[0]), generate(parts[1]))
     except ValueError as exc:
         raise UnsupportedSpec(f"bad generator argument in {spec!r}: {exc}") from None
     raise UnsupportedSpec(f"unknown generator {spec!r}")

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from .errors import (
     ChainNotInB,
     ChainNotInZ,
+    NotComparable,
     NotJoinMorphism,
     SourceTargetMismatch,
 )
@@ -192,11 +193,18 @@ def j_of_family(L: Lattice, family: FamilyOverChain) -> JoinMap:
     """Section of the index order: 0 -> bottom, p -> a_p.
 
     Order preservation holds because a_p <= b_p <= b_{q-1} <= a_q for p < q.
-    The table is validated on every call: picks that break the order raise
-    NotJoinMorphism.
+    The picks are validated on every call: picks that break the order raise
+    NotJoinMorphism, and a pick outside its interval [b_{p-1}, b_p] raises
+    NotComparable.
     """
     n = len(family.chain) - 1
-    return make_join_map(chain_lattice(n), L, (L.bottom,) + family.picks)
+    jm = make_join_map(chain_lattice(n), L, (L.bottom,) + family.picks)
+    for lo, pick, hi in zip(family.chain, family.picks, family.chain[1:]):
+        if not (L.leq(lo, pick) and L.leq(pick, hi)):
+            raise NotComparable(
+                f"pick {L.names[pick]} is not in [{L.names[lo]}, {L.names[hi]}]"
+            )
+    return jm
 
 
 def enumerate_join_endomorphisms(L: Lattice, tot_only=False):
@@ -211,15 +219,24 @@ def enumerate_join_endomorphisms(L: Lattice, tot_only=False):
     """
     irr = L.join_irreducibles()
     for assignment in itertools.product(range(L.n), repeat=len(irr)):
-        ext = _extend_assignment(L, irr, assignment)
-        if any(ext[j] != v for j, v in zip(irr, assignment)):
-            continue
-        if not is_join_map(L, L, ext):
-            continue
-        phi = JoinMap(L, L, tuple(ext))
-        if tot_only and image_chain(phi) is None:
+        phi = _endomorphism_of(L, irr, assignment)
+        if phi is None or (tot_only and image_chain(phi) is None):
             continue
         yield phi
+
+
+def _endomorphism_of(L, irr, assignment):
+    """The join-endomorphism an irreducible assignment determines, or None.
+
+    None when the extension disagrees with the assignment on some
+    irreducible, or fails the join-morphism check.
+    """
+    ext = _extend_assignment(L, irr, assignment)
+    if any(ext[j] != v for j, v in zip(irr, assignment)):
+        return None
+    if not is_join_map(L, L, ext):
+        return None
+    return JoinMap(L, L, tuple(ext))
 
 
 def _extend_assignment(L, irr, assignment):
@@ -237,11 +254,7 @@ def sample_join_endomorphisms(L: Lattice, count, rng):
     irr = L.join_irreducibles()
     out = []
     while len(out) < count:
-        assignment = [rng.randrange(L.n) for _ in irr]
-        ext = _extend_assignment(L, irr, assignment)
-        if any(ext[j] != v for j, v in zip(irr, assignment)):
-            continue
-        if not is_join_map(L, L, ext):
-            continue
-        out.append(JoinMap(L, L, tuple(ext)))
+        phi = _endomorphism_of(L, irr, [rng.randrange(L.n) for _ in irr])
+        if phi is not None:
+            out.append(phi)
     return out

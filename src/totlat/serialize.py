@@ -1,4 +1,7 @@
-"""Lattice text files and serialized formal-sum documents.
+"""Lattice loading, lattice text files and serialized formal-sum documents.
+
+`load_lattice` is the one way the CLI and the verification suite get a
+lattice: a path to a lattice file, or else a generator descriptor.
 
 Lattice file grammar (blank lines and '#' comments ignored):
 
@@ -16,13 +19,28 @@ canonical (value-table) order.  parse(serialize(s)) == s.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 
 from .algebra import FormalSum, Ring
 from .errors import ParseError
-from .lattices import Lattice, lattice_from_poset
-from .morphisms import JoinMap
+from .lattices import Lattice, generate, lattice_from_poset
+from .morphisms import make_join_map
 from .posets import poset_from_covers
+
+
+def load_lattice(spec) -> Lattice:
+    """The lattice in the file `spec` if that path exists, else `generate(spec)`."""
+    if not os.path.exists(spec):
+        return generate(spec)
+    try:
+        with open(spec) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"{spec}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{spec}: not a text file") from None
+    return parse_lattice_file(text)
 
 
 def parse_lattice_file(text) -> Lattice:
@@ -66,9 +84,12 @@ def _coeff_to_json(ring: Ring, c):
 
 
 def _coeff_from_json(ring: Ring, v):
-    if ring.kind == "rat":
+    if ring.kind != "rat":
+        return ring.coerce(v)
+    try:
         return Fraction(str(v))
-    return int(v)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"coefficient {v!r} is not a rational number") from None
 
 
 def formal_sum_to_document(s: FormalSum) -> dict:
@@ -84,8 +105,14 @@ def formal_sum_to_document(s: FormalSum) -> dict:
 
 
 def formal_sum_from_document(doc: dict, source: Lattice, target: Lattice) -> FormalSum:
+    """Rebuild a formal sum, validating each table as a join-morphism.
+
+    Every malformed document raises a TotlatError: ParseError for its
+    structure, UnsupportedRing for its ring or an inexact coefficient,
+    UnknownLabel or NotJoinMorphism for a table.
+    """
     try:
-        ring = Ring.parse(doc["ring"])
+        ring = Ring.parse(str(doc["ring"]))
         if doc["source"] != source.fingerprint():
             raise ParseError("document source fingerprint does not match the lattice")
         if doc["target"] != target.fingerprint():
@@ -97,9 +124,10 @@ def formal_sum_from_document(doc: dict, source: Lattice, target: Lattice) -> For
                 target.poset.index_of(table[source.names[x]])
                 for x in range(source.n)
             )
-            terms.append(
-                (JoinMap(source, target, values), _coeff_from_json(ring, term["coeff"]))
-            )
+            terms.append((
+                make_join_map(source, target, values),
+                _coeff_from_json(ring, term["coeff"]),
+            ))
         return FormalSum(ring, source, target, terms)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed formal-sum document: {exc}") from None

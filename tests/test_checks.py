@@ -100,7 +100,7 @@ def test_central_sampled_on_large_lattice():
 
 
 def test_feasibility_gate_reports_skipped(monkeypatch):
-    monkeypatch.setattr(checks, "MAX_IRREDUCIBLES", 0)
+    monkeypatch.setattr(checks, "MAX_ASSIGNMENTS", 0)
     r = check_identity_on_tot(boolean_lattice(2), descriptor="boolean:2")
     assert r.status == "skipped"
     r = check_dimension(boolean_lattice(2), descriptor="boolean:2")

@@ -2,14 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import totlat
 from totlat.algebra import Ring, idempotent_direct
+from totlat.checks import DEFAULT_CORPUS
 from totlat.cli import main
-from totlat.errors import ParseError
+from totlat.errors import NotJoinMorphism, ParseError, TotlatError, UnsupportedRing
 from totlat.lattices import boolean_lattice, generate
 from totlat.serialize import (
     formal_sum_from_document,
@@ -67,10 +69,63 @@ def test_parse_lattice_file_second_elements_line():
 
 @pytest.mark.parametrize("ring", ["int", "mod:3", "rat"])
 def test_formal_sum_roundtrip(ring):
+    for spec in DEFAULT_CORPUS:
+        L = generate(spec)
+        e = idempotent_direct(L, Ring.parse(ring))
+        doc = json.loads(json.dumps(formal_sum_to_document(e)))
+        assert formal_sum_from_document(doc, L, L) == e
+
+
+def boolean_2_document(ring="int", coeff=1, table=None):
     L = boolean_lattice(2)
-    e = idempotent_direct(L, Ring.parse(ring))
-    doc = json.loads(json.dumps(formal_sum_to_document(e)))
-    assert formal_sum_from_document(doc, L, L) == e
+    doc = formal_sum_to_document(idempotent_direct(L, Ring.parse(ring)))
+    doc["terms"][0]["coeff"] = coeff
+    if table is not None:
+        doc["terms"][0]["table"] = table
+    return L, doc
+
+
+def test_formal_sum_rejects_non_join_morphism_table():
+    # sends the bottom to the top
+    L, doc = boolean_2_document(table={"0": "ab", "a": "ab", "b": "ab", "ab": "ab"})
+    with pytest.raises(NotJoinMorphism):
+        formal_sum_from_document(doc, L, L)
+
+
+@pytest.mark.parametrize("ring", ["int", "mod:3"])
+@pytest.mark.parametrize("coeff", [2.5, "1.5", "two", None])
+def test_formal_sum_rejects_inexact_coefficient(ring, coeff):
+    L, doc = boolean_2_document(ring, coeff)
+    with pytest.raises(UnsupportedRing):
+        formal_sum_from_document(doc, L, L)
+
+
+def test_formal_sum_reads_rational_coefficient():
+    L, doc = boolean_2_document("rat", "-3/2")
+    (term,) = [c for jm, c in formal_sum_from_document(doc, L, L).sorted_terms()
+               if jm.table_labels() == doc["terms"][0]["table"]]
+    assert term == Fraction(-3, 2)
+
+
+IDENTITY_TABLE = {"0": "0", "a": "a", "b": "b", "ab": "ab"}
+
+
+@pytest.mark.parametrize("doc", [
+    None, [], "doc", {}, {"ring": "int"}, {"ring": 5},
+    {"ring": "rat", "terms": [{"coeff": "1/0", "table": IDENTITY_TABLE}]},
+    {"ring": "rat", "terms": [{"coeff": "x", "table": IDENTITY_TABLE}]},
+    {"terms": 5}, {"terms": ["term"]}, {"terms": [{"coeff": 1}]},
+    {"terms": [{"coeff": 1, "table": "0ab"}]},
+    {"terms": [{"coeff": 1, "table": {"0": "0"}}]},
+    {"terms": [{"coeff": 1, "table": {"0": "0", "a": "zz", "b": "b", "ab": "ab"}}]},
+])
+def test_formal_sum_malformed_document(doc):
+    L = boolean_lattice(2)
+    if isinstance(doc, dict):
+        doc = {"ring": "int", "source": L.fingerprint(), "target": L.fingerprint(),
+               **doc}
+    with pytest.raises(TotlatError):
+        formal_sum_from_document(doc, L, L)
 
 
 def test_formal_sum_rejects_wrong_lattice():
@@ -194,6 +249,19 @@ def test_cmd_mobius_unknown_label(capsys):
     assert code == 2
 
 
+def test_chain_poset_limit_reaches_mobius_and_verify(monkeypatch):
+    monkeypatch.setenv("TOTLAT_CHAIN_POSET_LIMIT", "0")
+    proc = cli_process("mobius", "boolean:2", "--chain", "0")
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and err == b""
+    assert out.splitlines()[-1] == b"oracle = (skipped: chain poset above the size limit)"
+    proc = cli_process("verify", "boolean:2", "--checks", "mobius_lemmas",
+                       "--format", "json")
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and err == b""
+    assert json.loads(out)["note"] == "some chains skipped by the chain-poset size limit"
+
+
 def test_cmd_mobius_chain_not_increasing(capsys):
     code, out, err = run_cli(capsys, "mobius", "pentagon", "--chain", "0,b,a")
     assert code == 2 and out == ""
@@ -248,6 +316,42 @@ def test_cmd_verify_single_lattice(capsys):
     assert code == 0
     reports = [json.loads(line) for line in out.splitlines() if line]
     assert all(r["status"] in ("pass", "skipped") for r in reports)
+
+
+def test_cmd_verify_file_matches_descriptor(tmp_path, capsys):
+    path = tmp_path / "diamond3.lat"
+    path.write_text(
+        "elements: 0 m1 m2 m3 1\ncovers:\n"
+        "0 m1\n0 m2\n0 m3\nm1 1\nm2 1\nm3 1\n"
+    )
+    code, from_file, _ = run_cli(capsys, "verify", str(path), "--format", "json")
+    assert code == 0
+    _, generated, _ = run_cli(capsys, "verify", "diamond:3", "--format", "json")
+    file_reports = [json.loads(line) for line in from_file.splitlines()]
+    generated_reports = [json.loads(line) for line in generated.splitlines()]
+    assert len(file_reports) == len(generated_reports) == 12
+    for f, g in zip(file_reports, generated_reports):
+        assert f.pop("lattice") == str(path) and g.pop("lattice") == "diamond:3"
+        assert f == g
+
+
+@pytest.mark.parametrize("command", ["info", "verify"])
+def test_unreadable_lattice_file(tmp_path, capsys, command):
+    binary = tmp_path / "binary.lat"
+    binary.write_bytes(b"elements: \xff\xfe\n")
+    code, out, err = run_cli(capsys, command, str(binary))
+    assert code == 2 and out == ""
+    assert err == f"error: {binary}: not a text file\n"
+    code, out, err = run_cli(capsys, command, str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {tmp_path}: ") and "Traceback" not in err
+
+
+def test_cmd_verify_corpus_option_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--corpus", "default"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --corpus" in capsys.readouterr().err
 
 
 def test_cmd_verify_selected_checks(capsys):

@@ -162,11 +162,9 @@ def test_partition_bottom_is_discrete():
 
 
 def test_partition_cap():
+    assert partition_lattice(5).n == 52
     with pytest.raises(UnsupportedSpec):
-        partition_lattice(5)
-    assert partition_lattice(5, allow_large=True).n == 52
-    with pytest.raises(UnsupportedSpec):
-        partition_lattice(7, allow_large=True)
+        partition_lattice(7)
 
 
 def test_generate_unknown():

@@ -11,6 +11,7 @@ import totlat
 from totlat.errors import (
     ChainNotInB,
     ChainNotInZ,
+    NotComparable,
     NotJoinMorphism,
     SourceTargetMismatch,
 )
@@ -279,6 +280,15 @@ def test_j_of_family_rejects_forged_picks():
         picks = tuple(L.poset.index_of(s) for s in labels)
         with pytest.raises(NotJoinMorphism):
             j_of_family(L, FamilyOverChain(B, picks))
+
+
+def test_j_of_family_rejects_pick_outside_interval():
+    L = boolean_lattice(2)
+    B = z_chain(L, "0", "a", "ab")
+    # b, ab increase, but b is not in [0, a]
+    picks = tuple(L.poset.index_of(s) for s in ("b", "ab"))
+    with pytest.raises(NotComparable):
+        j_of_family(L, FamilyOverChain(B, picks))
 
 
 def test_j_of_family_validates_under_optimisation():
