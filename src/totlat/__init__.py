@@ -23,7 +23,6 @@ from .lattices import (
     diamond_lattice,
     divisor_lattice,
     generate,
-    lattice_from_poset,
     partition_lattice,
     pentagon_lattice,
     product_lattice,

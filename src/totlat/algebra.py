@@ -29,7 +29,7 @@ from .errors import (
     SourceTargetMismatch,
     UnsupportedRing,
 )
-from .lattices import Lattice
+from .lattices import Lattice, chain_lattice
 from .morphisms import (
     FamilyOverChain,
     JoinMap,
@@ -365,8 +365,6 @@ def j_upper(L: Lattice, B, ring: Ring = ZZ) -> FormalSum:
         mu = mu_family(L, family)
         if mu:
             terms.append((j_of_family(L, family), sign * mu))
-    from .lattices import chain_lattice
-
     return FormalSum(ring, chain_lattice(n), L, terms)
 
 
@@ -379,7 +377,5 @@ def f_of_chain(L: Lattice, B, ring: Ring = ZZ) -> FormalSum:
 def idempotent_original(L: Lattice, ring: Ring = ZZ) -> FormalSum:
     """Sum of f_B over all top-ended chains B of every length."""
     return FormalSum.total(ring, L, L, (
-        f_of_chain(L, B, ring)
-        for n in range(L.max_chain_length + 1)
-        for B in L.chain_family("B", n)
+        f_of_chain(L, B, ring) for B in sorted(L.chain_family("B"), key=len)
     ))

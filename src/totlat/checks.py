@@ -1,8 +1,17 @@
 """Executable exact checks for every algebraic property the library claims.
 
-Each check runs over one lattice and returns a CheckReport.  All equalities
+Each check takes one Workspace and returns a CheckReport.  All equalities
 are exact; a failing report carries a structured counterexample that can be
 re-verified independently of the check that produced it.
+
+A Workspace holds one lattice under verification with the ring, the name
+its reports carry and the sampling options.  It computes the direct
+idempotent `e` once, on first use, for every check that needs it; the
+checks that compare constructions (the family construction, the filtered
+direct sum, the sums modulo m) still build their side independently.  The
+join-endomorphisms are not kept: each check streams them from the
+enumerator, because holding them as JoinMaps would cost more memory than
+the rest of a sweep.
 
 Feasibility gates keep the default suite fast: exhaustive endomorphism
 sweeps require at most MAX_ASSIGNMENTS candidate assignments, n ** k for
@@ -17,6 +26,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import (
     CHAIN_POSET_LIMIT,
@@ -24,15 +34,17 @@ from .algebra import (
     Ring,
     ZZ,
     embed,
+    f_of_chain,
     idempotent_direct,
     idempotent_original,
     identity_sum,
     mu_chain_infinity,
     mu_chain_infinity_oracle,
 )
-from .errors import FeasibilityLimit
+from .errors import FeasibilityLimit, UnknownCheck
 from .lattices import Lattice
 from .morphisms import (
+    compose,
     enumerate_join_endomorphisms,
     image_chain,
     opposite_morphism,
@@ -59,6 +71,8 @@ DEFAULT_CORPUS = (
     "product:boolean:2,chain:1",
 )
 
+SKIPPED_ABOVE_GATE = "endomorphism enumeration above the feasibility gate"
+
 
 @dataclass
 class CheckReport:
@@ -70,10 +84,6 @@ class CheckReport:
     note: str | None = None
     seed: int | None = None
     elapsed: float = 0.0
-
-    @property
-    def passed(self):
-        return self.status == "pass"
 
     def to_dict(self, include_elapsed=False):
         # elapsed is excluded by default so reports are byte-reproducible
@@ -95,14 +105,30 @@ class CheckReport:
         return out
 
 
-def _report(name, descriptor, started, **kw):
-    return CheckReport(
-        name=name, lattice=descriptor, elapsed=time.perf_counter() - started, **kw
-    )
+class Workspace:
+    """One lattice under verification and what its checks share."""
 
+    def __init__(self, L: Lattice, ring: Ring = ZZ, descriptor="?", seed=None,
+                 sample_count=500):
+        self.L = L
+        self.ring = ring
+        self.descriptor = descriptor
+        self.seed = seed
+        self.sample_count = sample_count
 
-def _endo_enumeration_feasible(L: Lattice):
-    return L.n ** len(L.join_irreducibles()) <= MAX_ASSIGNMENTS
+    @cached_property
+    def e(self) -> FormalSum:
+        """The direct idempotent over the workspace ring."""
+        return idempotent_direct(self.L, self.ring)
+
+    @cached_property
+    def enumerable(self):
+        """True iff an exhaustive endomorphism sweep is within the gate."""
+        L = self.L
+        return L.n ** len(L.join_irreducibles()) <= MAX_ASSIGNMENTS
+
+    def report(self, name, status, **kw):
+        return CheckReport(name=name, lattice=self.descriptor, status=status, **kw)
 
 
 def _sum_as_witness(s: FormalSum):
@@ -114,79 +140,70 @@ def _sum_as_witness(s: FormalSum):
 # -- individual checks ----------------------------------------------------
 
 
-def check_idempotent(L: Lattice, ring: Ring = ZZ, descriptor="?"):
-    t0 = time.perf_counter()
-    e = idempotent_direct(L, ring)
+def check_idempotent(ws: Workspace):
+    e = ws.e
     square = e * e
     if square == e:
-        return _report("idempotent", descriptor, t0, status="pass",
-                       counts={"terms": len(e.terms)})
-    return _report(
-        "idempotent", descriptor, t0, status="fail",
+        return ws.report("idempotent", "pass", counts={"terms": len(e.terms)})
+    return ws.report(
+        "idempotent", "fail",
         counterexample={"e": _sum_as_witness(e), "e_squared": _sum_as_witness(square)},
     )
 
 
-def check_identity_on_tot(L: Lattice, ring: Ring = ZZ, descriptor="?"):
+def check_identity_on_tot(ws: Workspace):
     """e acts as two-sided identity on every endomorphism with chain image."""
-    t0 = time.perf_counter()
-    if not _endo_enumeration_feasible(L):
-        return _report("identity_on_tot", descriptor, t0, status="skipped",
-                       note="endomorphism enumeration above the feasibility gate")
-    e = idempotent_direct(L, ring)
+    if not ws.enumerable:
+        return ws.report("identity_on_tot", "skipped", note=SKIPPED_ABOVE_GATE)
+    e = ws.e
     count = 0
-    for psi in enumerate_join_endomorphisms(L, tot_only=True):
+    for psi in enumerate_join_endomorphisms(ws.L, tot_only=True):
         count += 1
-        s = embed(psi, ring)
+        s = embed(psi, ws.ring)
         if e * s != s or s * e != s:
-            return _report(
-                "identity_on_tot", descriptor, t0, status="fail",
+            return ws.report(
+                "identity_on_tot", "fail",
                 counterexample={"psi": psi.table_labels()},
                 counts={"examined": count},
             )
-    return _report("identity_on_tot", descriptor, t0, status="pass",
-                   counts={"tot_endomorphisms": count})
+    return ws.report("identity_on_tot", "pass", counts={"tot_endomorphisms": count})
 
 
-def check_central(L: Lattice, ring: Ring = ZZ, descriptor="?", seed=None,
-                  sample_count=500):
-    t0 = time.perf_counter()
-    e = idempotent_direct(L, ring)
+def check_central(ws: Workspace):
+    e = ws.e
     note = None
     used_seed = None
-    if _endo_enumeration_feasible(L):
-        endos = enumerate_join_endomorphisms(L)
+    if ws.enumerable:
+        endos = enumerate_join_endomorphisms(ws.L)
         mode = "exhaustive"
     else:
-        used_seed = 0 if seed is None else seed
+        used_seed = 0 if ws.seed is None else ws.seed
         rng = random.Random(used_seed)
-        endos = sample_join_endomorphisms(L, sample_count, rng)
+        endos = sample_join_endomorphisms(ws.L, ws.sample_count, rng)
         mode = "sampled"
-        note = f"sampled {sample_count} endomorphisms"
+        note = f"sampled {ws.sample_count} endomorphisms"
     count = 0
     for phi in endos:
         count += 1
-        s = embed(phi, ring)
+        s = embed(phi, ws.ring)
         if e * s != s * e:
-            return _report(
-                "central", descriptor, t0, status="fail",
+            return ws.report(
+                "central", "fail",
                 counterexample={"phi": phi.table_labels()},
                 counts={"examined": count, "mode": mode}, seed=used_seed,
             )
-    return _report("central", descriptor, t0, status="pass",
-                   counts={"endomorphisms": count, "mode": mode},
-                   note=note, seed=used_seed)
+    return ws.report("central", "pass", counts={"endomorphisms": count, "mode": mode},
+                     note=note, seed=used_seed)
 
 
-def check_formula_equivalence(L: Lattice, ring: Ring = ZZ, descriptor="?"):
-    t0 = time.perf_counter()
-    direct = idempotent_direct(L, ring)
-    original = idempotent_original(L, ring)
+def check_formula_equivalence(ws: Workspace):
+    direct = ws.e
+    original = idempotent_original(ws.L, ws.ring)
     if direct == original:
-        return _report("formula_equivalence", descriptor, t0, status="pass",
-                       counts={"terms": len(direct.terms)})
-    return _report(
-        "formula_equivalence", descriptor, t0, status="fail",
+        return ws.report("formula_equivalence", "pass",
+                         counts={"terms": len(direct.terms)})
+    return ws.report(
+        "formula_equivalence", "fail",
         counterexample={
             "direct": _sum_as_witness(direct),
             "original": _sum_as_witness(original),
@@ -194,39 +211,33 @@ def check_formula_equivalence(L: Lattice, ring: Ring = ZZ, descriptor="?"):
     )
 
 
-def check_f_family(L: Lattice, ring: Ring = ZZ, descriptor="?"):
+def check_f_family(ws: Workspace):
     """Each f_B idempotent, all pairs orthogonal, and their sum is e."""
-    from .algebra import f_of_chain
-
-    t0 = time.perf_counter()
-    chains = []
-    for n in range(L.max_chain_length + 1):
-        chains.extend(L.chain_family("B", n))
-    fs = [(B, f_of_chain(L, B, ring)) for B in chains]
+    L, ring = ws.L, ws.ring
+    fs = [(B, f_of_chain(L, B, ring)) for B in sorted(L.chain_family("B"), key=len)]
     for B, f in fs:
         if f * f != f:
-            return _report("f_family", descriptor, t0, status="fail",
-                           counterexample={"chain": B.labels(), "kind": "not idempotent"})
+            return ws.report("f_family", "fail",
+                             counterexample={"chain": B.labels(), "kind": "not idempotent"})
     for i, (B, f) in enumerate(fs):
         for C, g in fs[i + 1:]:
             if not (f * g).is_zero() or not (g * f).is_zero():
-                return _report(
-                    "f_family", descriptor, t0, status="fail",
+                return ws.report(
+                    "f_family", "fail",
                     counterexample={"chains": [B.labels(), C.labels()],
                                     "kind": "not orthogonal"},
                 )
     total = FormalSum.total(ring, L, L, (f for _, f in fs))
-    if total != idempotent_direct(L, ring):
-        return _report("f_family", descriptor, t0, status="fail",
-                       counterexample={"kind": "sum differs from direct idempotent",
-                                       "sum": _sum_as_witness(total)})
-    return _report("f_family", descriptor, t0, status="pass",
-                   counts={"chains": len(fs)})
+    if total != ws.e:
+        return ws.report("f_family", "fail",
+                         counterexample={"kind": "sum differs from direct idempotent",
+                                         "sum": _sum_as_witness(total)})
+    return ws.report("f_family", "pass", counts={"chains": len(fs)})
 
 
-def check_mobius_lemmas(L: Lattice, descriptor="?"):
+def check_mobius_lemmas(ws: Workspace):
     """Product formula (with its vanishing shortcut) vs the chain-poset oracle."""
-    t0 = time.perf_counter()
+    L = ws.L
     count = 0
     limited = False
     for A in L.chain_family("A"):
@@ -238,24 +249,23 @@ def check_mobius_lemmas(L: Lattice, descriptor="?"):
             continue
         count += 1
         if fast != slow:
-            return _report(
-                "mobius_lemmas", descriptor, t0, status="fail",
+            return ws.report(
+                "mobius_lemmas", "fail",
                 counterexample={"chain": A.labels(), "product": fast, "oracle": slow},
                 counts={"examined": count},
             )
     note = "some chains skipped by the chain-poset size limit" if limited else None
-    return _report("mobius_lemmas", descriptor, t0, status="pass",
-                   counts={"chains": count}, note=note)
+    return ws.report("mobius_lemmas", "pass", counts={"chains": count}, note=note)
 
 
-def check_crapo_restriction(L: Lattice, ring: Ring = ZZ, descriptor="?"):
-    t0 = time.perf_counter()
-    filtered = idempotent_direct(L, ring, crapo_filter=True)
-    unfiltered = idempotent_direct(L, ring, crapo_filter=False)
+def check_crapo_restriction(ws: Workspace):
+    L = ws.L
+    filtered = idempotent_direct(L, ws.ring, crapo_filter=True)
+    unfiltered = ws.e
     if filtered != unfiltered:
-        return _report("crapo", descriptor, t0, status="fail",
-                       counterexample={"filtered": _sum_as_witness(filtered),
-                                       "unfiltered": _sum_as_witness(unfiltered)})
+        return ws.report("crapo", "fail",
+                         counterexample={"filtered": _sum_as_witness(filtered),
+                                         "unfiltered": _sum_as_witness(unfiltered)})
     skipped = 0
     for B in L.chain_family("Z"):
         if any(
@@ -264,102 +274,92 @@ def check_crapo_restriction(L: Lattice, ring: Ring = ZZ, descriptor="?"):
         ):
             skipped += 1
             if mu_chain_infinity(L, B) != 0:
-                return _report(
-                    "crapo", descriptor, t0, status="fail",
+                return ws.report(
+                    "crapo", "fail",
                     counterexample={"chain": B.labels(),
                                     "mu": mu_chain_infinity(L, B)},
                 )
-    return _report("crapo", descriptor, t0, status="pass",
-                   counts={"skipped_chains": skipped})
+    return ws.report("crapo", "pass", counts={"skipped_chains": skipped})
 
 
-def check_dimension(L: Lattice, descriptor="?"):
+def check_dimension(ws: Workspace):
     """Counts supporting the matrix-algebra dimension identity.
 
     Reports (#chain-image endomorphisms, sum of squared Z-counts, squared
     B-counts, squared A-counts).  Asserts the B-version and the per-length
     equality of A- and B-counts; the Z-version is reported, not asserted.
     """
-    t0 = time.perf_counter()
-    if not _endo_enumeration_feasible(L):
-        return _report("dimension", descriptor, t0, status="skipped",
-                       note="endomorphism enumeration above the feasibility gate")
+    if not ws.enumerable:
+        return ws.report("dimension", "skipped", note=SKIPPED_ABOVE_GATE)
+    L = ws.L
     tot_count = sum(1 for _ in enumerate_join_endomorphisms(L, tot_only=True))
-    per_n = {}
-    for n in range(L.max_chain_length + 1):
-        per_n[n] = (
-            len(L.chain_family("A", n)),
-            len(L.chain_family("B", n)),
-            len(L.chain_family("Z", n)),
-        )
-    sum_a = sum(a * a for a, _, _ in per_n.values())
-    sum_b = sum(b * b for _, b, _ in per_n.values())
-    sum_z = sum(z * z for _, _, z in per_n.values())
+    per_n = [[0, 0, 0] for _ in range(L.max_chain_length + 1)]
+    for i, kind in enumerate("ABZ"):
+        for C in L.chain_family(kind):
+            per_n[len(C) - 1][i] += 1
+    sum_a = sum(a * a for a, _, _ in per_n)
+    sum_b = sum(b * b for _, b, _ in per_n)
+    sum_z = sum(z * z for _, _, z in per_n)
     counts = {
         "tot_endomorphisms": tot_count,
         "sum_z_squared": sum_z,
         "sum_b_squared": sum_b,
         "sum_a_squared": sum_a,
-        "per_length": {str(n): list(v) for n, v in per_n.items()},
+        "per_length": {str(n): v for n, v in enumerate(per_n)},
     }
-    if any(a != b for a, b, _ in per_n.values()):
-        return _report("dimension", descriptor, t0, status="fail",
-                       counterexample={"per_length": counts["per_length"],
-                                       "kind": "A-count differs from B-count"},
-                       counts=counts)
+    if any(a != b for a, b, _ in per_n):
+        return ws.report("dimension", "fail",
+                         counterexample={"per_length": counts["per_length"],
+                                         "kind": "A-count differs from B-count"},
+                         counts=counts)
     if tot_count != sum_b:
-        return _report("dimension", descriptor, t0, status="fail",
-                       counterexample={"kind": "count differs from sum of squared B-counts"},
-                       counts=counts)
+        return ws.report("dimension", "fail",
+                         counterexample={"kind": "count differs from sum of squared B-counts"},
+                         counts=counts)
     note = None
     if sum_z != tot_count:
         note = "sum of squared Z-counts differs from the endomorphism count (reported, not asserted)"
-    return _report("dimension", descriptor, t0, status="pass", counts=counts,
-                   note=note)
+    return ws.report("dimension", "pass", counts=counts, note=note)
 
 
-def check_opposite_involution(L: Lattice, descriptor="?"):
+def check_opposite_involution(ws: Workspace):
     """Double opposite is the identity; the sup formula holds for surjections."""
-    t0 = time.perf_counter()
-    if not _endo_enumeration_feasible(L):
-        return _report("opposite_involution", descriptor, t0, status="skipped",
-                       note="endomorphism enumeration above the feasibility gate")
+    if not ws.enumerable:
+        return ws.report("opposite_involution", "skipped", note=SKIPPED_ABOVE_GATE)
+    L = ws.L
     count = 0
     for phi in enumerate_join_endomorphisms(L):
         count += 1
         if opposite_morphism(opposite_morphism(phi)) != phi:
-            return _report("opposite_involution", descriptor, t0, status="fail",
-                           counterexample={"phi": phi.table_labels()})
+            return ws.report("opposite_involution", "fail",
+                             counterexample={"phi": phi.table_labels()})
         if phi.is_surjective():
             op = opposite_morphism(phi)
             for tp in range(L.n):
                 fiber = [t for t in range(L.n) if phi.values[t] == tp]
                 if op.values[tp] != L.join_all(fiber):
-                    return _report(
-                        "opposite_involution", descriptor, t0, status="fail",
+                    return ws.report(
+                        "opposite_involution", "fail",
                         counterexample={"phi": phi.table_labels(),
                                         "at": L.names[tp]},
                     )
     # the index surjections are the surjective maps both constructions use
     pis = 0
-    for n in range(L.max_chain_length + 1):
-        for B in L.chain_family("B", n):
-            pi = pi_of_chain(L, B)
-            op = opposite_morphism(pi)
-            if tuple(op.values) != tuple(B.members):
-                return _report("opposite_involution", descriptor, t0, status="fail",
-                               counterexample={"chain": B.labels(),
-                                               "kind": "index surjection adjoint mismatch"})
-            pis += 1
-    return _report("opposite_involution", descriptor, t0, status="pass",
-                   counts={"endomorphisms": count, "index_surjections": pis})
+    for B in sorted(L.chain_family("B"), key=len):
+        op = opposite_morphism(pi_of_chain(L, B))
+        if tuple(op.values) != tuple(B.members):
+            return ws.report("opposite_involution", "fail",
+                             counterexample={"chain": B.labels(),
+                                             "kind": "index surjection adjoint mismatch"})
+        pis += 1
+    return ws.report("opposite_involution", "pass",
+                     counts={"endomorphisms": count, "index_surjections": pis})
 
 
-def check_decomposition(L: Lattice, ring: Ring = ZZ, descriptor="?"):
+def check_decomposition(ws: Workspace):
     """Id splits as e + (Id - e) with both parts idempotent and orthogonal."""
-    t0 = time.perf_counter()
-    e = idempotent_direct(L, ring)
-    one = identity_sum(L, ring)
+    e = ws.e
+    one = identity_sum(ws.L, ws.ring)
     rest = one - e
     ok = (
         rest * rest == rest
@@ -368,81 +368,82 @@ def check_decomposition(L: Lattice, ring: Ring = ZZ, descriptor="?"):
         and e + rest == one
     )
     if ok:
-        return _report("decomposition", descriptor, t0, status="pass")
-    return _report("decomposition", descriptor, t0, status="fail",
-                   counterexample={"e": _sum_as_witness(e)})
+        return ws.report("decomposition", "pass")
+    return ws.report("decomposition", "fail", counterexample={"e": _sum_as_witness(e)})
 
 
-def check_ideal_closure(L: Lattice, descriptor="?"):
+def check_ideal_closure(ws: Workspace):
     """Composites of a chain-image endomorphism with anything stay chain-image."""
-    from .morphisms import compose
-
-    t0 = time.perf_counter()
-    if not _endo_enumeration_feasible(L) or L.n > 6:
-        return _report("ideal_closure", descriptor, t0, status="skipped",
-                       note="restricted to exhaustively enumerable lattices with <= 6 elements")
+    L = ws.L
+    if not ws.enumerable or L.n > 6:
+        return ws.report("ideal_closure", "skipped",
+                         note="restricted to exhaustively enumerable lattices with <= 6 elements")
     tots = list(enumerate_join_endomorphisms(L, tot_only=True))
     alls = list(enumerate_join_endomorphisms(L))
     for alpha in tots:
         for phi in alls:
             for prod in (compose(alpha, phi), compose(phi, alpha)):
                 if image_chain(prod) is None:
-                    return _report(
-                        "ideal_closure", descriptor, t0, status="fail",
+                    return ws.report(
+                        "ideal_closure", "fail",
                         counterexample={"alpha": alpha.table_labels(),
                                         "phi": phi.table_labels()},
                     )
-    return _report("ideal_closure", descriptor, t0, status="pass",
-                   counts={"tot": len(tots), "all": len(alls)})
+    return ws.report("ideal_closure", "pass", counts={"tot": len(tots), "all": len(alls)})
 
 
-def check_ring_functoriality(L: Lattice, descriptor="?", moduli=(2, 3, 5)):
+def check_ring_functoriality(ws: Workspace, moduli=(2, 3, 5)):
     """Reducing the integer result mod m equals computing mod m directly."""
-    t0 = time.perf_counter()
-    over_z = idempotent_direct(L, ZZ)
+    over_z = idempotent_direct(ws.L, ZZ)
     for m in moduli:
         ring = Ring("mod", m)
-        if over_z.map_ring(ring) != idempotent_direct(L, ring):
-            return _report("ring_functoriality", descriptor, t0, status="fail",
-                           counterexample={"modulus": m})
-    return _report("ring_functoriality", descriptor, t0, status="pass",
-                   counts={"moduli": list(moduli)})
+        if over_z.map_ring(ring) != idempotent_direct(ws.L, ring):
+            return ws.report("ring_functoriality", "fail", counterexample={"modulus": m})
+    return ws.report("ring_functoriality", "pass", counts={"moduli": list(moduli)})
 
 
 CHECKS = {
-    "idempotent": lambda L, ring, desc, opts: check_idempotent(L, ring, desc),
-    "identity_on_tot": lambda L, ring, desc, opts: check_identity_on_tot(L, ring, desc),
-    "central": lambda L, ring, desc, opts: check_central(
-        L, ring, desc, seed=opts.get("seed"), sample_count=opts.get("sample_count", 500)
-    ),
-    "formula_equivalence": lambda L, ring, desc, opts: check_formula_equivalence(L, ring, desc),
-    "f_family": lambda L, ring, desc, opts: check_f_family(L, ring, desc),
-    "mobius_lemmas": lambda L, ring, desc, opts: check_mobius_lemmas(L, desc),
-    "crapo": lambda L, ring, desc, opts: check_crapo_restriction(L, ring, desc),
-    "dimension": lambda L, ring, desc, opts: check_dimension(L, desc),
-    "opposite_involution": lambda L, ring, desc, opts: check_opposite_involution(L, desc),
-    "decomposition": lambda L, ring, desc, opts: check_decomposition(L, ring, desc),
-    "ideal_closure": lambda L, ring, desc, opts: check_ideal_closure(L, desc),
-    "ring_functoriality": lambda L, ring, desc, opts: check_ring_functoriality(L, desc),
+    "idempotent": check_idempotent,
+    "identity_on_tot": check_identity_on_tot,
+    "central": check_central,
+    "formula_equivalence": check_formula_equivalence,
+    "f_family": check_f_family,
+    "mobius_lemmas": check_mobius_lemmas,
+    "crapo": check_crapo_restriction,
+    "dimension": check_dimension,
+    "opposite_involution": check_opposite_involution,
+    "decomposition": check_decomposition,
+    "ideal_closure": check_ideal_closure,
+    "ring_functoriality": check_ring_functoriality,
 }
 
 
-def run_suite(corpus=DEFAULT_CORPUS, ring: Ring = ZZ, checks=None, **options):
+def run_suite(corpus=DEFAULT_CORPUS, ring: Ring = ZZ, checks=None, seed=None,
+              sample_count=500):
     """Run the selected checks over each corpus entry, in order.
 
     An entry is a lattice file or a generator descriptor, as `load_lattice`
-    takes it; each report names the lattice by the entry as given.
+    takes it; each report names the lattice by the entry as given.  Each
+    entry gets one Workspace, shared by its checks; a check's elapsed time
+    includes whatever shared value it computes first.
 
     Returns the list of CheckReports; callers decide what a failure means
-    (the CLI maps any non-pass to a nonzero exit status).
+    (the CLI maps any non-pass to a nonzero exit status).  Raises
+    UnknownCheck, before loading any lattice, if a name is not in CHECKS.
     """
     selected = list(checks) if checks else list(CHECKS)
     unknown = [c for c in selected if c not in CHECKS]
     if unknown:
-        raise ValueError(f"unknown checks: {unknown}")
+        raise UnknownCheck(
+            f"unknown checks: {', '.join(unknown)}\n"
+            f"available: {', '.join(sorted(CHECKS))}"
+        )
     reports = []
     for descriptor in corpus:
-        L = load_lattice(descriptor)
+        ws = Workspace(load_lattice(descriptor), ring, descriptor, seed, sample_count)
         for name in selected:
-            reports.append(CHECKS[name](L, ring, descriptor, options))
+            t0 = time.perf_counter()
+            report = CHECKS[name](ws)
+            report.elapsed = time.perf_counter() - t0
+            reports.append(report)
     return reports

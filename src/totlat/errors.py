@@ -78,3 +78,7 @@ class FeasibilityLimit(TotlatError):
 
 class ParseError(TotlatError):
     """Malformed lattice file or serialized formal sum."""
+
+
+class UnknownCheck(TotlatError, ValueError):
+    """A verification check name that the suite does not have."""

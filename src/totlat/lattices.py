@@ -192,10 +192,6 @@ class Lattice:
         return f"Lattice({self.n} elements, bottom={self.names[self.bottom]}, top={self.names[self.top]})"
 
 
-def lattice_from_poset(poset: Poset) -> Lattice:
-    return Lattice(poset)
-
-
 # -- generators -----------------------------------------------------------
 
 

@@ -42,9 +42,6 @@ class JoinMap:
     def __call__(self, x):
         return self.values[x]
 
-    def is_identity(self):
-        return self.source == self.target and self.values == tuple(range(self.source.n))
-
     def is_surjective(self):
         return len(set(self.values)) == self.target.n
 

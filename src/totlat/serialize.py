@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .algebra import FormalSum, Ring
 from .errors import ParseError
-from .lattices import Lattice, generate, lattice_from_poset
-from .morphisms import make_join_map
+from .lattices import Lattice, generate
+from .morphisms import alpha_of_chain, image_chain, make_join_map
 from .posets import poset_from_covers
 
 
@@ -74,7 +74,7 @@ def parse_lattice_file(text) -> Lattice:
         covers.append((parts[0], parts[1]))
     if names is None:
         raise ParseError("missing 'elements:' line")
-    return lattice_from_poset(poset_from_covers(names, covers))
+    return Lattice(poset_from_covers(names, covers))
 
 
 def _coeff_to_json(ring: Ring, c):
@@ -108,8 +108,9 @@ def formal_sum_from_document(doc: dict, source: Lattice, target: Lattice) -> For
     """Rebuild a formal sum, validating each table as a join-morphism.
 
     Every malformed document raises a TotlatError: ParseError for its
-    structure, UnsupportedRing for its ring or an inexact coefficient,
-    UnknownLabel or NotJoinMorphism for a table.
+    structure or a table key that names no source element, UnsupportedRing
+    for its ring or an inexact coefficient, UnknownLabel or NotJoinMorphism
+    for a table.
     """
     try:
         ring = Ring.parse(str(doc["ring"]))
@@ -124,6 +125,11 @@ def formal_sum_from_document(doc: dict, source: Lattice, target: Lattice) -> For
                 target.poset.index_of(table[source.names[x]])
                 for x in range(source.n)
             )
+            extra = set(table) - set(source.names)
+            if extra:
+                raise ParseError(
+                    f"table names no source element: {', '.join(sorted(extra))}"
+                )
             terms.append((
                 make_join_map(source, target, values),
                 _coeff_from_json(ring, term["coeff"]),
@@ -139,8 +145,6 @@ def formal_sum_to_json(s: FormalSum) -> str:
 
 def formal_sum_to_text(s: FormalSum) -> str:
     """Human-readable signed terms; chain retractions print as their chain."""
-    from .morphisms import alpha_of_chain, image_chain
-
     lines = []
     for jm, c in s.sorted_terms():
         label = None
@@ -158,9 +162,5 @@ def formal_sum_to_text(s: FormalSum) -> str:
             label = "[" + ",".join(
                 f"{k}->{v}" for k, v in jm.table_labels().items()
             ) + "]"
-        sign = "+" if (s.ring.kind != "rat" and int(c) >= 0) or (
-            s.ring.kind == "rat" and Fraction(c) >= 0
-        ) else "-"
-        mag = abs(Fraction(c)) if s.ring.kind == "rat" else abs(int(c))
-        lines.append(f"{sign} {mag}*{label}")
+        lines.append(f"{'+' if c >= 0 else '-'} {abs(c)}*{label}")
     return "\n".join(lines) if lines else "0"

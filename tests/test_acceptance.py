@@ -18,7 +18,7 @@ from totlat.algebra import (
     mu_chain_infinity,
     mu_chain_infinity_oracle,
 )
-from totlat.checks import DEFAULT_CORPUS, check_dimension, check_f_family
+from totlat.checks import DEFAULT_CORPUS, Workspace, check_dimension, check_f_family
 from totlat.cli import main
 from totlat.lattices import chain_lattice, generate
 from totlat.morphisms import (
@@ -93,7 +93,7 @@ def test_criterion_4_formula_equivalence(corpus):
 
 def test_criterion_5_f_family(corpus):
     for spec, L in corpus.items():
-        r = check_f_family(L, descriptor=spec)
+        r = check_f_family(Workspace(L, descriptor=spec))
         assert r.status == "pass", (spec, r.counterexample)
     report(5, "each f_B idempotent, all pairs orthogonal, sum equals e")
 
@@ -123,16 +123,16 @@ def test_criterion_7_crapo(corpus):
 
 
 def test_criterion_8_dimension_evidence(corpus):
-    r = check_dimension(generate("boolean:2"), descriptor="boolean:2")
+    r = check_dimension(Workspace(generate("boolean:2"), descriptor="boolean:2"))
     c = r.counts
     assert (c["tot_endomorphisms"], c["sum_z_squared"], c["sum_b_squared"],
             c["sum_a_squared"]) == (14, 5, 14, 14)
-    r = check_dimension(chain_lattice(1), descriptor="chain:1")
+    r = check_dimension(Workspace(chain_lattice(1), descriptor="chain:1"))
     c = r.counts
     assert (c["tot_endomorphisms"], c["sum_z_squared"], c["sum_b_squared"],
             c["sum_a_squared"]) == (2, 1, 2, 2)
     for spec, L in corpus.items():
-        r = check_dimension(L, descriptor=spec)
+        r = check_dimension(Workspace(L, descriptor=spec))
         if r.status == "skipped":
             continue
         assert r.status == "pass", (spec, r.counterexample)

@@ -3,6 +3,7 @@ import pytest
 import totlat.checks as checks
 from totlat.checks import (
     CheckReport,
+    Workspace,
     check_central,
     check_decomposition,
     check_dimension,
@@ -15,6 +16,8 @@ from totlat.checks import (
     check_crapo_restriction,
     run_suite,
 )
+from totlat.algebra import ZZ
+from totlat.errors import UnknownCheck
 from totlat.lattices import boolean_lattice, chain_lattice, generate
 from totlat.posets import Poset
 
@@ -36,6 +39,28 @@ def test_run_suite_unknown_check():
         run_suite(corpus=["chain:1"], checks=["no_such_check"])
 
 
+def test_run_suite_names_unknown_checks_before_loading():
+    with pytest.raises(UnknownCheck, match="^unknown checks: x, y\navailable: central, "):
+        run_suite(corpus=["no_such_lattice"], checks=["x", "idempotent", "y"])
+
+
+def test_run_suite_builds_e_once_per_lattice(monkeypatch):
+    calls = []
+    real = checks.idempotent_direct
+
+    def counted(L, ring=ZZ, crapo_filter=False):
+        calls.append((str(ring), crapo_filter))
+        return real(L, ring, crapo_filter)
+
+    monkeypatch.setattr(checks, "idempotent_direct", counted)
+    run_suite(corpus=["boolean:2"])
+    # the shared e, crapo's filtered sum, and ring_functoriality's four sums
+    assert sorted(calls) == sorted([
+        ("int", False), ("int", True),
+        ("int", False), ("mod:2", False), ("mod:3", False), ("mod:5", False),
+    ])
+
+
 def test_run_suite_order_deterministic():
     a = [r.to_dict() for r in run_suite(corpus=["chain:2", "boolean:2"])]
     b = [r.to_dict() for r in run_suite(corpus=["chain:2", "boolean:2"])]
@@ -43,7 +68,7 @@ def test_run_suite_order_deterministic():
 
 
 def test_dimension_diamond():
-    r = check_dimension(boolean_lattice(2), descriptor="boolean:2")
+    r = check_dimension(Workspace(boolean_lattice(2), descriptor="boolean:2"))
     assert r.status == "pass"
     c = r.counts
     assert (
@@ -56,7 +81,7 @@ def test_dimension_diamond():
 
 
 def test_dimension_two_point_chain():
-    r = check_dimension(chain_lattice(1), descriptor="chain:1")
+    r = check_dimension(Workspace(chain_lattice(1), descriptor="chain:1"))
     c = r.counts
     assert (
         c["tot_endomorphisms"],
@@ -67,7 +92,7 @@ def test_dimension_two_point_chain():
 
 
 def test_dimension_one_element():
-    r = check_dimension(chain_lattice(0), descriptor="chain:0")
+    r = check_dimension(Workspace(chain_lattice(0), descriptor="chain:0"))
     c = r.counts
     assert (
         c["tot_endomorphisms"],
@@ -79,13 +104,13 @@ def test_dimension_one_element():
 
 
 def test_identity_on_tot_counts_diamond():
-    r = check_identity_on_tot(boolean_lattice(2), descriptor="boolean:2")
+    r = check_identity_on_tot(Workspace(boolean_lattice(2), descriptor="boolean:2"))
     assert r.status == "pass"
     assert r.counts["tot_endomorphisms"] == 14
 
 
 def test_central_exhaustive_diamond():
-    r = check_central(boolean_lattice(2), descriptor="boolean:2")
+    r = check_central(Workspace(boolean_lattice(2), descriptor="boolean:2"))
     assert r.status == "pass"
     assert r.counts == {"endomorphisms": 16, "mode": "exhaustive"}
     assert r.seed is None
@@ -93,7 +118,7 @@ def test_central_exhaustive_diamond():
 
 def test_central_sampled_on_large_lattice():
     L = generate("partition:4")
-    r = check_central(L, descriptor="partition:4", seed=1, sample_count=50)
+    r = check_central(Workspace(L, descriptor="partition:4", seed=1, sample_count=50))
     assert r.status == "pass"
     assert r.counts["mode"] == "sampled"
     assert r.seed == 1
@@ -101,12 +126,12 @@ def test_central_sampled_on_large_lattice():
 
 def test_feasibility_gate_reports_skipped(monkeypatch):
     monkeypatch.setattr(checks, "MAX_ASSIGNMENTS", 0)
-    r = check_identity_on_tot(boolean_lattice(2), descriptor="boolean:2")
+    r = check_identity_on_tot(Workspace(boolean_lattice(2), descriptor="boolean:2"))
     assert r.status == "skipped"
-    r = check_dimension(boolean_lattice(2), descriptor="boolean:2")
+    r = check_dimension(Workspace(boolean_lattice(2), descriptor="boolean:2"))
     assert r.status == "skipped"
-    r = check_central(boolean_lattice(2), descriptor="boolean:2", seed=3,
-                      sample_count=10)
+    r = check_central(Workspace(boolean_lattice(2), descriptor="boolean:2", seed=3,
+                                sample_count=10))
     assert r.status == "pass" and r.counts["mode"] == "sampled"
 
 
@@ -123,7 +148,7 @@ def test_fault_injection_mobius(monkeypatch):
         return value
 
     monkeypatch.setattr(Poset, "mobius", corrupted)
-    r = check_mobius_lemmas(L, descriptor="boolean:2")
+    r = check_mobius_lemmas(Workspace(L, descriptor="boolean:2"))
     assert r.status == "fail"
     assert r.counterexample is not None
     witness_chain = r.counterexample["chain"]
@@ -156,5 +181,5 @@ def test_individual_checks_pass(spec):
         check_decomposition,
         check_opposite_involution,
     ):
-        r = fn(L, descriptor=spec)
+        r = fn(Workspace(L, descriptor=spec))
         assert r.status == "pass", (spec, r.name, r.counterexample)

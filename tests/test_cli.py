@@ -19,6 +19,8 @@ from totlat.serialize import (
     parse_lattice_file,
 )
 
+DATA = Path(__file__).parent / "data"
+
 DIAMOND_FILE = """\
 # a diamond
 elements: 0 a b 1
@@ -97,6 +99,13 @@ def test_formal_sum_rejects_non_join_morphism_table():
 def test_formal_sum_rejects_inexact_coefficient(ring, coeff):
     L, doc = boolean_2_document(ring, coeff)
     with pytest.raises(UnsupportedRing):
+        formal_sum_from_document(doc, L, L)
+
+
+def test_formal_sum_rejects_extra_table_label():
+    L, doc = boolean_2_document()
+    doc["terms"][0]["table"]["zz"] = "ab"
+    with pytest.raises(ParseError, match="zz"):
         formal_sum_from_document(doc, L, L)
 
 
@@ -363,8 +372,14 @@ def test_cmd_verify_selected_checks(capsys):
 
 
 def test_cmd_verify_unknown_check(capsys):
-    code, _, err = run_cli(capsys, "verify", "pentagon", "--checks", "bogus")
-    assert code == 2 and "unknown checks" in err
+    code, out, err = run_cli(capsys, "verify", "pentagon", "--checks", "bogus")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: unknown checks: bogus\n"
+        "available: central, crapo, decomposition, dimension, f_family, "
+        "formula_equivalence, ideal_closure, idempotent, identity_on_tot, "
+        "mobius_lemmas, opposite_involution, ring_functoriality\n"
+    )
 
 
 def test_cmd_verify_sampled_seed_recorded(capsys):
@@ -382,3 +397,13 @@ def test_cmd_verify_deterministic_json(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("verify_default.jsonl", ()),
+    ("verify_partition4_seed1.jsonl", ("partition:4", "--seed", "1")),
+])
+def test_cmd_verify_matches_golden_reports(capsys, golden, argv):
+    code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    assert out == (DATA / golden).read_text(encoding="utf-8")

@@ -11,7 +11,6 @@ from totlat.lattices import (
     diamond_lattice,
     divisor_lattice,
     generate,
-    lattice_from_poset,
     partition_lattice,
     pentagon_lattice,
 )
@@ -39,12 +38,12 @@ def test_diamond_structure():
 def test_antichain_is_not_a_lattice():
     p = poset_from_covers(["a", "b"], [])
     with pytest.raises(NotALattice):
-        lattice_from_poset(p)
+        Lattice(p)
 
 
 def test_empty_poset_is_not_a_lattice():
     with pytest.raises(EmptyLattice):
-        lattice_from_poset(Poset([], []))
+        Lattice(Poset([], []))
     assert issubclass(EmptyLattice, TotlatError)
 
 
