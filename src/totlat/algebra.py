@@ -42,8 +42,9 @@ from .morphisms import (
 )
 from .posets import Poset
 
-# the largest chain poset the brute-force Moebius oracle builds
-CHAIN_POSET_LIMIT = int(os.environ.get("TOTLAT_CHAIN_POSET_LIMIT", 10**5))
+# the largest chain poset the brute-force Moebius oracle builds; its order
+# table has size**2 entries, so time and memory grow as the square
+CHAIN_POSET_LIMIT = int(os.environ.get("TOTLAT_CHAIN_POSET_LIMIT", 2000))
 
 
 @dataclass(frozen=True)
@@ -297,28 +298,21 @@ def mu_chain_infinity_oracle(L: Lattice, A, limit=CHAIN_POSET_LIMIT) -> int:
     members = tuple(A)
     if not members or members[0] != L.bottom:
         raise ChainNotInA("chain must contain the bottom element")
-    base = set(members)
+    # a chain is the mask of its members; the adjoined top has every bit
+    # of L and one more, so it lies above every chain and below none
+    base = sum(1 << m for m in members)
     supersets = [
-        tuple(c.members)
-        for c in L.chain_family("A")
-        if base < set(c.members)
+        mask
+        for mask in (sum(1 << m for m in c) for c in L.chain_family("A"))
+        if mask != base and mask & base == base
     ]
     if len(supersets) > limit:
         raise FeasibilityLimit(
             f"chain poset has {len(supersets)} elements, above the limit {limit}"
         )
-    carrier = [members] + sorted(supersets) + [None]  # None is the adjoined top
-    names = [str(i) for i in range(len(carrier))]
-
-    def below(a, b):
-        if b is None:
-            return True
-        if a is None:
-            return False
-        return set(a) <= set(b)
-
-    leq = [[below(a, b) for b in carrier] for a in carrier]
-    poset = Poset(names, leq)
+    carrier = [base] + supersets + [(2 << L.n) - 1]
+    leq = [[a & ~b == 0 for b in carrier] for a in carrier]
+    poset = Poset([str(i) for i in range(len(carrier))], leq)
     return poset.mobius_hall(0, len(carrier) - 1)
 
 

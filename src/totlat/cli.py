@@ -12,9 +12,11 @@ Every INPUT, that of `verify` included, is either a path to a lattice text
 file or a generator descriptor ("boolean:3", "divisor:12",
 "product:boolean:2,chain:1", ...).
 
-Environment: TOTLAT_MAX_ASSIGNMENTS caps exhaustive endomorphism sweeps in
-`verify`; TOTLAT_CHAIN_POSET_LIMIT caps the chain-poset Moebius oracle, in
-`verify` and in `mobius --chain`.
+A lattice has at most 1,024 elements; `divisor:M` takes M <= 10^12.
+
+Environment: TOTLAT_MAX_ASSIGNMENTS (default 1e7) caps exhaustive
+endomorphism sweeps in `verify`; TOTLAT_CHAIN_POSET_LIMIT (default 2000)
+caps the chain-poset Moebius oracle, in `verify` and in `mobius --chain`.
 
 Exit status: 0 success, 1 verification failure, 2 usage or parse error,
 141 when the reader closes standard output before all output is written

@@ -1,7 +1,11 @@
 """Finite lattices: join/meet tables, chain families, generators.
 
-A Lattice wraps a Poset with fully materialized join and meet tables
-(fine for the <= ~20-element test corpus).  Chain families:
+A Lattice wraps a Poset with fully materialized join and meet tables.
+Both are read off the poset's up-set bitmasks: the join of x and y is the
+element whose up-set is `up[x] & up[y]`, found in a dict keyed by up-set,
+and meets come the same way from the transposed masks (down-sets).  Each
+table costs n^2 lookups, so every generator and lattice file is capped at
+MAX_ELEMENTS elements, the size of boolean:10.  Chain families:
 
   kind "A": chains whose least member is the bottom element,
   kind "B": chains whose greatest member is the top element,
@@ -19,11 +23,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from .errors import EmptyLattice, NotALattice, NotComparable, UnsupportedSpec
-from .posets import Chain, Poset, poset_from_covers
+from .posets import Chain, Poset, bit_indices, poset_from_covers
 
 PARTITION_HARD_CAP = 6
+# the most elements a generated or loaded lattice may have: boolean:10
+MAX_ELEMENTS = 1024
+# the largest M that divisor:M accepts; trial division runs up to sqrt(M)
+DIVISOR_HARD_CAP = 10**12
 
 
 class Lattice:
@@ -39,19 +48,30 @@ class Lattice:
         n = poset.n
         if n == 0:
             raise EmptyLattice("a lattice needs at least one element")
-        self._join = [[None] * n for _ in range(n)]
-        self._meet = [[None] * n for _ in range(n)]
+        up = poset.up
+        down = [0] * n  # bit x of down[y] is set iff x <= y
         for x in range(n):
-            for y in range(x, n):
-                self._join[x][y] = self._join[y][x] = self._bound(x, y, upper=True)
-                self._meet[x][y] = self._meet[y][x] = self._bound(x, y, upper=False)
-        bottoms = [x for x in range(n) if all(poset.leq(x, y) for y in range(n))]
-        tops = [x for x in range(n) if all(poset.leq(y, x) for y in range(n))]
-        # nonempty lattices always have both once pairwise bounds exist
-        self.bottom = bottoms[0]
-        self.top = tops[0]
+            for y in bit_indices(up[x]):
+                down[y] |= 1 << x
+        # the join of x and y is the element whose up-set is up[x] & up[y]
+        by_up = {m: z for z, m in enumerate(up)}
+        by_down = {m: z for z, m in enumerate(down)}
+        self._join, self._meet = [], []
+        for x in range(n):
+            joins = [by_up.get(up[x] & m) for m in up]
+            meets = [by_down.get(down[x] & m) for m in down]
+            if None in joins or None in meets:
+                # rows before x are complete, so the first gap has y >= x
+                y = next(y for y in range(n) if joins[y] is None or meets[y] is None)
+                raise NotALattice(poset.names[x], poset.names[y],
+                                  "join" if joins[y] is None else "meet")
+            self._join.append(joins)
+            self._meet.append(meets)
+        full = (1 << n) - 1
+        self.bottom = by_up[full]
+        self.top = by_down[full]
         above = self._above = tuple(
-            tuple(y for y in range(n) if poset.lt(x, y)) for x in range(n)
+            tuple(bit_indices(up[x] & ~(1 << x))) for x in range(n)
         )
         # longest path up from each element; an element's strict upper set
         # is strictly smaller than that of anything below it, so sorting by
@@ -62,19 +82,6 @@ class Lattice:
         self.max_chain_length = height[self.bottom]
         self._families = {}
         self._opposite = None
-
-    def _bound(self, x, y, upper):
-        p = self.poset
-        if upper:
-            cands = [z for z in range(p.n) if p.leq(x, z) and p.leq(y, z)]
-            best = [z for z in cands if all(p.leq(z, w) for w in cands)]
-        else:
-            cands = [z for z in range(p.n) if p.leq(z, x) and p.leq(z, y)]
-            best = [z for z in cands if all(p.leq(w, z) for w in cands)]
-        if len(best) != 1:
-            raise NotALattice(self.poset.names[x], self.poset.names[y],
-                              "join" if upper else "meet")
-        return best[0]
 
     # -- basic structure --------------------------------------------------
 
@@ -201,6 +208,7 @@ def chain_lattice(n):
     the index orders for every chain-indexed construction."""
     if n < 0:
         raise UnsupportedSpec("chain lattice needs n >= 0")
+    _check_size(f"chain:{n}", n + 1)
     names = [str(i) for i in range(n + 1)]
     return Lattice(poset_from_covers(names, list(zip(names, names[1:]))))
 
@@ -220,26 +228,21 @@ def boolean_lattice(n):
         subsets.extend(itertools.combinations(atoms, k))
     label = lambda s: "".join(s) if s else "0"
     covers = [
-        (label(s), label(t))
-        for s in subsets
-        for t in subsets
-        if len(t) == len(s) + 1 and set(s) <= set(t)
+        (label(s), label(sorted(s + (a,)))) for s in subsets for a in atoms if a not in s
     ]
     return Lattice(poset_from_covers([label(s) for s in subsets], covers))
 
 
 def divisor_lattice(m):
     """Divisors of m ordered by divisibility."""
-    if m < 1:
-        raise UnsupportedSpec("divisor lattice needs m >= 1")
-    divs = [d for d in range(1, m + 1) if m % d == 0]
-    covers = [
-        (str(a), str(b))
-        for a in divs
-        for b in divs
-        if a < b and b % a == 0 and not any(a < c < b and c % a == 0 and b % c == 0 for c in divs)
-    ]
-    return Lattice(poset_from_covers([str(d) for d in divs], covers))
+    if not 1 <= m <= DIVISOR_HARD_CAP:
+        raise UnsupportedSpec(f"divisor lattice needs 1 <= m <= {DIVISOR_HARD_CAP}")
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    divs = sorted(set(small + [m // d for d in small]))
+    _check_size(f"divisor:{m}", len(divs))
+    # every divisibility pair, not only the covers; the closure absorbs them
+    pairs = [(str(a), str(b)) for i, a in enumerate(divs) for b in divs[i + 1:] if b % a == 0]
+    return Lattice(poset_from_covers([str(d) for d in divs], pairs))
 
 
 def _set_partitions(items):
@@ -276,6 +279,7 @@ def diamond_lattice(k):
     """M_k: bottom, k pairwise incomparable middles, top."""
     if k < 1:
         raise UnsupportedSpec("diamond needs k >= 1")
+    _check_size(f"diamond:{k}", k + 2)
     mids = [f"m{i}" for i in range(1, k + 1)]
     covers = [("0", m) for m in mids] + [(m, "1") for m in mids]
     return Lattice(poset_from_covers(["0"] + mids + ["1"], covers))
@@ -289,6 +293,7 @@ def pentagon_lattice():
 
 def product_lattice(left: Lattice, right: Lattice):
     """Component-wise order on pairs; labels are 'x×y'."""
+    _check_size("the product", left.n * right.n)
     pairs = list(itertools.product(range(left.n), range(right.n)))
     names = [f"{left.names[a]}×{right.names[b]}" for a, b in pairs]
     leq = [
@@ -296,6 +301,13 @@ def product_lattice(left: Lattice, right: Lattice):
         for (a, b) in pairs
     ]
     return Lattice(Poset(names, leq))
+
+
+def _check_size(what, count):
+    if count > MAX_ELEMENTS:
+        raise UnsupportedSpec(
+            f"{what} has {count} elements, above the cap of {MAX_ELEMENTS}"
+        )
 
 
 def generate(spec):

@@ -9,7 +9,8 @@ Lattice file grammar (blank lines and '#' comments ignored):
     covers:
     <label> <label>      # one cover pair per line
 
-There is exactly one 'elements:' line, and it names at least one element.
+There is exactly one 'elements:' line, and it names at least one and at
+most MAX_ELEMENTS elements.
 
 Formal sums serialize to a JSON document carrying the ring, source and
 target lattice fingerprints, and the coefficient/value-table terms in
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from .algebra import FormalSum, Ring
 from .errors import ParseError
-from .lattices import Lattice, generate
+from .lattices import MAX_ELEMENTS, Lattice, generate
 from .morphisms import alpha_of_chain, image_chain, make_join_map
 from .posets import poset_from_covers
 
@@ -57,6 +58,10 @@ def parse_lattice_file(text) -> Lattice:
             names = line[len("elements:"):].split()
             if not names:
                 raise ParseError(f"line {lineno}: 'elements:' lists no elements")
+            if len(names) > MAX_ELEMENTS:
+                raise ParseError(
+                    f"line {lineno}: {len(names)} elements, above the cap of {MAX_ELEMENTS}"
+                )
             continue
         if line.startswith("covers:"):
             if names is None:

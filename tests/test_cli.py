@@ -66,6 +66,25 @@ def test_parse_lattice_file_second_elements_line():
         parse_lattice_file("elements: 0 1\nelements: 0\ncovers:\n0 1\n")
 
 
+@pytest.mark.parametrize("spec", [
+    "diamond:2000", "product:diamond:40,chain:40", "divisor:1000000000000000",
+])
+def test_oversized_descriptor_is_refused(capsys, spec):
+    code, out, err = run_cli(capsys, "info", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_oversized_lattice_file_is_refused(tmp_path, capsys):
+    names = [f"e{i}" for i in range(1025)]
+    path = tmp_path / "wide.lat"
+    path.write_text("elements: " + " ".join(names) + "\ncovers:\n"
+                    + "".join(f"{names[0]} {x}\n" for x in names[1:]))
+    code, out, err = run_cli(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 1: 1025 elements, above the cap of 1024\n"
+
+
 # -- formal sum documents -------------------------------------------------
 
 
@@ -269,6 +288,21 @@ def test_chain_poset_limit_reaches_mobius_and_verify(monkeypatch):
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0 and err == b""
     assert json.loads(out)["note"] == "some chains skipped by the chain-poset size limit"
+
+
+def test_default_chain_poset_limit_skips_large_oracle(monkeypatch):
+    # the 9,365 chains above the bottom of boolean:6 exceed the default limit
+    monkeypatch.delenv("TOTLAT_CHAIN_POSET_LIMIT", raising=False)
+    proc = cli_process("mobius", "boolean:6", "--chain", "0")
+    try:
+        out, err = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0 and err == b""
+    assert out.splitlines() == [
+        b"mu(chain, infinity) = 0",
+        b"oracle = (skipped: chain poset above the size limit)",
+    ]
 
 
 def test_cmd_mobius_chain_not_increasing(capsys):

@@ -1,10 +1,12 @@
 import itertools
+import time
 
 import pytest
 
 from totlat.checks import DEFAULT_CORPUS
 from totlat.errors import EmptyLattice, NotALattice, TotlatError, UnsupportedSpec
 from totlat.lattices import (
+    MAX_ELEMENTS,
     Lattice,
     boolean_lattice,
     chain_lattice,
@@ -257,9 +259,37 @@ def test_chain_family_returns_fresh_list():
         assert [c.members for c in L.chain_family("B", n)] == expected
 
 
-@pytest.mark.parametrize("spec", ["chain:-1", "boolean:-1", "boolean:11"])
+@pytest.mark.parametrize("spec", [
+    "chain:-1", "boolean:-1", "boolean:11", "chain:1024", "diamond:1023",
+    "divisor:0", "divisor:1000000000001", "divisor:963761198400",
+])
 def test_generate_rejects_out_of_range_sizes(spec):
     cached = chain_lattice.cache_info().currsize
     with pytest.raises(UnsupportedSpec):
         generate(spec)
     assert chain_lattice.cache_info().currsize == cached
+
+
+def test_lattices_at_the_element_cap_build():
+    assert chain_lattice(MAX_ELEMENTS - 1).n == MAX_ELEMENTS
+    assert boolean_lattice(10).n == MAX_ELEMENTS
+    assert generate("diamond:1022").n == MAX_ELEMENTS
+    assert generate("product:boolean:5,chain:31").n == MAX_ELEMENTS
+
+
+def test_divisor_lattice_by_trial_division():
+    # 10**8 has 81 divisors; trial division finds them without scanning 1..M
+    start = time.process_time()
+    L = divisor_lattice(10**8)
+    assert time.process_time() - start < 1
+    assert L.n == 81 and L.names[L.bottom] == "1" and L.names[L.top] == "100000000"
+    assert divisor_lattice(10**12).n == 169
+    for m in (1, 12, 36, 60, 97):
+        divs = [d for d in range(1, m + 1) if m % d == 0]
+        L = divisor_lattice(m)
+        assert L.names == tuple(map(str, divs))
+        assert sorted(L.poset.cover_labels()) == sorted(
+            (str(a), str(b)) for a in divs for b in divs
+            if a < b and b % a == 0
+            and not any(a < c < b and c % a == 0 and b % c == 0 for c in divs)
+        )
