@@ -14,7 +14,6 @@ from .algebra import (
     j_upper,
     mu_chain_infinity,
     mu_chain_infinity_oracle,
-    mu_family,
 )
 from .lattices import (
     Lattice,
@@ -28,16 +27,13 @@ from .lattices import (
     product_lattice,
 )
 from .morphisms import (
-    FamilyOverChain,
     JoinMap,
     alpha_of_chain,
     compose,
     constant_bottom,
     enumerate_join_endomorphisms,
-    families_over_chain,
     identity_map,
     image_chain,
-    j_of_family,
     make_join_map,
     opposite_morphism,
     pi_of_chain,

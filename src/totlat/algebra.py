@@ -23,28 +23,40 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    BadSetting,
     ChainNotInA,
+    ChainNotInB,
     FeasibilityLimit,
     SignatureMismatch,
     SourceTargetMismatch,
     UnsupportedRing,
 )
 from .lattices import Lattice, chain_lattice
-from .morphisms import (
-    FamilyOverChain,
-    JoinMap,
-    alpha_of_chain,
-    compose,
-    families_over_chain,
-    identity_map,
-    j_of_family,
-    pi_of_chain,
-)
+from .morphisms import JoinMap, alpha_of_chain, compose, identity_map, pi_of_chain
 from .posets import Poset
 
-# the largest chain poset the brute-force Moebius oracle builds; its order
-# table has size**2 entries, so time and memory grow as the square
-CHAIN_POSET_LIMIT = int(os.environ.get("TOTLAT_CHAIN_POSET_LIMIT", 2000))
+# the largest chain poset the brute-force Moebius oracle builds unless
+# TOTLAT_CHAIN_POSET_LIMIT says otherwise; its order table has size**2
+# entries, so time and memory grow as the square
+CHAIN_POSET_LIMIT = 2000
+
+
+def limit_from_env(variable, default):
+    """The nonnegative integer in an environment variable, or `default` if unset.
+
+    Read when the limit is used, not at import, so that a malformed value
+    raises BadSetting, which the CLI reports with exit status 2.
+    """
+    text = os.environ.get(variable)
+    if text is None:
+        return default
+    if not (text.isascii() and text.isdigit()):
+        raise BadSetting(f"{variable} must be a nonnegative integer, not {text!r}")
+    return int(text)
+
+
+def chain_poset_limit():
+    return limit_from_env("TOTLAT_CHAIN_POSET_LIMIT", CHAIN_POSET_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -288,16 +300,19 @@ def mu_chain_infinity(L: Lattice, A) -> int:
     return (-1) ** (n + 1) * product
 
 
-def mu_chain_infinity_oracle(L: Lattice, A, limit=CHAIN_POSET_LIMIT) -> int:
+def mu_chain_infinity_oracle(L: Lattice, A, limit=None) -> int:
     """Same value by brute force: build the poset of chains strictly
     containing A, adjoin a top, and count chains Hall-style.
 
     Never takes the product shortcut, so it is independent of
-    `mu_chain_infinity`.
+    `mu_chain_infinity`.  Raises FeasibilityLimit above `limit` chains,
+    by default `chain_poset_limit()`.
     """
     members = tuple(A)
     if not members or members[0] != L.bottom:
         raise ChainNotInA("chain must contain the bottom element")
+    if limit is None:
+        limit = chain_poset_limit()
     # a chain is the mask of its members; the adjoined top has every bit
     # of L and one more, so it lies above every chain and below none
     base = sum(1 << m for m in members)
@@ -341,25 +356,34 @@ def idempotent_direct(L: Lattice, ring: Ring = ZZ, crapo_filter=False) -> Formal
 # -- the family construction ----------------------------------------------
 
 
-def mu_family(L: Lattice, family: FamilyOverChain) -> int:
-    """Product over positions of mu(b_{p-1}, a_p) in the lattice."""
-    product = 1
-    for lo, pick in zip(family.chain, family.picks):
-        product *= L.poset.mobius(lo, pick)
-    return product
-
-
 def j_upper(L: Lattice, B, ring: Ring = ZZ) -> FormalSum:
-    """(-1)^n times the mu-weighted sum of the sections over B's families."""
+    """The section sum over a top-ended chain B = {b_0 < ... < b_n}.
+
+    (-1)^n times the sum, over picks a_p in [b_{p-1}, b_p] for p = 1..n, of
+    prod_p mu(b_{p-1}, a_p) times the section 0 -> bottom, p -> a_p of the
+    index order.  Picks with mu zero are left out, as their terms vanish.
+    Every section is a join-morphism as built: its source is a chain, and
+    it increases because a_p <= b_p <= b_{q-1} <= a_q for p < q.
+    """
     members = tuple(B)
+    if not members or members[-1] != L.top:
+        raise ChainNotInB("chain must contain the top element")
     n = len(members) - 1
+    P = chain_lattice(n)
+    mobius = L.poset.mobius
+    # weights[p-1] maps each pick a in [b_{p-1}, b_p] to mu(b_{p-1}, a) != 0
+    weights = [
+        {a: mu for a in L.interval_elements(lo, hi) if (mu := mobius(lo, a))}
+        for lo, hi in zip(members, members[1:])
+    ]
     sign = (-1) ** n
     terms = []
-    for family in families_over_chain(L, members):
-        mu = mu_family(L, family)
-        if mu:
-            terms.append((j_of_family(L, family), sign * mu))
-    return FormalSum(ring, chain_lattice(n), L, terms)
+    for picks in itertools.product(*weights):
+        coeff = sign
+        for step, a in zip(weights, picks):
+            coeff *= step[a]
+        terms.append((JoinMap(P, L, (L.bottom,) + picks), coeff))
+    return FormalSum(ring, P, L, terms)
 
 
 def f_of_chain(L: Lattice, B, ring: Ring = ZZ) -> FormalSum:

@@ -14,30 +14,31 @@ enumerator, because holding them as JoinMaps would cost more memory than
 the rest of a sweep.
 
 Feasibility gates keep the default suite fast: exhaustive endomorphism
-sweeps require at most MAX_ASSIGNMENTS candidate assignments, n ** k for
-n elements and k join-irreducibles; beyond that, centrality degrades to
-seeded sampling and other enumeration-based checks are skipped.  The
-chain-poset oracle of the Moebius check is capped by CHAIN_POSET_LIMIT.
+sweeps require at most `assignment_limit()` candidate assignments, n ** k
+for n elements and k join-irreducibles; beyond that, centrality degrades
+to seeded sampling and other enumeration-based checks are skipped.  The
+chain-poset oracle of the Moebius check is capped by `chain_poset_limit()`.
+Both limits are read from the environment when a check needs them.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .algebra import (
-    CHAIN_POSET_LIMIT,
     FormalSum,
     Ring,
     ZZ,
+    chain_poset_limit,
     embed,
     f_of_chain,
     idempotent_direct,
     idempotent_original,
     identity_sum,
+    limit_from_env,
     mu_chain_infinity,
     mu_chain_infinity_oracle,
 )
@@ -53,7 +54,13 @@ from .morphisms import (
 )
 from .serialize import load_lattice
 
-MAX_ASSIGNMENTS = int(os.environ.get("TOTLAT_MAX_ASSIGNMENTS", 10**7))
+# the exhaustive-sweep gate unless TOTLAT_MAX_ASSIGNMENTS says otherwise
+MAX_ASSIGNMENTS = 10**7
+
+
+def assignment_limit():
+    return limit_from_env("TOTLAT_MAX_ASSIGNMENTS", MAX_ASSIGNMENTS)
+
 
 DEFAULT_CORPUS = (
     "chain:0",
@@ -125,7 +132,7 @@ class Workspace:
     def enumerable(self):
         """True iff an exhaustive endomorphism sweep is within the gate."""
         L = self.L
-        return L.n ** len(L.join_irreducibles()) <= MAX_ASSIGNMENTS
+        return L.n ** len(L.join_irreducibles()) <= assignment_limit()
 
     def report(self, name, status, **kw):
         return CheckReport(name=name, lattice=self.descriptor, status=status, **kw)
@@ -240,10 +247,11 @@ def check_mobius_lemmas(ws: Workspace):
     L = ws.L
     count = 0
     limited = False
+    limit = chain_poset_limit()
     for A in L.chain_family("A"):
         fast = mu_chain_infinity(L, A)
         try:
-            slow = mu_chain_infinity_oracle(L, A, limit=CHAIN_POSET_LIMIT)
+            slow = mu_chain_infinity_oracle(L, A, limit=limit)
         except FeasibilityLimit:
             limited = True
             continue
@@ -293,10 +301,7 @@ def check_dimension(ws: Workspace):
         return ws.report("dimension", "skipped", note=SKIPPED_ABOVE_GATE)
     L = ws.L
     tot_count = sum(1 for _ in enumerate_join_endomorphisms(L, tot_only=True))
-    per_n = [[0, 0, 0] for _ in range(L.max_chain_length + 1)]
-    for i, kind in enumerate("ABZ"):
-        for C in L.chain_family(kind):
-            per_n[len(C) - 1][i] += 1
+    per_n = [list(c) for c in zip(*(L.chain_counts(kind) for kind in "ABZ"))]
     sum_a = sum(a * a for a, _, _ in per_n)
     sum_b = sum(b * b for _, b, _ in per_n)
     sum_z = sum(z * z for _, _, z in per_n)

@@ -17,6 +17,8 @@ A lattice has at most 1,024 elements; `divisor:M` takes M <= 10^12.
 Environment: TOTLAT_MAX_ASSIGNMENTS (default 1e7) caps exhaustive
 endomorphism sweeps in `verify`; TOTLAT_CHAIN_POSET_LIMIT (default 2000)
 caps the chain-poset Moebius oracle, in `verify` and in `mobius --chain`.
+Each must be a nonnegative integer; every subcommand reads both first, and
+a malformed value is an error (exit status 2).
 
 Exit status: 0 success, 1 verification failure, 2 usage or parse error,
 141 when the reader closes standard output before all output is written
@@ -33,12 +35,13 @@ import sys
 
 from .algebra import (
     Ring,
+    chain_poset_limit,
     idempotent_direct,
     idempotent_original,
     mu_chain_infinity,
     mu_chain_infinity_oracle,
 )
-from .checks import DEFAULT_CORPUS, run_suite
+from .checks import DEFAULT_CORPUS, assignment_limit, run_suite
 from .errors import FeasibilityLimit, TotlatError
 from .posets import Chain
 from .serialize import formal_sum_to_json, formal_sum_to_text, load_lattice
@@ -51,10 +54,7 @@ def cmd_info(args):
     print(f"top: {L.names[L.top]}")
     print(f"max chain length: {L.max_chain_length}")
     for kind, title in (("A", "bottom-rooted"), ("B", "top-ended"), ("Z", "bottom-to-top")):
-        sizes = [
-            len(L.chain_family(kind, n)) for n in range(L.max_chain_length + 1)
-        ]
-        print(f"{title} chain counts by length: {sizes}")
+        print(f"{title} chain counts by length: {L.chain_counts(kind)}")
     print(f"complemented: {L.is_complemented_interval(L.bottom, L.top)}")
     print(f"fingerprint: {L.fingerprint()}")
     return 0
@@ -119,6 +119,13 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="totlat",
@@ -153,7 +160,7 @@ def build_parser():
     p_ver.add_argument("--checks", help="comma-separated check names")
     p_ver.add_argument("--ring", default="int")
     p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--sample-count", type=int, default=500)
+    p_ver.add_argument("--sample-count", type=positive_int, default=500)
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.set_defaults(func=cmd_verify)
 
@@ -170,6 +177,9 @@ def main(argv=None):
             # text here so that a closed pipe is handled below
             sys.stdout.flush()
             raise
+        # a malformed limit fails every subcommand, not only those using it
+        assignment_limit()
+        chain_poset_limit()
         status = args.func(args)
         sys.stdout.flush()
         return status

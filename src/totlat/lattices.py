@@ -1,22 +1,27 @@
 """Finite lattices: join/meet tables, chain families, generators.
 
 A Lattice wraps a Poset with fully materialized join and meet tables.
-Both are read off the poset's up-set bitmasks: the join of x and y is the
-element whose up-set is `up[x] & up[y]`, found in a dict keyed by up-set,
-and meets come the same way from the transposed masks (down-sets).  Each
-table costs n^2 lookups, so every generator and lattice file is capped at
-MAX_ELEMENTS elements, the size of boolean:10.  Chain families:
+Both are read off bitmasks: the join of x and y is the element whose
+up-set is `up[x] & up[y]`, found in a dict keyed by up-set, and meets come
+the same way from the down-set masks `L.down`, the transpose of the
+poset's up-sets.  The elements of an interval [x, y] are the bits of
+`up[x] & down[y]` (`interval_elements`).  Each table costs n^2 lookups, so
+every generator and lattice file is capped at MAX_ELEMENTS elements, the
+size of boolean:10.  Chain families:
 
   kind "A": chains whose least member is the bottom element,
   kind "B": chains whose greatest member is the top element,
   kind "Z": chains containing both ends.
 
 `chain_family(kind, n)` filters to chains of size n+1 ("length n").
+`chain_counts(kind)` counts each family by length without building a
+chain, by a dynamic program down the strict order.
 
-Each Lattice computes its derived structure once: the strict upper sets
-and `max_chain_length` on construction, each chain family and the
-opposite lattice on first use.  `Poset.chains()` does not share this code;
-it stays the slow oracle that the chain families are tested against.
+Each Lattice computes its derived structure once: the down-sets, the
+strict upper sets and `max_chain_length` on construction, each chain
+family, the chain counts and the opposite lattice on first use.
+`Poset.chains()` does not share this code; it stays the slow oracle that
+the chain families and their counts are tested against.
 """
 
 from __future__ import annotations
@@ -38,9 +43,10 @@ DIVISOR_HARD_CAP = 10**12
 class Lattice:
     """A poset in which every pair has a unique join and meet.
 
-    Instances are immutable and cache per instance: the strict upper set of
-    each element, every chain family (one depth-first enumeration per kind)
-    and the opposite lattice, whose own opposite is this instance.
+    Instances are immutable and cache per instance: the down-set mask and
+    the strict upper set of each element, every chain family (one
+    depth-first enumeration per kind), the chain counts and the opposite
+    lattice, whose own opposite is this instance.
     """
 
     def __init__(self, poset: Poset):
@@ -80,7 +86,9 @@ class Lattice:
         for x in sorted(range(n), key=lambda v: len(above[v])):
             height[x] = max((height[y] + 1 for y in above[x]), default=0)
         self.max_chain_length = height[self.bottom]
+        self.down = tuple(down)
         self._families = {}
+        self._counts = None
         self._opposite = None
 
     # -- basic structure --------------------------------------------------
@@ -176,11 +184,48 @@ class Lattice:
             stack.extend(members + (y,) for y in reversed(self._above[last]))
         return tuple(out)
 
+    def chain_counts(self, kind):
+        """The number of chains of a family, by length 0..max_chain_length.
+
+        Equal to `[len(self.chain_family(kind, n)) for n in ...]`, but no
+        chain is built: `from_x[x][k]` counts the chains x < ... of k steps
+        and `to_top[x][k]` those that end at the top, each the sum of the
+        same rows of the elements above x, shifted one step.  A's counts
+        are the bottom's `from_x`, Z's its `to_top`, B's the column sums of
+        every `to_top`.  The work is the number of strict pairs times the
+        chain length, so on a long chain it grows as the cube.
+        """
+        if kind not in ("A", "B", "Z"):
+            raise ValueError(f"unknown chain family kind {kind!r}")
+        if self._counts is None:
+            above = self._above
+            from_x, to_top = [None] * self.n, [None] * self.n
+            # elements above x come first, as for the heights
+            for x in sorted(range(self.n), key=lambda v: len(above[v])):
+                steps = max((len(from_x[y]) for y in above[x]), default=0)
+                f, t = [1] + [0] * steps, [int(x == self.top)] + [0] * steps
+                for y in above[x]:
+                    for k, c in enumerate(from_x[y], 1):
+                        f[k] += c
+                    for k, c in enumerate(to_top[y], 1):
+                        t[k] += c
+                from_x[x], to_top[x] = f, t
+            self._counts = {
+                "A": from_x[self.bottom],
+                "B": [sum(col) for col in itertools.zip_longest(*to_top, fillvalue=0)],
+                "Z": to_top[self.bottom],
+            }
+        return list(self._counts[kind])
+
+    def interval_elements(self, x, y):
+        """The elements z with x <= z <= y, ascending; empty unless x <= y."""
+        return list(bit_indices(self.poset.up[x] & self.down[y]))
+
     def is_complemented_interval(self, x, y):
         """True iff every z in [x, y] has a complement w: z v w = y, z ^ w = x."""
         if not self.leq(x, y):
             raise NotComparable(f"{self.names[x]} is not <= {self.names[y]}")
-        carrier = [z for z in range(self.n) if self.leq(x, z) and self.leq(z, y)]
+        carrier = self.interval_elements(x, y)
         return all(
             any(self.join(z, w) == y and self.meet(z, w) == x for w in carrier)
             for z in carrier

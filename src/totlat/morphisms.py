@@ -6,10 +6,13 @@ joins suffices, by induction on finite joins; `make_join_map` checks
 exactly that, and tests cross-validate against full subset checking on
 tiny lattices.
 
-Also provided: the canonical chain-indexed maps used by both idempotent
-constructions (the retraction onto a chain, the surjection onto an index
-total order, the sections picked from interval families) and exhaustive
-enumeration of the join-endomorphism monoid via join-irreducibles.
+Also provided: the surjection onto a chain's index total order, read off
+the members' down-set masks in one pass, and the retraction onto the
+chain, which reads the members off that surjection; and exhaustive
+enumeration of the join-endomorphism monoid via join-irreducibles.  The
+sections of the index order that the family construction picks from a
+chain's step intervals are built, with their weights, in
+`algebra.j_upper`; they increase by construction and are not validated.
 """
 
 from __future__ import annotations
@@ -17,15 +20,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import (
-    ChainNotInB,
-    ChainNotInZ,
-    NotComparable,
-    NotJoinMorphism,
-    SourceTargetMismatch,
-)
+from .errors import ChainNotInB, ChainNotInZ, NotJoinMorphism, SourceTargetMismatch
 from .lattices import Lattice, chain_lattice
-from .posets import Chain
+from .posets import Chain, bit_indices
 
 
 @dataclass(frozen=True)
@@ -127,81 +124,32 @@ def image_chain(phi: JoinMap):
 def alpha_of_chain(L: Lattice, B) -> JoinMap:
     """Retraction onto a bottom-to-top chain B: t -> min{b in B : b >= t}.
 
-    Idempotent, pointwise >= identity, image exactly B.
+    Idempotent, pointwise >= identity, image exactly B.  The least member
+    above t is the member at t's index under `pi_of_chain`.
     """
     members = tuple(B)
     if not members or members[0] != L.bottom or members[-1] != L.top:
         raise ChainNotInZ("chain must contain both bottom and top")
-    values = []
-    for t in range(L.n):
-        above = [b for b in members if L.leq(t, b)]
-        values.append(min(above, key=members.index))
-    return JoinMap(L, L, tuple(values))
+    return JoinMap(L, L, tuple(members[p] for p in pi_of_chain(L, members).values))
 
 
 def pi_of_chain(L: Lattice, B) -> JoinMap:
     """Surjection onto the index total order determined by a top-ended chain B.
 
-    With B = {b_0 < ... < b_n = top}, sends t to the least p with t <= b_p.
+    With B = {b_0 < ... < b_n = top}, sends t to the least p with t <= b_p:
+    one pass up B, giving each element not yet placed in the down-set of
+    b_p the index p.
     """
     members = tuple(B)
     if not members or members[-1] != L.top:
         raise ChainNotInB("chain must contain the top element")
-    n = len(members) - 1
-    P = chain_lattice(n)
-    values = tuple(
-        min(p for p in range(n + 1) if L.leq(t, members[p])) for t in range(L.n)
-    )
-    return JoinMap(L, P, values)
-
-
-@dataclass(frozen=True)
-class FamilyOverChain:
-    """A pick a_p from each interval [b_{p-1}, b_p] of a top-ended chain.
-
-    `picks[p-1]` is the element chosen for position p = 1..n; position 0 of
-    the index order is always sent to the bottom of the ambient lattice.
-    """
-
-    chain: tuple[int, ...]
-    picks: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.picks) != len(self.chain) - 1:
-            raise ValueError("need one pick per non-bottom position")
-
-
-def families_over_chain(L: Lattice, B):
-    """All interval-pick families over B, in deterministic product order."""
-    members = tuple(B)
-    if not members or members[-1] != L.top:
-        raise ChainNotInB("chain must contain the top element")
-    intervals = []
-    for lo, hi in zip(members, members[1:]):
-        intervals.append(
-            [a for a in range(L.n) if L.leq(lo, a) and L.leq(a, hi)]
-        )
-    return [
-        FamilyOverChain(members, picks) for picks in itertools.product(*intervals)
-    ]
-
-
-def j_of_family(L: Lattice, family: FamilyOverChain) -> JoinMap:
-    """Section of the index order: 0 -> bottom, p -> a_p.
-
-    Order preservation holds because a_p <= b_p <= b_{q-1} <= a_q for p < q.
-    The picks are validated on every call: picks that break the order raise
-    NotJoinMorphism, and a pick outside its interval [b_{p-1}, b_p] raises
-    NotComparable.
-    """
-    n = len(family.chain) - 1
-    jm = make_join_map(chain_lattice(n), L, (L.bottom,) + family.picks)
-    for lo, pick, hi in zip(family.chain, family.picks, family.chain[1:]):
-        if not (L.leq(lo, pick) and L.leq(pick, hi)):
-            raise NotComparable(
-                f"pick {L.names[pick]} is not in [{L.names[lo]}, {L.names[hi]}]"
-            )
-    return jm
+    values = [0] * L.n
+    placed = 0
+    for p, b in enumerate(members):
+        for t in bit_indices(L.down[b] & ~placed):
+            values[t] = p
+        placed |= L.down[b]
+    return JoinMap(L, chain_lattice(len(members) - 1), tuple(values))
 
 
 def enumerate_join_endomorphisms(L: Lattice, tot_only=False):

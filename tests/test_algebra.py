@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -16,21 +18,22 @@ from totlat.algebra import (
     j_upper,
     mu_chain_infinity,
     mu_chain_infinity_oracle,
-    mu_family,
 )
 from totlat.checks import DEFAULT_CORPUS
 from totlat.errors import (
     ChainNotInA,
+    ChainNotInB,
     SignatureMismatch,
     SourceTargetMismatch,
     UnsupportedRing,
 )
 from totlat.lattices import boolean_lattice, chain_lattice, generate
 from totlat.morphisms import (
+    JoinMap,
     alpha_of_chain,
     constant_bottom,
-    families_over_chain,
     identity_map,
+    make_join_map,
 )
 
 SMALL_CORPUS = ["chain:0", "chain:3", "boolean:2", "diamond:3", "pentagon",
@@ -293,24 +296,28 @@ def test_crapo_filter_no_op():
 # -- the family construction ----------------------------------------------
 
 
+def section_coefficients(L, B):
+    return {jm.values: c for jm, c in j_upper(L, B).terms.items()}
+
+
 def test_mu_family_lower_picks():
     L = boolean_lattice(2)
     B = z_chain(L, "0", "a", "ab")
-    fam = [f for f in families_over_chain(L, B) if f.picks == B[:-1]][0]
-    assert mu_family(L, fam) == 1  # picks equal the interval bottoms
+    # picks equal the interval bottoms: weight 1, sign (-1)^2
+    assert section_coefficients(L, B)[(L.bottom,) + B[:-1]] == 1
 
 
 def test_mu_family_cover_picks():
     L = boolean_lattice(2)
     B = z_chain(L, "0", "a", "ab")
-    fam = [f for f in families_over_chain(L, B) if f.picks == B[1:]][0]
-    assert mu_family(L, fam) == 1  # (-1)^2 over two cover steps
+    # (-1)^2 over two cover steps, sign (-1)^2
+    assert section_coefficients(L, B)[(L.bottom,) + B[1:]] == 1
 
 
 def test_mu_family_two_point():
     L = chain_lattice(1)
-    fams = families_over_chain(L, (0, 1))
-    assert [mu_family(L, f) for f in fams] == [1, -1]
+    # the weights mu(0, a_1) of the picks 0 and 1, times the sign (-1)^1
+    assert section_coefficients(L, (0, 1)) == {(0, 0): -1, (0, 1): 1}
 
 
 def test_j_upper_point():
@@ -330,10 +337,46 @@ def test_j_upper_two_point():
 
 
 def test_j_upper_term_bound():
+    # at most one term per pick tuple: the product of the step-interval sizes
     L = generate("divisor:12")
-    for n in range(L.max_chain_length + 1):
-        for B in L.chain_family("B", n):
-            assert len(j_upper(L, B).terms) <= len(families_over_chain(L, B))
+    for B in L.chain_family("B"):
+        m = B.members
+        picks = math.prod(
+            sum(L.leq(lo, a) and L.leq(a, hi) for a in range(L.n))
+            for lo, hi in zip(m, m[1:])
+        )
+        assert len(j_upper(L, B).terms) <= picks
+
+
+def test_j_upper_needs_top():
+    L = boolean_lattice(2)
+    with pytest.raises(ChainNotInB):
+        j_upper(L, z_chain(L, "0", "a"))
+
+
+def brute_force_j_upper(L, B):
+    """j_upper from its definition: every n-tuple of elements with a_p in
+    [b_{p-1}, b_p], weighted by Hall's Moebius values."""
+    n = len(B) - 1
+    P = chain_lattice(n)
+    hall = functools.lru_cache(maxsize=None)(L.poset.mobius_hall)
+    terms = []
+    for picks in itertools.product(range(L.n), repeat=n):
+        if all(L.leq(lo, a) and L.leq(a, hi) for lo, a, hi in zip(B, picks, B[1:])):
+            mu = math.prod(hall(lo, a) for lo, a in zip(B, picks))
+            terms.append((JoinMap(P, L, (L.bottom,) + picks), (-1) ** n * mu))
+    return FormalSum(ZZ, P, L, terms)
+
+
+@pytest.mark.parametrize(
+    "spec", list(DEFAULT_CORPUS) + ["divisor:60", "diamond:5", "partition:4"])
+def test_j_upper_matches_brute_force(spec):
+    L = generate(spec)
+    for B in L.chain_family("B"):
+        j = j_upper(L, B)
+        assert j == brute_force_j_upper(L, B.members), B
+        for jm in j.terms:  # each section is a join-morphism, unvalidated
+            make_join_map(jm.source, L, jm.values)
 
 
 def test_f_of_chain_two_point_lattice():

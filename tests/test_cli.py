@@ -354,6 +354,26 @@ def test_usage_error_exits_two():
     assert b"unrecognized arguments: --no-such-option" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "1e3", "-1"])
+@pytest.mark.parametrize("variable", ["TOTLAT_MAX_ASSIGNMENTS", "TOTLAT_CHAIN_POSET_LIMIT"])
+def test_malformed_limit_is_an_error(monkeypatch, variable, value):
+    monkeypatch.setenv(variable, value)
+    proc = cli_process("info", "chain:1")
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2 and out == b""
+    assert err == f"error: {variable} must be a nonnegative integer, not {value!r}\n".encode()
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_sample_count_below_one_is_a_usage_error(count):
+    proc = cli_process("verify", "partition:4", "--checks", "central",
+                       "--sample-count", count)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2 and out == b""
+    assert err.startswith(b"usage: totlat verify")
+    assert f"argument --sample-count: must be at least 1, not {count}".encode() in err
+
+
 def test_cmd_verify_single_lattice(capsys):
     code, out, _ = run_cli(capsys, "verify", "boolean:2", "--format", "json")
     assert code == 0

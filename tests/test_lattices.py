@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import pytest
@@ -235,6 +236,37 @@ def test_chain_families_match_poset_chains(spec):
         for n in [None, *range(L.max_chain_length + 2)]:
             want = [c for c in chains if ends(c) and (n is None or len(c) == n + 1)]
             assert L.chain_family(kind, n) == want, (kind, n)
+        assert L.chain_counts(kind) == [
+            sum(ends(c) and len(c) == n + 1 for c in chains)
+            for n in range(L.max_chain_length + 1)
+        ], kind
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_interval_elements_match_leq_scan(spec):
+    L = generate(spec)
+    for x, y in itertools.product(range(L.n), repeat=2):
+        assert L.interval_elements(x, y) == [
+            z for z in range(L.n) if L.leq(x, z) and L.leq(z, y)
+        ]
+
+
+def test_chain_counts_of_lattices_too_large_to_enumerate():
+    # 10**8 = 2**8 * 5**8 orders its divisors as a 9 x 9 grid, whose
+    # maximal chains are the C(16, 8) lattice paths; a bottom-to-top chain
+    # of chain:200 with n steps picks n - 1 of its 199 inner elements
+    start = time.process_time()
+    L = divisor_lattice(10**8)
+    assert L.chain_counts("Z")[-1] == math.comb(16, 8) and len(L.chain_counts("A")) == 17
+    assert chain_lattice(200).chain_counts("Z") == [0] + [
+        math.comb(199, n - 1) for n in range(1, 201)
+    ]
+    assert time.process_time() - start < 5
+
+
+def test_chain_counts_unknown_kind():
+    with pytest.raises(ValueError):
+        boolean_lattice(2).chain_counts("X")
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)

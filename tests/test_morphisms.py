@@ -1,17 +1,12 @@
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import totlat
-
+from totlat.algebra import j_upper
+from totlat.checks import DEFAULT_CORPUS
 from totlat.errors import (
     ChainNotInB,
     ChainNotInZ,
-    NotComparable,
     NotJoinMorphism,
     SourceTargetMismatch,
 )
@@ -22,16 +17,13 @@ from totlat.lattices import (
     pentagon_lattice,
 )
 from totlat.morphisms import (
-    FamilyOverChain,
     alpha_of_chain,
     compose,
     constant_bottom,
     enumerate_join_endomorphisms,
-    families_over_chain,
     identity_map,
     image_chain,
     is_join_map,
-    j_of_family,
     make_join_map,
     opposite_morphism,
     pi_of_chain,
@@ -233,80 +225,69 @@ def test_pi_opposite_recovers_chain():
                 assert tuple(op.values) == B.members
 
 
+ORACLE_SPECS = list(DEFAULT_CORPUS) + ["divisor:60", "diamond:5", "partition:4"]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_chain_maps_match_min_definitions(spec):
+    L = generate(spec)
+    for B in L.chain_family("B"):
+        m = B.members
+        pi = pi_of_chain(L, B)
+        assert pi.target == chain_lattice(len(m) - 1)
+        assert pi.values == tuple(
+            min(p for p in range(len(m)) if L.leq(t, m[p])) for t in range(L.n)
+        )
+    for B in L.chain_family("Z"):
+        least_above = []
+        for t in range(L.n):
+            above = [b for b in B if L.leq(t, b)]
+            (least,) = [b for b in above if all(L.leq(b, c) for c in above)]
+            least_above.append(least)
+        assert alpha_of_chain(L, B).values == tuple(least_above)
+
+
+# -- the sections j_upper picks from a chain's step intervals ---------------
+
+
+def sections(L, B):
+    """The value tables of j_upper's sections over B, with their coefficients."""
+    return {jm.values: c for jm, c in j_upper(L, B).terms.items()}
+
+
 def test_families_cover_chain():
-    # every step a cover: each interval has 2 elements, so 2^n families
+    # every step a cover: each interval has 2 elements, so 2^n families,
+    # and no Moebius value of a cover step vanishes
     L = boolean_lattice(2)
     B = z_chain(L, "0", "a", "ab")
-    assert len(families_over_chain(L, B)) == 4
+    assert len(sections(L, B)) == 4
 
 
 def test_families_two_point():
     L = chain_lattice(1)
-    fams = families_over_chain(L, (0, 1))
-    assert [f.picks for f in fams] == [(0,), (1,)]
+    assert sorted(sections(L, (0, 1))) == [(0, 0), (0, 1)]
 
 
 def test_families_singleton():
     L = boolean_lattice(2)
-    fams = families_over_chain(L, (L.top,))
-    assert len(fams) == 1 and fams[0].picks == ()
+    assert list(sections(L, (L.top,))) == [(L.bottom,)]
 
 
 def test_j_of_family_inclusion():
     L = boolean_lattice(2)
     B = z_chain(L, "0", "a", "ab")
-    fam = [f for f in families_over_chain(L, B) if f.picks == B[1:]][0]
-    jm = j_of_family(L, fam)
-    assert jm.values == (L.bottom,) + B[1:]
+    assert (L.bottom,) + B[1:] in sections(L, B)
 
 
 def test_j_of_family_constant():
     L = chain_lattice(1)
-    fam = families_over_chain(L, (0, 1))[0]  # pick a_1 = 0
-    assert j_of_family(L, fam).values == (0, 0)
+    assert (0, 0) in sections(L, (0, 1))  # pick a_1 = 0
 
 
 def test_j_of_family_point():
     L = boolean_lattice(2)
-    fam = families_over_chain(L, (L.top,))[0]
-    assert j_of_family(L, fam).values == (L.bottom,)
-
-
-def test_j_of_family_rejects_forged_picks():
-    L = boolean_lattice(2)
-    B = z_chain(L, "0", "a", "ab")
-    # a_1 must lie in [0, a]; ab and b do not, and both break the order
-    for labels in (("ab", "a"), ("b", "a")):
-        picks = tuple(L.poset.index_of(s) for s in labels)
-        with pytest.raises(NotJoinMorphism):
-            j_of_family(L, FamilyOverChain(B, picks))
-
-
-def test_j_of_family_rejects_pick_outside_interval():
-    L = boolean_lattice(2)
-    B = z_chain(L, "0", "a", "ab")
-    # b, ab increase, but b is not in [0, a]
-    picks = tuple(L.poset.index_of(s) for s in ("b", "ab"))
-    with pytest.raises(NotComparable):
-        j_of_family(L, FamilyOverChain(B, picks))
-
-
-def test_j_of_family_validates_under_optimisation():
-    # python -O strips asserts; the chain is 0 < a < ab, the picks (ab, a)
-    code = (
-        "from totlat.lattices import boolean_lattice\n"
-        "from totlat.morphisms import FamilyOverChain, j_of_family\n"
-        "from totlat.errors import NotJoinMorphism\n"
-        "L = boolean_lattice(2)\n"
-        "try:\n"
-        "    j_of_family(L, FamilyOverChain((0, 1, 3), (3, 1)))\n"
-        "except NotJoinMorphism:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
-    )
-    src = str(Path(totlat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+    (jm,) = j_upper(L, (L.top,)).terms
+    assert jm.source == chain_lattice(0) and jm.values == (L.bottom,)
 
 
 def test_enumeration_counts():
