@@ -1,6 +1,8 @@
 """Formal linear combinations of join-morphisms and the two idempotent
 constructions.
 
+A formal sum holds its ring, source and target lattices once and keys
+each term by the map's value table, so a product composes tables directly.
 Coefficients live in an exact commutative ring (integers, integers mod m,
 or rationals); no floating point anywhere.  Integer coefficients are the
 canonical path: every coefficient that occurs is a Moebius value.
@@ -32,8 +34,8 @@ from .errors import (
     UnsupportedRing,
 )
 from .lattices import Lattice, chain_lattice
-from .morphisms import JoinMap, alpha_of_chain, compose, identity_map, pi_of_chain
-from .posets import Poset
+from .morphisms import JoinMap, alpha_of_chain, identity_map, pi_of_chain
+from .posets import Poset, bit_indices
 
 # the largest chain poset the brute-force Moebius oracle builds unless
 # TOTLAT_CHAIN_POSET_LIMIT says otherwise; its order table has size**2
@@ -122,42 +124,39 @@ def _exact_integer(c):
     return q.numerator
 
 
-def _accumulate(ring, source, target, acc, terms):
-    """Add (JoinMap, coeff) pairs into the dict `acc` in place.
+def _accumulate(ring, acc, terms):
+    """Add (value table, coeff) pairs into the dict `acc` in place.
 
     Each coefficient is coerced into the ring once, and a key is deleted as
     soon as its coefficient becomes zero, so `acc` always holds a normalised
-    sum.  Raises SignatureMismatch on a term whose map has another source
-    or target.  Only a map not yet in `acc` needs that test: JoinMap
-    equality compares source and target, so a map equal to a stored key
-    has the key's signature.
+    sum.
     """
     coerce = ring.coerce
     modulus = ring.modulus
-    for jm, c in terms:
+    for table, c in terms:
         c = coerce(c)
-        old = acc.get(jm)
+        old = acc.get(table)
         if old is None:
-            if jm.source != source or jm.target != target:
-                raise SignatureMismatch("term does not match the declared signature")
             if c:
-                acc[jm] = c
+                acc[table] = c
             continue
         c += old
         if modulus is not None:
             c %= modulus
         if c:
-            acc[jm] = c
+            acc[table] = c
         else:
-            del acc[jm]
+            del acc[table]
 
 
 class FormalSum:
     """Finite linear combination of join-morphisms with a shared signature.
 
-    Normalized: zero coefficients are dropped on construction, so equality
-    is plain term-by-term comparison.  Terms are keyed by the full value
-    table, which also gives the canonical serialization order.
+    The sum holds its ring, source and target once; each term is keyed by
+    its value table, a tuple of target indices, one per source element,
+    which also gives the canonical serialization order.  Normalized: zero
+    coefficients are dropped on construction, so equality is plain
+    term-by-term comparison.
     """
 
     __slots__ = ("ring", "source", "target", "terms")
@@ -166,19 +165,8 @@ class FormalSum:
         self.ring = ring
         self.source = source
         self.target = target
-        self.terms: dict[JoinMap, object] = {}
-        _accumulate(
-            ring, source, target, self.terms,
-            terms.items() if isinstance(terms, dict) else terms,
-        )
-
-    @classmethod
-    def from_map(cls, ring, jm: JoinMap, coeff=1):
-        return cls(ring, jm.source, jm.target, [(jm, coeff)])
-
-    @classmethod
-    def zero(cls, ring, source, target):
-        return cls(ring, source, target)
+        self.terms: dict[tuple[int, ...], object] = {}
+        _accumulate(ring, self.terms, terms.items() if isinstance(terms, dict) else terms)
 
     @classmethod
     def total(cls, ring, source, target, sums):
@@ -187,11 +175,11 @@ class FormalSum:
         Each summand is consumed as it comes and folded into one running
         dict, so neither the partial sums nor the raw terms are kept.
         """
-        acc: dict[JoinMap, object] = {}
+        acc: dict[tuple[int, ...], object] = {}
         for s in sums:
             if s.ring != ring or s.source != source or s.target != target:
                 raise SignatureMismatch("formal sums have different signatures")
-            _accumulate(ring, source, target, acc, s.terms.items())
+            _accumulate(ring, acc, s.terms.items())
         return cls(ring, source, target, acc)
 
     def _require_same_signature(self, other):
@@ -221,7 +209,7 @@ class FormalSum:
             self.ring,
             self.source,
             self.target,
-            ((jm, c * v) for jm, v in self.terms.items()),
+            ((table, c * v) for table, v in self.terms.items()),
         )
 
     def __mul__(self, other):
@@ -235,7 +223,7 @@ class FormalSum:
         return FormalSum(
             self.ring, other.source, self.target,
             (
-                (compose(g, f), cg * cf)
+                (tuple([g[v] for v in f]), cg * cf)
                 for g, cg in self.terms.items()
                 for f, cf in other.terms.items()
             ),
@@ -251,14 +239,17 @@ class FormalSum:
         )
 
     def __hash__(self):
-        return hash(frozenset((jm.values, c) for jm, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def is_zero(self):
         return not self.terms
 
     def sorted_terms(self):
-        """Terms in canonical order: ascending on the value table."""
-        return sorted(self.terms.items(), key=lambda item: item[0].values)
+        """(JoinMap, coeff) pairs in canonical order: ascending on the value table."""
+        return [
+            (JoinMap(self.source, self.target, table), c)
+            for table, c in sorted(self.terms.items())
+        ]
 
     def map_ring(self, ring: Ring):
         """Reinterpret the coefficients in another ring (e.g. reduce mod m)."""
@@ -272,11 +263,11 @@ class FormalSum:
 
 
 def identity_sum(L: Lattice, ring: Ring = ZZ) -> FormalSum:
-    return FormalSum.from_map(ring, identity_map(L))
+    return embed(identity_map(L), ring)
 
 
 def embed(jm: JoinMap, ring: Ring = ZZ) -> FormalSum:
-    return FormalSum.from_map(ring, jm)
+    return FormalSum(ring, jm.source, jm.target, [(jm.values, 1)])
 
 
 # -- Moebius values of chains ---------------------------------------------
@@ -306,13 +297,19 @@ def mu_chain_infinity_oracle(L: Lattice, A, limit=None) -> int:
 
     Never takes the product shortcut, so it is independent of
     `mu_chain_infinity`.  Raises FeasibilityLimit above `limit` chains,
-    by default `chain_poset_limit()`.
+    by default `chain_poset_limit()`; the chains are counted before any
+    is built.
     """
     members = tuple(A)
     if not members or members[0] != L.bottom:
         raise ChainNotInA("chain must contain the bottom element")
     if limit is None:
         limit = chain_poset_limit()
+    count = _chains_through(L, members) - 1
+    if count > limit:
+        raise FeasibilityLimit(
+            f"chain poset has {count} elements, above the limit {limit}"
+        )
     # a chain is the mask of its members; the adjoined top has every bit
     # of L and one more, so it lies above every chain and below none
     base = sum(1 << m for m in members)
@@ -321,14 +318,29 @@ def mu_chain_infinity_oracle(L: Lattice, A, limit=None) -> int:
         for mask in (sum(1 << m for m in c) for c in L.chain_family("A"))
         if mask != base and mask & base == base
     ]
-    if len(supersets) > limit:
-        raise FeasibilityLimit(
-            f"chain poset has {len(supersets)} elements, above the limit {limit}"
-        )
     carrier = [base] + supersets + [(2 << L.n) - 1]
     leq = [[a & ~b == 0 for b in carrier] for a in carrier]
     poset = Poset([str(i) for i in range(len(carrier))], leq)
     return poset.mobius_hall(0, len(carrier) - 1)
+
+
+def _chains_through(L: Lattice, members):
+    """The number of chains that start at members[0] and contain every member.
+
+    The product of the chains between consecutive members and the chains
+    up from the last one, each counted on its interval along `L._above`;
+    an element's strict upper set is smaller than that of anything below
+    it, so sorting by its size visits the elements above z before z.
+    """
+    above = L._above
+    count = 1
+    for lo, hi in zip(members, members[1:] + (None,)):
+        span = L.poset.up[lo] if hi is None else L.poset.up[lo] & L.down[hi]
+        ways = {}
+        for z in sorted(bit_indices(span), key=lambda v: len(above[v])):
+            ways[z] = (hi is None or z == hi) + sum(ways.get(w, 0) for w in above[z])
+        count *= ways.get(lo, 0)
+    return count
 
 
 # -- the direct construction ----------------------------------------------
@@ -349,7 +361,7 @@ def idempotent_direct(L: Lattice, ring: Ring = ZZ, crapo_filter=False) -> Formal
             continue
         mu = mu_chain_infinity(L, B)
         if mu:
-            terms.append((alpha_of_chain(L, B), -mu))
+            terms.append((alpha_of_chain(L, B).values, -mu))
     return FormalSum(ring, L, L, terms)
 
 
@@ -382,7 +394,7 @@ def j_upper(L: Lattice, B, ring: Ring = ZZ) -> FormalSum:
         coeff = sign
         for step, a in zip(weights, picks):
             coeff *= step[a]
-        terms.append((JoinMap(P, L, (L.bottom,) + picks), coeff))
+        terms.append(((L.bottom,) + picks, coeff))
     return FormalSum(ring, P, L, terms)
 
 

@@ -13,6 +13,10 @@ class UnknownLabel(TotlatError):
     """A cover pair or query references an undeclared element label."""
 
 
+class DuplicateLabel(TotlatError, ValueError):
+    """Two elements of a poset carry the same label."""
+
+
 class NotComparable(TotlatError):
     """x <= y was required but does not hold."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CycleDetected, NotAChain, NotComparable, UnknownLabel
+from .errors import CycleDetected, DuplicateLabel, NotAChain, NotComparable, UnknownLabel
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,7 @@ class Poset:
     """
 
     def __init__(self, names, leq_table):
-        self.names = tuple(str(x) for x in names)
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate labels")
+        self.names = _distinct_labels(names)
         self.n = len(self.names)
         self._leq = tuple(tuple(bool(v) for v in row) for row in leq_table)
         if len(self._leq) != self.n or any(len(r) != self.n for r in self._leq):
@@ -265,9 +263,7 @@ def poset_from_covers(names, covers):
     as the transitive reduction.  A cycle among the pairs raises
     CycleDetected from the Poset's own antisymmetry check.
     """
-    names = [str(x) for x in names]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate labels")
+    names = _distinct_labels(names)
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
     rows = [1 << i for i in range(n)]
@@ -282,6 +278,17 @@ def poset_from_covers(names, covers):
     for k in range(n):
         rows = [r | rows[k] if r >> k & 1 else r for r in rows]
     return Poset(names, [[r >> j & 1 for j in range(n)] for r in rows])
+
+
+def _distinct_labels(names):
+    """The labels as a tuple of strings; DuplicateLabel names the first repeat."""
+    labels = tuple(str(x) for x in names)
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise DuplicateLabel(f"duplicate label {label!r}")
+        seen.add(label)
+    return labels
 
 
 def bit_indices(mask):

@@ -10,7 +10,7 @@ Lattice file grammar (blank lines and '#' comments ignored):
     <label> <label>      # one cover pair per line
 
 There is exactly one 'elements:' line, and it names at least one and at
-most MAX_ELEMENTS elements.
+most MAX_ELEMENTS elements, each under its own label.
 
 Formal sums serialize to a JSON document carrying the ring, source and
 target lattice fingerprints, and the coefficient/value-table terms in
@@ -136,7 +136,7 @@ def formal_sum_from_document(doc: dict, source: Lattice, target: Lattice) -> For
                     f"table names no source element: {', '.join(sorted(extra))}"
                 )
             terms.append((
-                make_join_map(source, target, values),
+                make_join_map(source, target, values).values,
                 _coeff_from_json(ring, term["coeff"]),
             ))
         return FormalSum(ring, source, target, terms)

@@ -23,15 +23,17 @@ from totlat.checks import DEFAULT_CORPUS
 from totlat.errors import (
     ChainNotInA,
     ChainNotInB,
+    FeasibilityLimit,
     SignatureMismatch,
     SourceTargetMismatch,
     UnsupportedRing,
 )
 from totlat.lattices import boolean_lattice, chain_lattice, generate
 from totlat.morphisms import (
-    JoinMap,
     alpha_of_chain,
+    compose,
     constant_bottom,
+    enumerate_join_endomorphisms,
     identity_map,
     make_join_map,
 )
@@ -91,7 +93,7 @@ def test_ring_is_zero_coerces_its_argument():
 def test_sum_add_zero():
     L = boolean_lattice(2)
     a = embed(identity_map(L))
-    assert a + FormalSum.zero(ZZ, L, L) == a
+    assert a + FormalSum(ZZ, L, L) == a
 
 
 def test_sum_cancel():
@@ -111,8 +113,8 @@ def test_sum_plus_negation_stores_no_terms():
 
 def test_sum_cancelling_term_by_term_stores_no_terms():
     L = boolean_lattice(2)
-    a = identity_map(L)
-    b = alpha_of_chain(L, z_chain(L, "0", "a", "ab"))
+    a = identity_map(L).values
+    b = alpha_of_chain(L, z_chain(L, "0", "a", "ab")).values
     s = FormalSum(ZZ, L, L, [(a, 1), (b, 2), (a, -1), (b, -2)])
     assert s.is_zero() and s.terms == {}
     s = FormalSum(Ring("mod", 2), L, L, [(a, 1), (b, 3), (a, 1), (b, 1)])
@@ -126,7 +128,7 @@ def test_total_of_sums():
     L = boolean_lattice(2)
     x = identity_sum(L)
     y = idempotent_direct(L)
-    assert FormalSum.total(ZZ, L, L, []) == FormalSum.zero(ZZ, L, L)
+    assert FormalSum.total(ZZ, L, L, []) == FormalSum(ZZ, L, L)
     assert FormalSum.total(ZZ, L, L, iter([x, y, -x])) == y
     assert FormalSum.total(ZZ, L, L, [x, -x]).terms == {}
 
@@ -185,12 +187,28 @@ def test_mul_source_target_mismatch():
         embed(identity_map(chain_lattice(1))) * embed(identity_map(chain_lattice(2)))
 
 
+@pytest.mark.parametrize("spec", list(DEFAULT_CORPUS) + ["divisor:60"])
+def test_products_compose_tables_as_compose_does(spec):
+    # compose is the oracle: (x * y) holds x's maps after y's, term by term
+    L = generate(spec)
+    e = idempotent_direct(L)
+    terms = e.sorted_terms()
+    for phi in itertools.islice(enumerate_join_endomorphisms(L), 200):
+        s = embed(phi)
+        after = [(compose(a, phi).values, c) for a, c in terms]
+        before = [(compose(phi, a).values, c) for a, c in terms]
+        assert e * s == FormalSum(ZZ, L, L, after)
+        assert s * e == FormalSum(ZZ, L, L, before)
+        # e is central, so single terms pin the direction of the product
+        for a, _ in terms:
+            assert embed(a) * s == embed(compose(a, phi))
+            assert s * embed(a) == embed(compose(phi, a))
+
+
 def test_sorted_terms_deterministic():
     L = boolean_lattice(2)
     e = idempotent_direct(L)
-    assert [jm.values for jm, _ in e.sorted_terms()] == sorted(
-        jm.values for jm in e.terms
-    )
+    assert [jm.values for jm, _ in e.sorted_terms()] == sorted(e.terms)
 
 
 # -- chain Moebius values -------------------------------------------------
@@ -239,6 +257,24 @@ def test_mu_oracle_agreement_everywhere():
             )
 
 
+@pytest.mark.parametrize("spec", list(DEFAULT_CORPUS) + ["divisor:60", "diamond:5"])
+def test_oracle_limit_counts_the_chain_poset_exactly(spec):
+    L = generate(spec)
+    masks = [sum(1 << m for m in c) for c in L.chain_family("A")]
+    for A in L.chain_family("A"):
+        base = sum(1 << m for m in A)
+        count = sum(mask != base and mask & base == base for mask in masks)
+        assert mu_chain_infinity_oracle(L, A, limit=count) == mu_chain_infinity(L, A)
+        with pytest.raises(FeasibilityLimit, match=f"has {count} elements"):
+            mu_chain_infinity_oracle(L, A, limit=count - 1)
+
+
+def test_oracle_refuses_a_long_chain_without_building_it():
+    # the chains of chain:64 through its bottom are the subsets of the rest
+    with pytest.raises(FeasibilityLimit, match=f"has {2**64 - 1} elements"):
+        mu_chain_infinity_oracle(chain_lattice(64), (0,))
+
+
 # -- the direct construction ----------------------------------------------
 
 
@@ -257,9 +293,9 @@ def test_direct_diamond_terms():
     L = boolean_lattice(2)
     e = idempotent_direct(L)
     expected = {
-        alpha_of_chain(L, z_chain(L, "0", "ab")): -1,
-        alpha_of_chain(L, z_chain(L, "0", "a", "ab")): 1,
-        alpha_of_chain(L, z_chain(L, "0", "b", "ab")): 1,
+        alpha_of_chain(L, z_chain(L, "0", "ab")).values: -1,
+        alpha_of_chain(L, z_chain(L, "0", "a", "ab")).values: 1,
+        alpha_of_chain(L, z_chain(L, "0", "b", "ab")).values: 1,
     }
     assert e.terms == expected
 
@@ -270,7 +306,7 @@ def test_direct_coefficients_are_chain_mobius_values():
         e = idempotent_direct(L)
         seen = {}
         for B in L.chain_family("Z"):
-            alpha = alpha_of_chain(L, B)
+            alpha = alpha_of_chain(L, B).values
             assert alpha not in seen, "retraction maps must be pairwise distinct"
             seen[alpha] = -mu_chain_infinity(L, B)
         expected = {a: c for a, c in seen.items() if c != 0}
@@ -297,7 +333,7 @@ def test_crapo_filter_no_op():
 
 
 def section_coefficients(L, B):
-    return {jm.values: c for jm, c in j_upper(L, B).terms.items()}
+    return dict(j_upper(L, B).terms)
 
 
 def test_mu_family_lower_picks():
@@ -323,16 +359,16 @@ def test_mu_family_two_point():
 def test_j_upper_point():
     L = boolean_lattice(2)
     j = j_upper(L, (L.top,))
-    (jm, coeff), = j.terms.items()
-    assert coeff == 1 and jm.values == (L.bottom,)
+    (table, coeff), = j.terms.items()
+    assert coeff == 1 and table == (L.bottom,)
 
 
 def test_j_upper_two_point():
     L = chain_lattice(1)
     j = j_upper(L, (0, 1))
     assert j.terms == {
-        identity_map(L): 1,
-        constant_bottom(L): -1,
+        identity_map(L).values: 1,
+        constant_bottom(L).values: -1,
     }
 
 
@@ -364,7 +400,7 @@ def brute_force_j_upper(L, B):
     for picks in itertools.product(range(L.n), repeat=n):
         if all(L.leq(lo, a) and L.leq(a, hi) for lo, a, hi in zip(B, picks, B[1:])):
             mu = math.prod(hall(lo, a) for lo, a in zip(B, picks))
-            terms.append((JoinMap(P, L, (L.bottom,) + picks), (-1) ** n * mu))
+            terms.append(((L.bottom,) + picks, (-1) ** n * mu))
     return FormalSum(ZZ, P, L, terms)
 
 
@@ -375,8 +411,8 @@ def test_j_upper_matches_brute_force(spec):
     for B in L.chain_family("B"):
         j = j_upper(L, B)
         assert j == brute_force_j_upper(L, B.members), B
-        for jm in j.terms:  # each section is a join-morphism, unvalidated
-            make_join_map(jm.source, L, jm.values)
+        for table in j.terms:  # each section is a join-morphism, unvalidated
+            make_join_map(j.source, L, table)
 
 
 def test_f_of_chain_two_point_lattice():

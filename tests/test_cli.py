@@ -212,6 +212,14 @@ def test_cmd_info_empty_file(tmp_path, capsys):
     assert err == "error: line 1: 'elements:' lists no elements\n"
 
 
+def test_cmd_info_duplicate_label(tmp_path, capsys):
+    path = tmp_path / "dup.lat"
+    path.write_text("elements: a a b\ncovers:\na b\n")
+    code, out, err = run_cli(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: duplicate label 'a'\n"
+
+
 def test_cmd_idempotent_text(capsys):
     code, out, _ = run_cli(capsys, "idempotent", "boolean:2")
     assert code == 0

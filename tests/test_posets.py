@@ -1,7 +1,13 @@
 import pytest
 
-from totlat.errors import CycleDetected, NotComparable, UnknownLabel
-from totlat.posets import Chain, poset_from_covers
+from totlat.errors import (
+    CycleDetected,
+    DuplicateLabel,
+    NotComparable,
+    TotlatError,
+    UnknownLabel,
+)
+from totlat.posets import Chain, Poset, poset_from_covers
 
 DIAMOND = (["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
 M3 = (
@@ -36,6 +42,15 @@ def test_cycle_detected():
 def test_unknown_label():
     with pytest.raises(UnknownLabel):
         poset_from_covers(["0", "1"], [("0", "2")])
+
+
+def test_duplicate_label_names_the_first_repeat():
+    eye = [[i == j for j in range(4)] for i in range(4)]
+    for build in (lambda: poset_from_covers(["x", "y", "y", "x"], []),
+                  lambda: Poset(["x", "y", "y", "x"], eye)):
+        with pytest.raises(DuplicateLabel, match="duplicate label 'y'") as info:
+            build()
+        assert isinstance(info.value, TotlatError) and isinstance(info.value, ValueError)
 
 
 def test_redundant_covers_tolerated():

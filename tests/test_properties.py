@@ -83,7 +83,7 @@ def test_sum_mul_bilinear_on_random_sums(spec, data):
 
     def random_sum():
         k = data.draw(st.integers(min_value=1, max_value=3))
-        total = FormalSum.zero(ZZ, L, L)
+        total = FormalSum(ZZ, L, L)
         for _ in range(k):
             total = total + embed(data.draw(st.sampled_from(endos))).scale(
                 data.draw(coeffs)
