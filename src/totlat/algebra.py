@@ -312,16 +312,39 @@ def mu_chain_infinity_oracle(L: Lattice, A, limit=None) -> int:
         )
     # a chain is the mask of its members; the adjoined top has every bit
     # of L and one more, so it lies above every chain and below none
-    base = sum(1 << m for m in members)
-    supersets = [
-        mask
-        for mask in (sum(1 << m for m in c) for c in L.chain_family("A"))
-        if mask != base and mask & base == base
-    ]
-    carrier = [base] + supersets + [(2 << L.n) - 1]
+    carrier = _superset_masks(L, members) + [(2 << L.n) - 1]
     leq = [[a & ~b == 0 for b in carrier] for a in carrier]
     poset = Poset([str(i) for i in range(len(carrier))], leq)
     return poset.mobius_hall(0, len(carrier) - 1)
+
+
+def _superset_masks(L: Lattice, members):
+    """The masks of the chains that contain every member, A itself first.
+
+    Such a chain is A together with one chain strictly inside each gap
+    between consecutive members and one chain strictly above the last,
+    any of them empty; there are `_chains_through(L, members)` of them.
+    """
+    up = L.poset.up
+    spans = [up[lo] & L.down[hi] & ~(1 << lo | 1 << hi)
+             for lo, hi in zip(members, members[1:])]
+    spans.append(up[members[-1]] & ~(1 << members[-1]))
+    masks = [sum(1 << m for m in members)]
+    for span in spans:
+        masks = [m | c for m in masks for c in _chain_masks(up, span)]
+    return masks
+
+
+def _chain_masks(up, span):
+    """The masks of the chains inside `span`, the empty chain first."""
+    out = [0]
+    stack = [(z, 1 << z) for z in bit_indices(span)]
+    while stack:
+        last, mask = stack.pop()
+        out.append(mask)
+        room = span & up[last] & ~(1 << last)
+        stack.extend((z, mask | 1 << z) for z in bit_indices(room))
+    return out
 
 
 def _chains_through(L: Lattice, members):

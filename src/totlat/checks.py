@@ -10,8 +10,10 @@ idempotent `e` once, on first use, for every check that needs it; the
 checks that compare constructions (the family construction, the filtered
 direct sum, the sums modulo m) still build their side independently.  The
 join-endomorphisms are not kept: each check streams them from the
-enumerator, because holding them as JoinMaps would cost more memory than
-the rest of a sweep.
+enumerator.  Held as JoinMaps, they raised the peak RSS of the `sweep`
+benchmark from 16.7 to 18.6 MiB (+11.7 %) to save about 0.07 s of its
+1.0 s of CPU; packed into uint16 arrays, from 16.66 to 17.0 MiB (+2 %)
+to save about 0.1 s.
 
 Feasibility gates keep the default suite fast: exhaustive endomorphism
 sweeps require at most `assignment_limit()` candidate assignments, n ** k
@@ -383,8 +385,8 @@ def check_ideal_closure(ws: Workspace):
     if not ws.enumerable or L.n > 6:
         return ws.report("ideal_closure", "skipped",
                          note="restricted to exhaustively enumerable lattices with <= 6 elements")
-    tots = list(enumerate_join_endomorphisms(L, tot_only=True))
     alls = list(enumerate_join_endomorphisms(L))
+    tots = [phi for phi in alls if image_chain(phi) is not None]
     for alpha in tots:
         for phi in alls:
             for prod in (compose(alpha, phi), compose(phi, alpha)):

@@ -13,12 +13,22 @@ enumeration of the join-endomorphism monoid via join-irreducibles.  The
 sections of the index order that the family construction picks from a
 chain's step intervals are built, with their weights, in
 `algebra.j_upper`; they increase by construction and are not validated.
+
+The enumerator and the sampler test each assignment of values to the
+join-irreducibles against one kernel of lookup tables, built once per
+call: the irreducibles, the positions of the irreducibles below each
+element, the rows of the join table and the incomparable pairs with
+their joins.  A candidate costs only list lookups: its extension folds
+join-table rows, and its pair test compares table entries.  It is the
+same test that `make_join_map` makes, which stays apart from the kernel
+as the validator of outside tables and the oracle of the tests.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ChainNotInB, ChainNotInZ, NotJoinMorphism, SourceTargetMismatch
 from .lattices import Lattice, chain_lattice
@@ -162,33 +172,71 @@ def enumerate_join_endomorphisms(L: Lattice, tot_only=False):
     the join-morphism check are discarded.  Iteration order is lexicographic
     over assignments.
     """
-    irr = L.join_irreducibles()
-    for assignment in itertools.product(range(L.n), repeat=len(irr)):
-        phi = _endomorphism_of(L, irr, assignment)
-        if phi is None or (tot_only and image_chain(phi) is None):
+    kernel = _kernel(L)
+    for assignment in itertools.product(range(L.n), repeat=len(kernel.irr)):
+        values = _endomorphism_of(kernel, assignment)
+        if values is None:
+            continue
+        phi = JoinMap(L, L, values)
+        if tot_only and image_chain(phi) is None:
             continue
         yield phi
 
 
-def _endomorphism_of(L, irr, assignment):
-    """The join-endomorphism an irreducible assignment determines, or None.
+class _Kernel(NamedTuple):
+    """The lookup tables that test irreducible assignments on one lattice."""
+
+    irr: tuple[int, ...]
+    below: tuple[tuple[int, ...], ...]  # per element, positions in irr below it
+    join: list[list[int]]  # the rows of L._join
+    bottom: int
+    pairs: tuple[tuple[int, int, int], ...]  # (x, y, x v y), x, y incomparable
+
+
+def _kernel(L: Lattice) -> _Kernel:
+    irr = tuple(L.join_irreducibles())
+    below = tuple(
+        tuple(p for p, j in enumerate(irr) if L.down[t] >> j & 1) for t in range(L.n)
+    )
+    join = L._join
+    pairs = tuple(
+        (x, y, join[x][y])
+        for x in range(L.n)
+        for y in range(x + 1, L.n)
+        if not L.comparable(x, y)
+    )
+    return _Kernel(irr, below, join, L.bottom, pairs)
+
+
+def _endomorphism_of(kernel: _Kernel, assignment):
+    """The value table an irreducible assignment determines, or None.
 
     None when the extension disagrees with the assignment on some
-    irreducible, or fails the join-morphism check.
+    irreducible, or fails the join-morphism check.  The extension sends
+    bottom to bottom and is monotone, so only incomparable pairs can break
+    `ext(x v y) = ext(x) v ext(y)`; the check is `make_join_map`'s, read
+    off the tables.
     """
-    ext = _extend_assignment(L, irr, assignment)
-    if any(ext[j] != v for j, v in zip(irr, assignment)):
-        return None
-    if not is_join_map(L, L, ext):
-        return None
-    return JoinMap(L, L, tuple(ext))
+    ext = _extend_assignment(kernel, assignment)
+    for j, v in zip(kernel.irr, assignment):
+        if ext[j] != v:
+            return None
+    join = kernel.join
+    for x, y, xy in kernel.pairs:
+        if ext[xy] != join[ext[x]][ext[y]]:
+            return None
+    return tuple(ext)
 
 
-def _extend_assignment(L, irr, assignment):
-    value_at = dict(zip(irr, assignment))
-    return [
-        L.join_all(value_at[j] for j in irr if L.leq(j, t)) for t in range(L.n)
-    ]
+def _extend_assignment(kernel: _Kernel, assignment):
+    join, bottom = kernel.join, kernel.bottom
+    ext = []
+    for positions in kernel.below:
+        acc = bottom
+        for p in positions:
+            acc = join[acc][assignment[p]]
+        ext.append(acc)
+    return ext
 
 
 def sample_join_endomorphisms(L: Lattice, count, rng):
@@ -196,10 +244,10 @@ def sample_join_endomorphisms(L: Lattice, count, rng):
 
     Rejection sampling; deterministic for a fixed rng state.
     """
-    irr = L.join_irreducibles()
+    kernel = _kernel(L)
     out = []
     while len(out) < count:
-        phi = _endomorphism_of(L, irr, [rng.randrange(L.n) for _ in irr])
-        if phi is not None:
-            out.append(phi)
+        values = _endomorphism_of(kernel, [rng.randrange(L.n) for _ in kernel.irr])
+        if values is not None:
+            out.append(JoinMap(L, L, values))
     return out

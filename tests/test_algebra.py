@@ -479,3 +479,17 @@ def test_idempotent_over_small_characteristic():
         ring = Ring("mod", m)
         e = idempotent_direct(L, ring)
         assert e * e == e
+
+
+@pytest.mark.parametrize("spec", DEFAULT_CORPUS + ("divisor:60", "diamond:5"))
+def test_oracle_supersets_match_chain_family_filter(spec):
+    from totlat.algebra import _chains_through, _superset_masks
+
+    L = generate(spec)
+    family = [sum(1 << m for m in c) for c in L.chain_family("A")]
+    for A in L.chain_family("A"):
+        base = sum(1 << m for m in A.members)
+        built = _superset_masks(L, A.members)
+        assert built[0] == base
+        assert len(set(built)) == len(built) == _chains_through(L, A.members)
+        assert set(built[1:]) == {m for m in family if m != base and m & base == base}

@@ -355,3 +355,55 @@ def test_sampling_is_deterministic_and_valid():
     assert [x.values for x in a] == [x.values for x in b]
     for phi in a:
         assert is_join_map(L, L, phi.values)
+
+
+# -- the lookup-table kernel against the per-candidate method calls ---------
+
+
+def _method_call_endomorphism(L, irr, assignment):
+    """Extend by `join_all` over `leq`, then validate with `is_join_map`."""
+    value_at = dict(zip(irr, assignment))
+    ext = [L.join_all(value_at[j] for j in irr if L.leq(j, t)) for t in range(L.n)]
+    if any(ext[j] != v for j, v in zip(irr, assignment)):
+        return None
+    return tuple(ext) if is_join_map(L, L, ext) else None
+
+
+def _method_call_enumeration(L):
+    irr = L.join_irreducibles()
+    for assignment in itertools.product(range(L.n), repeat=len(irr)):
+        values = _method_call_endomorphism(L, irr, assignment)
+        if values is not None:
+            yield values
+
+
+def _method_call_sample(L, count, rng):
+    irr = L.join_irreducibles()
+    out = []
+    while len(out) < count:
+        values = _method_call_endomorphism(L, irr, [rng.randrange(L.n) for _ in irr])
+        if values is not None:
+            out.append(values)
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec", sorted(set(DEFAULT_CORPUS) | {"divisor:60", "diamond:5", "product:boolean:2,chain:1"})
+)
+def test_kernel_enumeration_matches_method_calls(spec):
+    L = generate(spec)
+    maps = list(enumerate_join_endomorphisms(L))
+    assert [phi.values for phi in maps] == list(_method_call_enumeration(L))
+    assert all(phi.source is L and phi.target is L for phi in maps)
+    tot = [phi.values for phi in enumerate_join_endomorphisms(L, tot_only=True)]
+    assert tot == [phi.values for phi in maps if image_chain(phi) is not None]
+
+
+@pytest.mark.parametrize("spec", ["partition:4", "divisor:360", "diamond:8"])
+def test_kernel_sampling_matches_method_calls(spec):
+    import random
+
+    L = generate(spec)
+    for seed in range(5):
+        drawn = sample_join_endomorphisms(L, 10, random.Random(seed))
+        assert [phi.values for phi in drawn] == _method_call_sample(L, 10, random.Random(seed))
