@@ -44,7 +44,7 @@ from .algebra import (
 from .checks import DEFAULT_CORPUS, assignment_limit, run_suite
 from .errors import FeasibilityLimit, TotlatError
 from .posets import Chain
-from .serialize import formal_sum_to_json, formal_sum_to_text, load_lattice
+from .serialize import formal_sum_json_chunks, formal_sum_to_text, load_lattice
 
 
 def cmd_info(args):
@@ -68,7 +68,9 @@ def cmd_idempotent(args):
     else:
         e = idempotent_original(L, ring)
     if args.format == "json":
-        print(formal_sum_to_json(e))
+        # written term by term, so the document is never held whole
+        sys.stdout.writelines(formal_sum_json_chunks(e))
+        sys.stdout.write("\n")
     else:
         print(formal_sum_to_text(e))
     return 0

@@ -15,6 +15,14 @@ most MAX_ELEMENTS elements, each under its own label.
 Formal sums serialize to a JSON document carrying the ring, source and
 target lattice fingerprints, and the coefficient/value-table terms in
 canonical (value-table) order.  parse(serialize(s)) == s.
+
+A document is byte for byte `json.dumps(formal_sum_to_document(s), indent=2,
+ensure_ascii=False)`, but it is written one term at a time:
+`formal_sum_json_chunks` encodes each source and target label once per
+document and yields the header and then one finished string per term, so a
+writer never holds the whole document.  `formal_sum_to_document` stays the
+plain-`json` form: the input of `formal_sum_from_document` and the oracle the
+chunked writer is tested against.
 """
 
 from __future__ import annotations
@@ -144,8 +152,45 @@ def formal_sum_from_document(doc: dict, source: Lattice, target: Lattice) -> For
         raise ParseError(f"malformed formal-sum document: {exc}") from None
 
 
+def formal_sum_json_chunks(s: FormalSum):
+    """The JSON document of `s` as strings to be written in order: the header,
+    one string per term in canonical order, then the closing brackets."""
+    def encode(value):
+        return json.dumps(value, ensure_ascii=False)
+
+    head = (
+        '{\n  "ring": ' + encode(str(s.ring))
+        + ',\n  "source": ' + encode(s.source.fingerprint())
+        + ',\n  "target": ' + encode(s.target.fingerprint())
+        + ',\n  "terms": ['
+    )
+    if not s.terms:
+        yield head + "]\n}"
+        return
+    yield head
+    # one %-template per document, with slots for the separator, the
+    # coefficient and the value at each source element; a lattice has at
+    # least one element, so no table is the empty object
+    template = (
+        '%s\n    {\n      "coeff": %s,\n      "table": {'
+        + ",".join(
+            "\n        " + encode(name).replace("%", "%%") + ": %s"
+            for name in s.source.names
+        )
+        + "\n      }\n    }"
+    )
+    values = [encode(name) for name in s.target.names]
+    separator = ""
+    for table, c in sorted(s.terms.items()):
+        yield template % (
+            separator, encode(_coeff_to_json(s.ring, c)), *map(values.__getitem__, table)
+        )
+        separator = ","
+    yield "\n  ]\n}"
+
+
 def formal_sum_to_json(s: FormalSum) -> str:
-    return json.dumps(formal_sum_to_document(s), indent=2, ensure_ascii=False)
+    return "".join(formal_sum_json_chunks(s))
 
 
 def formal_sum_to_text(s: FormalSum) -> str:

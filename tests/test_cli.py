@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import totlat
-from totlat.algebra import Ring, idempotent_direct
+from totlat.algebra import FormalSum, Ring, idempotent_direct, idempotent_original
 from totlat.checks import DEFAULT_CORPUS
 from totlat.cli import main
 from totlat.errors import NotJoinMorphism, ParseError, TotlatError, UnsupportedRing
@@ -16,6 +16,7 @@ from totlat.lattices import boolean_lattice, generate
 from totlat.serialize import (
     formal_sum_from_document,
     formal_sum_to_document,
+    formal_sum_to_json,
     parse_lattice_file,
 )
 
@@ -170,6 +171,64 @@ def test_formal_sum_document_sorted_and_nonzero():
     tables = [tuple(sorted(t["table"].items())) for t in doc["terms"]]
     assert all(t["coeff"] != 0 for t in doc["terms"])
     assert len(tables) == len(set(tables))
+
+
+# A pentagon whose labels need JSON escaping, are not ASCII or hold a
+# %-format directive.
+ESCAPED_LABELS_FILE = """\
+elements: %s "x" a\\b é ☃
+covers:
+%s "x"
+%s a\\b
+a\\b é
+"x" ☃
+é ☃
+"""
+
+
+def indent_json(s):
+    """The oracle for the chunked writer: the standard library's indent encoder."""
+    return json.dumps(formal_sum_to_document(s), indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("construction", [idempotent_direct, idempotent_original])
+@pytest.mark.parametrize("ring", ["int", "mod:3", "rat"])
+@pytest.mark.parametrize("spec", DEFAULT_CORPUS)
+def test_formal_sum_to_json_matches_indent_encoder(spec, ring, construction):
+    e = construction(generate(spec), Ring.parse(ring))
+    assert formal_sum_to_json(e) == indent_json(e)
+
+
+@pytest.mark.parametrize("ring", ["int", "mod:3", "rat"])
+def test_formal_sum_to_json_zero_sum(ring):
+    L = generate("pentagon")
+    zero = FormalSum(Ring.parse(ring), L, L)
+    assert formal_sum_to_json(zero) == indent_json(zero)
+    assert json.loads(formal_sum_to_json(zero))["terms"] == []
+
+
+@pytest.mark.parametrize("ring", ["int", "rat"])
+def test_formal_sum_to_json_coefficient_above_64_bits(ring):
+    e = idempotent_direct(generate("boolean:2"), Ring.parse(ring)).scale(2**70 + 3)
+    text = formal_sum_to_json(e)
+    assert text == indent_json(e)
+    assert str(2**70 + 3) in text
+
+
+def test_formal_sum_to_json_escapes_labels(tmp_path, capsys):
+    L = parse_lattice_file(ESCAPED_LABELS_FILE)
+    assert set(L.names) == {"%s", '"x"', "a\\b", "é", "☃"}
+    for ring in ("int", "rat"):
+        e = idempotent_direct(L, Ring.parse(ring))
+        text = formal_sum_to_json(e)
+        assert text == indent_json(e)
+        for encoded in ('"\\"x\\"": ', '"a\\\\b": ', '"%s": ', '"☃"'):
+            assert encoded in text
+        assert formal_sum_from_document(json.loads(text), L, L) == e
+    path = tmp_path / "escaped.lat"
+    path.write_text(ESCAPED_LABELS_FILE, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "idempotent", str(path), "--format", "json")
+    assert code == 0 and out == indent_json(idempotent_direct(L)) + "\n"
 
 
 # -- subcommands ----------------------------------------------------------
@@ -341,6 +400,12 @@ def assert_ends_quietly_on_closed_stdout(*argv):
 
 def test_closed_stdout_ends_quietly():
     assert_ends_quietly_on_closed_stdout("verify", "boolean:2", "--format", "json")
+
+
+def test_closed_stdout_mid_document_ends_quietly():
+    # the boolean:6 document is megabytes long, so the pipe breaks while its
+    # terms are being written
+    assert_ends_quietly_on_closed_stdout("idempotent", "boolean:6", "--format", "json")
 
 
 def test_help_on_closed_stdout_ends_quietly():
