@@ -20,6 +20,9 @@ caps the chain-poset Moebius oracle, in `verify` and in `mobius --chain`.
 Each must be a nonnegative integer; every subcommand reads both first, and
 a malformed value is an error (exit status 2).
 
+Lattice files are read, and all output is written, in UTF-8 whatever the
+locale's encoding.
+
 Exit status: 0 success, 1 verification failure, 2 usage or parse error,
 141 when the reader closes standard output before all output is written
 (128 + SIGPIPE, the status a shell gives a program stopped by that
@@ -170,6 +173,11 @@ def build_parser():
 
 
 def main(argv=None):
+    # lattice files are read as UTF-8, so their labels are written back in
+    # UTF-8 whatever the locale's encoding
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(encoding="utf-8")
     parser = build_parser()
     try:
         try:

@@ -8,7 +8,7 @@ tiny lattices.
 
 Also provided: the surjection onto a chain's index total order, read off
 the members' down-set masks in one pass, and the retraction onto the
-chain, which reads the members off that surjection; and exhaustive
+chain, read off the same masks; and exhaustive
 enumeration of the join-endomorphism monoid via join-irreducibles.  The
 sections of the index order that the family construction picks from a
 chain's step intervals are built, with their weights, in
@@ -135,12 +135,24 @@ def alpha_of_chain(L: Lattice, B) -> JoinMap:
     """Retraction onto a bottom-to-top chain B: t -> min{b in B : b >= t}.
 
     Idempotent, pointwise >= identity, image exactly B.  The least member
-    above t is the member at t's index under `pi_of_chain`.
+    above t is the member at t's index under `pi_of_chain`; it is read
+    off the same down-set masks in one pass up B, each member written
+    into the slots of the elements it is the first to cover.
     """
     members = tuple(B)
     if not members or members[0] != L.bottom or members[-1] != L.top:
         raise ChainNotInZ("chain must contain both bottom and top")
-    return JoinMap(L, L, tuple(members[p] for p in pi_of_chain(L, members).values))
+    down = L.down
+    values = [0] * L.n
+    placed = 0
+    for b in members:
+        fresh = down[b] & ~placed
+        placed |= fresh
+        while fresh:
+            low = fresh & -fresh
+            values[low.bit_length() - 1] = b
+            fresh ^= low
+    return JoinMap(L, L, tuple(values))
 
 
 def pi_of_chain(L: Lattice, B) -> JoinMap:

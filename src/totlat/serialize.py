@@ -3,7 +3,8 @@
 `load_lattice` is the one way the CLI and the verification suite get a
 lattice: a path to a lattice file, or else a generator descriptor.
 
-Lattice file grammar (blank lines and '#' comments ignored):
+A lattice file is UTF-8 text, read as such whatever the locale's encoding.
+Its grammar (blank lines and '#' comments ignored):
 
     elements: <label> <label> ...
     covers:
@@ -43,7 +44,7 @@ def load_lattice(spec) -> Lattice:
     if not os.path.exists(spec):
         return generate(spec)
     try:
-        with open(spec) as fh:
+        with open(spec, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"{spec}: {exc.strerror}") from None

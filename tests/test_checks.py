@@ -16,9 +16,10 @@ from totlat.checks import (
     check_crapo_restriction,
     run_suite,
 )
-from totlat.algebra import ZZ
+from totlat.algebra import ZZ, FormalSum, Ring, embed
 from totlat.errors import UnknownCheck
 from totlat.lattices import boolean_lattice, chain_lattice, generate
+from totlat.morphisms import enumerate_join_endomorphisms, pi_of_chain
 from totlat.posets import Poset
 
 
@@ -183,3 +184,117 @@ def test_individual_checks_pass(spec):
     ):
         r = fn(Workspace(L, descriptor=spec))
         assert r.status == "pass", (spec, r.name, r.counterexample)
+
+
+# -- f_family against multiplying every pair f_B, f_C out on L ----------------
+
+
+def f_family_oracle(ws):
+    """check_f_family's report, from the L-level products of the f_B.
+
+    Each f_B = j^B * pi^B is built on L and every product f_B * f_C is
+    multiplied out in full.  j^B comes from `checks.j_upper`, so a test
+    that corrupts the sections the check uses corrupts the oracle's too.
+    """
+    L, ring = ws.L, ws.ring
+    fs = [(B, checks.j_upper(L, B, ring) * embed(pi_of_chain(L, B), ring))
+          for B in sorted(L.chain_family("B"), key=len)]
+    for B, f in fs:
+        if f * f != f:
+            return ws.report("f_family", "fail",
+                             counterexample={"chain": B.labels(), "kind": "not idempotent"})
+    for i, (B, f) in enumerate(fs):
+        for C, g in fs[i + 1:]:
+            if not (f * g).is_zero() or not (g * f).is_zero():
+                return ws.report(
+                    "f_family", "fail",
+                    counterexample={"chains": [B.labels(), C.labels()],
+                                    "kind": "not orthogonal"},
+                )
+    total = FormalSum.total(ring, L, L, (f for _, f in fs))
+    if total != ws.e:
+        return ws.report("f_family", "fail",
+                         counterexample={"kind": "sum differs from direct idempotent",
+                                         "sum": checks._sum_as_witness(total)})
+    return ws.report("f_family", "pass", counts={"chains": len(fs)})
+
+
+F_FAMILY_SPECS = list(checks.DEFAULT_CORPUS) + [
+    "divisor:60", "diamond:5", "partition:4", "boolean:4"]
+
+
+@pytest.mark.parametrize("ring", ["int", "mod:2", "rat"])
+@pytest.mark.parametrize("spec", F_FAMILY_SPECS)
+def test_f_family_matches_l_level_oracle(spec, ring):
+    ws = Workspace(generate(spec), Ring.parse(ring), descriptor=spec)
+    report = check_f_family(ws).to_dict()
+    assert report == f_family_oracle(ws).to_dict()
+    assert report["status"] == "pass"
+
+
+def doubled_first_term(s):
+    terms = dict(s.terms)
+    first = min(terms)
+    terms[first] *= 2
+    return FormalSum(s.ring, s.source, s.target, terms)
+
+
+def dropped_first_term(s):
+    terms = dict(s.terms)
+    del terms[min(terms)]
+    return FormalSum(s.ring, s.source, s.target, terms)
+
+
+@pytest.mark.parametrize("mutate", [doubled_first_term, dropped_first_term])
+@pytest.mark.parametrize("spec", ["chain:2", "pentagon", "divisor:12", "boolean:3"])
+def test_f_family_mutated_section_fails_like_the_oracle(monkeypatch, spec, mutate):
+    # corrupt j^B for one chain at a time; the check and the oracle must
+    # both fail, with the same counterexample
+    L = generate(spec)
+    real = checks.j_upper
+    kinds = set()
+    for chosen in L.chain_family("B"):
+
+        def corrupted(L, B, ring=ZZ):
+            s = real(L, B, ring)
+            return mutate(s) if tuple(B) == tuple(chosen) else s
+
+        monkeypatch.setattr(checks, "j_upper", corrupted)
+        ws = Workspace(L, descriptor=spec)
+        report = check_f_family(ws).to_dict()
+        assert report["status"] == "fail"
+        assert report == f_family_oracle(ws).to_dict()
+        kinds.add(report["counterexample"]["kind"])
+    assert "not idempotent" in kinds
+
+
+@pytest.mark.parametrize("mutated_first", [True, False])
+@pytest.mark.parametrize("spec", ["pentagon", "divisor:12"])
+def test_f_family_one_sided_product_fails_like_the_oracle(monkeypatch, spec, mutated_first):
+    # For orthogonal idempotents p, q and any y, q' = q + p y q is again
+    # idempotent, and p q' = p y q while q' p = 0.  Replacing j^C by
+    # j^C + f_B y j^C turns f_C into such a q', so only one of the two
+    # products of the pair is nonzero; the check must test both orders.
+    L = generate(spec)
+    real = checks.j_upper
+    chains = sorted(L.chain_family("B"), key=len)
+    f = {tuple(B): real(L, B) * embed(pi_of_chain(L, B)) for B in chains}
+    endos = [embed(y) for y in enumerate_join_endomorphisms(L)]
+    # C is the chain whose sections are corrupted, B the other of the pair
+    pairs = [(B, C) for i, B in enumerate(chains) for C in chains[i + 1:]]
+    if mutated_first:
+        pairs = [(C, B) for B, C in pairs]
+    B, C, y = next((B, C, y) for B, C in pairs for y in endos
+                   if not (f[tuple(B)] * y * f[tuple(C)]).is_zero())
+
+    def corrupted(L, D, ring=ZZ):
+        s = real(L, D, ring)
+        return s + f[tuple(B)] * y * s if tuple(D) == tuple(C) else s
+
+    monkeypatch.setattr(checks, "j_upper", corrupted)
+    ws = Workspace(L, descriptor=spec)
+    report = check_f_family(ws).to_dict()
+    first, second = (C, B) if mutated_first else (B, C)
+    assert report["counterexample"] == {"chains": [first.labels(), second.labels()],
+                                        "kind": "not orthogonal"}
+    assert report == f_family_oracle(ws).to_dict()

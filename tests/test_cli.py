@@ -483,6 +483,31 @@ def test_unreadable_lattice_file(tmp_path, capsys, command):
     assert err.startswith(f"error: {tmp_path}: ") and "Traceback" not in err
 
 
+def test_utf8_lattice_file_under_c_locale(tmp_path):
+    # the file is read, and its labels written back, in UTF-8 even when the
+    # locale's encoding is ASCII
+    path = tmp_path / "chain.lat"
+    src = str(Path(totlat.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=src)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "totlat.cli", *argv],
+                              capture_output=True, env=env, timeout=120)
+
+    path.write_bytes("elements: 0 \u00e9 1\ncovers:\n0 \u00e9\n\u00e9 1\n".encode("utf-8"))
+    proc = run("idempotent", str(path))
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == "+ 1*alpha_{0,\u00e9,1}\n".encode("utf-8")
+    proc = run("idempotent", str(path), "--format", "json")
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert '"\u00e9": "\u00e9"'.encode("utf-8") in proc.stdout
+    path.write_bytes("elements: 0 \u00e9 \u00e9\n".encode("utf-8"))
+    proc = run("info", str(path))
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == "error: duplicate label '\u00e9'\n".encode("utf-8")
+
+
 def test_cmd_verify_corpus_option_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--corpus", "default"])

@@ -247,6 +247,15 @@ def test_chain_maps_match_min_definitions(spec):
         assert alpha_of_chain(L, B).values == tuple(least_above)
 
 
+@pytest.mark.parametrize("spec", list(DEFAULT_CORPUS) + ["divisor:60", "boolean:5"])
+def test_alpha_reads_members_at_pi_indices(spec):
+    L = generate(spec)
+    for B in L.chain_family("Z"):
+        members = B.members
+        expected = tuple(members[p] for p in pi_of_chain(L, B).values)
+        assert alpha_of_chain(L, B).values == expected
+
+
 # -- the sections j_upper picks from a chain's step intervals ---------------
 
 

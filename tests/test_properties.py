@@ -2,11 +2,12 @@
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from totlat.algebra import FormalSum, ZZ, embed, idempotent_direct
-from totlat.lattices import generate
-from totlat.morphisms import compose, enumerate_join_endomorphisms
+from totlat.checks import DEFAULT_CORPUS
+from totlat.lattices import chain_lattice, generate
+from totlat.morphisms import compose, enumerate_join_endomorphisms, pi_of_chain
 from totlat.posets import Poset
 
 LATTICE_SPECS = [
@@ -104,3 +105,39 @@ def test_idempotent_absorbs_random_chain_image_endos(spec, data):
     psi = embed(data.draw(st.sampled_from(tots)))
     assert e * psi == psi
     assert psi * e == psi
+
+
+# -- right composition by an index surjection is injective -----------------
+# (the fact check_f_family rests on)
+
+
+def test_index_surjections_are_surjective():
+    for spec in DEFAULT_CORPUS:
+        L = generate(spec)
+        for B in L.chain_family("B"):
+            assert pi_of_chain(L, B).is_surjective(), (spec, B.labels())
+
+
+@given(st.sampled_from(DEFAULT_CORPUS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_right_composition_by_index_surjection_keeps_every_term(spec, data):
+    L = generate(spec)
+    B = data.draw(st.sampled_from(L.chain_family("B")))
+    P = chain_lattice(len(B) - 1)
+    element = st.integers(min_value=0, max_value=L.n - 1)
+    coeff = st.integers(min_value=-3, max_value=3).filter(bool)
+
+    def chain_map():
+        # the running joins of random picks: a join-map from the index chain
+        values = [L.bottom]
+        for _ in range(P.n - 1):
+            values.append(L.join(values[-1], data.draw(element)))
+        return tuple(values)
+
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    X = FormalSum(ZZ, P, L, [(chain_map(), data.draw(coeff)) for _ in range(k)])
+    assume(not X.is_zero())
+    Y = X * embed(pi_of_chain(L, B))
+    assert not Y.is_zero()
+    assert len(Y.terms) == len(X.terms)
+    assert sorted(Y.terms.values()) == sorted(X.terms.values())
