@@ -23,6 +23,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (
     BadSetting,
@@ -84,10 +85,12 @@ class Ring:
         if text == "rat":
             return cls("rat")
         if text.startswith("mod:"):
-            try:
-                return cls("mod", int(text[4:]))
-            except ValueError:
-                raise UnsupportedRing(f"bad modulus in {text!r}") from None
+            # ASCII digits only: int() would also take "1_1", "+5", " 3"
+            # and non-ASCII digits
+            digits = text[4:]
+            if not (digits.isascii() and digits.isdigit()):
+                raise UnsupportedRing(f"bad modulus in {text!r}")
+            return cls("mod", int(digits))
         raise UnsupportedRing(f"unknown ring {text!r}")
 
     def coerce(self, c):
@@ -213,19 +216,28 @@ class FormalSum:
         )
 
     def __mul__(self, other):
-        """Composition product: (self * other) means self after other."""
+        """Composition product: (self * other) means self after other.
+
+        Each inner table f becomes one `itemgetter(*f)`, which reads the
+        composite table g o f off an outer table g in one C-level call.  On
+        a one-element source `itemgetter` returns the entry, not a tuple,
+        so there the entry is wrapped.
+        """
         if not isinstance(other, FormalSum):
             return NotImplemented
         if self.ring != other.ring:
             raise SignatureMismatch("formal sums over different rings")
         if other.target != self.source:
             raise SourceTargetMismatch("inner target differs from outer source")
+        inner = [(itemgetter(*f), cf) for f, cf in other.terms.items()]
+        if other.source.n == 1:
+            inner = [(lambda g, get=get: (get(g),), cf) for get, cf in inner]
         return FormalSum(
             self.ring, other.source, self.target,
             (
-                (tuple([g[v] for v in f]), cg * cf)
+                (get(g), cg * cf)
                 for g, cg in self.terms.items()
-                for f, cf in other.terms.items()
+                for get, cf in inner
             ),
         )
 

@@ -102,12 +102,10 @@ def cmd_mobius(args):
 
 
 def cmd_verify(args):
-    if args.input:
-        corpus = [args.input]
-    else:
-        corpus = list(DEFAULT_CORPUS)
+    # an empty INPUT or --checks is refused below, not read as omitted
+    corpus = [args.input] if args.input is not None else list(DEFAULT_CORPUS)
     ring = Ring.parse(args.ring)
-    checks = args.checks.split(",") if args.checks else None
+    checks = args.checks.split(",") if args.checks is not None else None
     reports = run_suite(
         corpus=corpus, ring=ring, checks=checks,
         seed=args.seed, sample_count=args.sample_count,

@@ -5,9 +5,12 @@ Both are read off bitmasks: the join of x and y is the element whose
 up-set is `up[x] & up[y]`, found in a dict keyed by up-set, and meets come
 the same way from the down-set masks `L.down`, the transpose of the
 poset's up-sets.  The elements of an interval [x, y] are the bits of
-`up[x] & down[y]` (`interval_elements`).  Each table costs n^2 lookups, so
-every generator and lattice file is capped at MAX_ELEMENTS elements, the
-size of boolean:10.  Chain families:
+`up[x] & down[y]` (`interval_elements`).  The lattice keeps each element's
+comparability mask `up[x] | down[x]`, against which a set of elements is
+tested for being a chain, and the dict from down-set mask to element,
+which names the largest element of a principal down-set given as a mask.
+Each table costs n^2 lookups, so every generator and lattice file is
+capped at MAX_ELEMENTS elements, the size of boolean:10.  Chain families:
 
   kind "A": chains whose least member is the bottom element,
   kind "B": chains whose greatest member is the top element,
@@ -18,8 +21,9 @@ size of boolean:10.  Chain families:
 chain, by a dynamic program down the strict order.
 
 Each Lattice computes its derived structure once: the down-sets, the
-strict upper sets and `max_chain_length` on construction, each chain
-family, the chain counts and the opposite lattice on first use.
+comparability masks, the strict upper sets and `max_chain_length` on
+construction, each chain family, the chain counts and the opposite
+lattice on first use.
 `Poset.chains()` does not share this code; it stays the slow oracle that
 the chain families and their counts are tested against.
 """
@@ -43,8 +47,9 @@ DIVISOR_HARD_CAP = 10**12
 class Lattice:
     """A poset in which every pair has a unique join and meet.
 
-    Instances are immutable and cache per instance: the down-set mask and
-    the strict upper set of each element, every chain family (one
+    Instances are immutable and cache per instance: the down-set mask, the
+    comparability mask and the strict upper set of each element, the
+    element of each principal down-set mask, every chain family (one
     depth-first enumeration per kind), the chain counts and the opposite
     lattice, whose own opposite is this instance.
     """
@@ -87,6 +92,10 @@ class Lattice:
             height[x] = max((height[y] + 1 for y in above[x]), default=0)
         self.max_chain_length = height[self.bottom]
         self.down = tuple(down)
+        # bit y of _comparable[x] is set iff x <= y or y <= x; a set of
+        # elements is a chain iff its mask lies inside each member's
+        self._comparable = tuple(u | d for u, d in zip(up, down))
+        self._by_down = by_down
         self._families = {}
         self._counts = None
         self._opposite = None

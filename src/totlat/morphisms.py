@@ -6,6 +6,13 @@ joins suffices, by induction on finite joins; `make_join_map` checks
 exactly that, and tests cross-validate against full subset checking on
 tiny lattices.
 
+The per-map tests of the exhaustive sweeps run on bitmasks: a table has a
+chain image iff the mask of its values lies inside the comparability mask
+of each value (`has_chain_image`), and the opposite of a map is read off
+the masks of its fibres, each union of fibres looked up as a principal
+down-set (`opposite_morphism`).  The pairwise scan and the `join_all` form
+they replace are kept in the tests as their oracles.
+
 Also provided: the surjection onto a chain's index total order, read off
 the members' down-set masks in one pass, and the retraction onto the
 chain, read off the same masks; and exhaustive
@@ -110,25 +117,60 @@ def opposite_morphism(phi: JoinMap) -> JoinMap:
     """The adjoint companion: t' -> join of all t with phi(t) <= t'.
 
     A join-morphism from the opposite of the target to the opposite of the
-    source; applying it twice returns the original map.
+    source; applying it twice returns the original map.  The t with
+    phi(t) <= t' form the union of the fibres of the v <= t', each fibre
+    a mask over the source.  phi preserves joins, so the union is the
+    principal down-set of its join, which the source's dict from down-set
+    mask to element names.  For a table that is not a join-map the union
+    may be no principal down-set; the lookup then raises KeyError.
     """
     S, T = phi.source, phi.target
-    values = tuple(
-        S.join_all(t for t in range(S.n) if T.leq(phi.values[t], tp))
-        for tp in range(T.n)
-    )
-    return JoinMap(T.opposite(), S.opposite(), values)
+    fibre = [0] * T.n
+    for t, v in enumerate(phi.values):
+        fibre[v] |= 1 << t
+    image = [(1 << v, f) for v, f in enumerate(fibre) if f]
+    by_down = S._by_down
+    values = []
+    for below in T.down:
+        union = 0
+        for bit, f in image:
+            if below & bit:
+                union |= f
+        values.append(by_down[union])
+    return JoinMap(T.opposite(), S.opposite(), tuple(values))
+
+
+def has_chain_image(L: Lattice, values) -> bool:
+    """True iff the elements of L in `values` are pairwise comparable.
+
+    The values are ORed into one mask; they form a chain iff the mask lies
+    inside the comparability mask of each of them.
+    """
+    image = set(values)
+    mask = 0
+    for v in image:
+        mask |= 1 << v
+    comparable = L._comparable
+    for v in image:
+        if mask & ~comparable[v]:
+            return False
+    return True
 
 
 def image_chain(phi: JoinMap):
-    """The image as a Chain of the target if totally ordered, else None."""
+    """The image as a Chain of the target if totally ordered, else None.
+
+    Each member is ranked by how many members lie below it, counted on
+    the image mask.
+    """
     T = phi.target
-    image = sorted(set(phi.values))
-    for a, b in itertools.combinations(image, 2):
-        if not T.comparable(a, b):
-            return None
-    ordered = tuple(sorted(image, key=lambda x: sum(T.leq(y, x) for y in image)))
-    return Chain(ordered, T.poset)
+    image = set(phi.values)
+    if not has_chain_image(T, image):
+        return None
+    mask = sum(1 << v for v in image)
+    down = T.down
+    ordered = sorted(image, key=lambda v: (down[v] & mask).bit_count())
+    return Chain(tuple(ordered), T.poset)
 
 
 def alpha_of_chain(L: Lattice, B) -> JoinMap:
@@ -189,10 +231,9 @@ def enumerate_join_endomorphisms(L: Lattice, tot_only=False):
         values = _endomorphism_of(kernel, assignment)
         if values is None:
             continue
-        phi = JoinMap(L, L, values)
-        if tot_only and image_chain(phi) is None:
+        if tot_only and not has_chain_image(L, values):
             continue
-        yield phi
+        yield JoinMap(L, L, values)
 
 
 class _Kernel(NamedTuple):

@@ -36,6 +36,7 @@ from totlat.morphisms import (
     enumerate_join_endomorphisms,
     identity_map,
     make_join_map,
+    pi_of_chain,
 )
 
 SMALL_CORPUS = ["chain:0", "chain:3", "boolean:2", "diamond:3", "pentagon",
@@ -59,6 +60,13 @@ def test_ring_parse():
         Ring.parse("mod:1")
     with pytest.raises(UnsupportedRing):
         Ring.parse("mod:x")
+
+
+@pytest.mark.parametrize("text", ["mod:1_1", "mod:\u0663", "mod:+5", "mod: 3"])
+def test_ring_parse_takes_ascii_digits_only(text):
+    # int() would read these as 11, 3, 5 and 3
+    with pytest.raises(UnsupportedRing, match="bad modulus"):
+        Ring.parse(text)
 
 
 def test_ring_coerce():
@@ -203,6 +211,37 @@ def test_products_compose_tables_as_compose_does(spec):
         for a, _ in terms:
             assert embed(a) * s == embed(compose(a, phi))
             assert s * embed(a) == embed(compose(phi, a))
+
+
+def product_oracle(x, y):
+    """x * y, each composite table built by a list comprehension."""
+    return FormalSum(x.ring, y.source, x.target, [
+        (tuple([g[v] for v in f]), cg * cf)
+        for g, cg in x.terms.items()
+        for f, cf in y.terms.items()
+    ])
+
+
+@pytest.mark.parametrize("ring", ["int", "mod:2", "rat"])
+@pytest.mark.parametrize("spec", list(DEFAULT_CORPUS) + ["divisor:60"])
+def test_products_match_list_comprehension_oracle(spec, ring):
+    # e with itself and with maps, and the family's j^B, pi^B and f_B,
+    # among them j^{top} and pi^{top}, whose source or target is chain:0
+    ring = Ring.parse(ring)
+    L = generate(spec)
+    e = idempotent_direct(L, ring)
+    pairs = [(e, e)]
+    for phi in itertools.islice(enumerate_join_endomorphisms(L), 50):
+        s = embed(phi, ring)
+        pairs += [(e, s), (s, e), (s, s)]
+    for B in L.chain_family("B"):
+        j, pi = j_upper(L, B, ring), embed(pi_of_chain(L, B), ring)
+        f = j * pi
+        pairs += [(j, pi), (pi, j), (f, f), (pi, f), (f, j)]
+    assert any(y.source.n == 1 for _, y in pairs)
+    for x, y in pairs:
+        product = x * y
+        assert list(product.terms.items()) == list(product_oracle(x, y).terms.items())
 
 
 def test_sorted_terms_deterministic():

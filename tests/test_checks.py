@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import totlat.checks as checks
@@ -10,6 +12,7 @@ from totlat.checks import (
     check_f_family,
     check_formula_equivalence,
     check_idempotent,
+    check_ideal_closure,
     check_identity_on_tot,
     check_mobius_lemmas,
     check_opposite_involution,
@@ -19,7 +22,7 @@ from totlat.checks import (
 from totlat.algebra import ZZ, FormalSum, Ring, embed
 from totlat.errors import UnknownCheck
 from totlat.lattices import boolean_lattice, chain_lattice, generate
-from totlat.morphisms import enumerate_join_endomorphisms, pi_of_chain
+from totlat.morphisms import JoinMap, compose, enumerate_join_endomorphisms, pi_of_chain
 from totlat.posets import Poset
 
 
@@ -298,3 +301,78 @@ def test_f_family_one_sided_product_fails_like_the_oracle(monkeypatch, spec, mut
     assert report["counterexample"] == {"chains": [first.labels(), second.labels()],
                                         "kind": "not orthogonal"}
     assert report == f_family_oracle(ws).to_dict()
+
+
+# -- ideal_closure against composing JoinMaps pairwise ----------------------
+
+
+def _pairwise_chain(phi):
+    T = phi.target
+    return all(T.comparable(a, b) for a, b in itertools.combinations(set(phi.values), 2))
+
+
+def ideal_closure_oracle(ws):
+    """check_ideal_closure's report, from `compose` and a pairwise chain scan.
+
+    The maps come from `checks.enumerate_join_endomorphisms`, so a test
+    that corrupts the maps the check sees corrupts the oracle's too.
+    """
+    L = ws.L
+    if not ws.enumerable or L.n > 6:
+        return ws.report("ideal_closure", "skipped",
+                         note="restricted to exhaustively enumerable lattices with <= 6 elements")
+    alls = list(checks.enumerate_join_endomorphisms(L))
+    tots = [phi for phi in alls if _pairwise_chain(phi)]
+    for alpha in tots:
+        for phi in alls:
+            for prod in (compose(alpha, phi), compose(phi, alpha)):
+                if not _pairwise_chain(prod):
+                    return ws.report(
+                        "ideal_closure", "fail",
+                        counterexample={"alpha": alpha.table_labels(),
+                                        "phi": phi.table_labels()},
+                    )
+    return ws.report("ideal_closure", "pass", counts={"tot": len(tots), "all": len(alls)})
+
+
+@pytest.mark.parametrize("spec", list(checks.DEFAULT_CORPUS) + ["diamond:4"])
+def test_ideal_closure_matches_compose_oracle(spec):
+    ws = Workspace(generate(spec), descriptor=spec)
+    report = check_ideal_closure(ws).to_dict()
+    assert report == ideal_closure_oracle(ws).to_dict()
+    assert report["status"] == ("skipped" if ws.L.n > 6 else "pass")
+
+
+def broken_at(L, w):
+    """A table, not a join-map, that breaks every chain image through w.
+
+    It sends w and every other element to two incomparable elements, so
+    it maps a chain image holding w and the bottom onto a non-chain.
+    """
+    x, y = next((x, y) for x, y in itertools.combinations(range(L.n), 2)
+                if not L.comparable(x, y))
+    table = [x] * L.n
+    table[w] = y
+    return JoinMap(L, L, tuple(table))
+
+
+@pytest.mark.parametrize("spec", ["boolean:2", "diamond:3", "pentagon", "divisor:12",
+                                  "partition:3"])
+def test_ideal_closure_mutated_maps_fail_like_the_oracle(monkeypatch, spec):
+    # The first chain image above the bottom, alpha, is broken only by a
+    # table appended last; a table put first breaks later chain images
+    # only.  Pairs taken alpha first report (alpha, last table); pairs
+    # taken map first would report the first table.
+    L = generate(spec)
+    maps = list(enumerate_join_endomorphisms(L))
+    alpha = next(phi for phi in maps if _pairwise_chain(phi) and len(set(phi.values)) > 1)
+    image = set(alpha.values)
+    inside = max(image - {L.bottom})
+    outside = next(w for w in range(L.n) if w not in image)
+    maps = [broken_at(L, outside)] + maps + [broken_at(L, inside)]
+    monkeypatch.setattr(checks, "enumerate_join_endomorphisms", lambda L: iter(maps))
+    ws = Workspace(L, descriptor=spec)
+    report = check_ideal_closure(ws).to_dict()
+    assert report["counterexample"] == {"alpha": alpha.table_labels(),
+                                        "phi": maps[-1].table_labels()}
+    assert report == ideal_closure_oracle(ws).to_dict()

@@ -534,6 +534,20 @@ def test_cmd_verify_unknown_check(capsys):
     )
 
 
+def test_cmd_verify_empty_input_is_an_error(capsys):
+    # an empty INPUT names no lattice; it does not mean the default corpus
+    code, out, err = run_cli(capsys, "verify", "", "--format", "json")
+    assert code == 2 and out == ""
+    assert err == "error: unknown generator ''\n"
+
+
+def test_cmd_verify_empty_checks_is_an_error(capsys):
+    # an empty --checks names no check; it does not mean every check
+    code, out, err = run_cli(capsys, "verify", "boolean:2", "--checks", "")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown checks: \navailable: central, ")
+
+
 def test_cmd_verify_sampled_seed_recorded(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "partition:4", "--checks", "central",

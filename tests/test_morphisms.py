@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -17,10 +18,12 @@ from totlat.lattices import (
     pentagon_lattice,
 )
 from totlat.morphisms import (
+    JoinMap,
     alpha_of_chain,
     compose,
     constant_bottom,
     enumerate_join_endomorphisms,
+    has_chain_image,
     identity_map,
     image_chain,
     is_join_map,
@@ -29,6 +32,7 @@ from totlat.morphisms import (
     pi_of_chain,
     sample_join_endomorphisms,
 )
+from totlat.posets import Chain
 
 
 def z_chain(L, *labels):
@@ -228,6 +232,72 @@ def test_pi_opposite_recovers_chain():
 ORACLE_SPECS = list(DEFAULT_CORPUS) + ["divisor:60", "diamond:5", "partition:4"]
 
 
+# -- the mask fast paths against pairwise and join_all oracles --------------
+
+
+def image_chain_oracle(phi):
+    """The image as a Chain, by a pairwise `comparable` scan, else None."""
+    T = phi.target
+    image = sorted(set(phi.values))
+    for a, b in itertools.combinations(image, 2):
+        if not T.comparable(a, b):
+            return None
+    ordered = tuple(sorted(image, key=lambda x: sum(T.leq(y, x) for y in image)))
+    return Chain(ordered, T.poset)
+
+
+def opposite_morphism_oracle(phi):
+    """t' -> the join, by `join_all`, of every t with phi(t) <= t'."""
+    S, T = phi.source, phi.target
+    values = tuple(
+        S.join_all(t for t in range(S.n) if T.leq(phi.values[t], tp))
+        for tp in range(T.n)
+    )
+    return JoinMap(T.opposite(), S.opposite(), values)
+
+
+MASK_SPECS = list(DEFAULT_CORPUS) + ["divisor:60", "diamond:5"]
+
+
+@pytest.mark.parametrize("spec", MASK_SPECS)
+def test_mask_paths_match_oracles_on_every_endomorphism(spec):
+    L = generate(spec)
+    for phi in enumerate_join_endomorphisms(L):
+        chain = image_chain(phi)
+        expected = image_chain_oracle(phi)
+        assert has_chain_image(L, phi.values) == (expected is not None)
+        assert (chain and chain.members) == (expected and expected.members)
+        assert opposite_morphism(phi) == opposite_morphism_oracle(phi)
+
+
+@pytest.mark.parametrize("spec", MASK_SPECS)
+def test_opposite_matches_oracle_on_index_surjections(spec):
+    # source and target differ, and the index order of B = {top} is chain:0
+    L = generate(spec)
+    for B in L.chain_family("B"):
+        pi = pi_of_chain(L, B)
+        assert opposite_morphism(pi) == opposite_morphism_oracle(pi)
+    point = chain_lattice(0)
+    pi = pi_of_chain(point, (0,))
+    assert opposite_morphism(pi) == opposite_morphism_oracle(pi)
+
+
+@pytest.mark.parametrize("spec", MASK_SPECS + ["partition:4", "boolean:4"])
+def test_has_chain_image_matches_oracle_on_random_tables(spec):
+    # most random tables are not join-maps, nor even monotone
+    L = generate(spec)
+    rng = random.Random(spec)
+    outcomes = set()
+    for _ in range(300):
+        table = [rng.randrange(L.n) for _ in range(rng.randint(1, L.n))]
+        expected = image_chain_oracle(JoinMap(L, L, tuple(table))) is not None
+        assert has_chain_image(L, table) == expected
+        outcomes.add(expected)
+    # one-entry tables are chains; on a lattice that is not a chain, so
+    # are not all tables
+    assert outcomes == ({True} if L.max_chain_length == L.n - 1 else {True, False})
+
+
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_chain_maps_match_min_definitions(spec):
     L = generate(spec)
@@ -405,7 +475,7 @@ def test_kernel_enumeration_matches_method_calls(spec):
     assert [phi.values for phi in maps] == list(_method_call_enumeration(L))
     assert all(phi.source is L and phi.target is L for phi in maps)
     tot = [phi.values for phi in enumerate_join_endomorphisms(L, tot_only=True)]
-    assert tot == [phi.values for phi in maps if image_chain(phi) is not None]
+    assert tot == [phi.values for phi in maps if image_chain_oracle(phi) is not None]
 
 
 @pytest.mark.parametrize("spec", ["partition:4", "divisor:360", "diamond:8"])
