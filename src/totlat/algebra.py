@@ -39,8 +39,8 @@ from .morphisms import JoinMap, alpha_of_chain, identity_map, pi_of_chain
 from .posets import Poset, bit_indices
 
 # the largest chain poset the brute-force Moebius oracle builds unless
-# TOTLAT_CHAIN_POSET_LIMIT says otherwise; its order table has size**2
-# entries, so time and memory grow as the square
+# TOTLAT_CHAIN_POSET_LIMIT says otherwise; building its order tests
+# size**2 pairs, so time grows as the square
 CHAIN_POSET_LIMIT = 2000
 
 
@@ -325,8 +325,8 @@ def mu_chain_infinity_oracle(L: Lattice, A, limit=None) -> int:
     # a chain is the mask of its members; the adjoined top has every bit
     # of L and one more, so it lies above every chain and below none
     carrier = _superset_masks(L, members) + [(2 << L.n) - 1]
-    leq = [[a & ~b == 0 for b in carrier] for a in carrier]
-    poset = Poset([str(i) for i in range(len(carrier))], leq)
+    up = [sum(1 << j for j, b in enumerate(carrier) if a & ~b == 0) for a in carrier]
+    poset = Poset([str(i) for i in range(len(carrier))], up)
     return poset.mobius_hall(0, len(carrier) - 1)
 
 
@@ -337,7 +337,7 @@ def _superset_masks(L: Lattice, members):
     between consecutive members and one chain strictly above the last,
     any of them empty; there are `_chains_through(L, members)` of them.
     """
-    up = L.poset.up
+    up = L.up
     spans = [up[lo] & L.down[hi] & ~(1 << lo | 1 << hi)
              for lo, hi in zip(members, members[1:])]
     spans.append(up[members[-1]] & ~(1 << members[-1]))
@@ -370,7 +370,7 @@ def _chains_through(L: Lattice, members):
     above = L._above
     count = 1
     for lo, hi in zip(members, members[1:] + (None,)):
-        span = L.poset.up[lo] if hi is None else L.poset.up[lo] & L.down[hi]
+        span = L.up[lo] if hi is None else L.up[lo] & L.down[hi]
         ways = {}
         for z in sorted(bit_indices(span), key=lambda v: len(above[v])):
             ways[z] = (hi is None or z == hi) + sum(ways.get(w, 0) for w in above[z])
@@ -389,15 +389,22 @@ def idempotent_direct(L: Lattice, ring: Ring = ZZ, crapo_filter=False) -> Formal
     """
     terms = []
     for B in L.chain_family("Z"):
-        if crapo_filter and any(
-            not L.is_complemented_interval(lo, hi)
-            for lo, hi in zip(B.members, B.members[1:])
-        ):
+        if crapo_filter and has_noncomplemented_step(L, B):
             continue
         mu = mu_chain_infinity(L, B)
         if mu:
             terms.append((alpha_of_chain(L, B).values, -mu))
     return FormalSum(ring, L, L, terms)
+
+
+def has_noncomplemented_step(L: Lattice, B) -> bool:
+    """True iff some step [b_{i-1}, b_i] of the chain B is not complemented.
+
+    By Crapo's complementation theorem mu(b_{i-1}, b_i) is then zero, and
+    with it mu(B, infinity).
+    """
+    members = tuple(B)
+    return not all(map(L.is_complemented_interval, members, members[1:]))
 
 
 # -- the family construction ----------------------------------------------

@@ -44,6 +44,7 @@ from .algebra import (
     ZZ,
     chain_poset_limit,
     embed,
+    has_noncomplemented_step,
     idempotent_direct,
     idempotent_original,
     identity_sum,
@@ -304,17 +305,12 @@ def check_crapo_restriction(ws: Workspace):
                                          "unfiltered": _sum_as_witness(unfiltered)})
     skipped = 0
     for B in L.chain_family("Z"):
-        if any(
-            not L.is_complemented_interval(lo, hi)
-            for lo, hi in zip(B.members, B.members[1:])
-        ):
+        if has_noncomplemented_step(L, B):
             skipped += 1
-            if mu_chain_infinity(L, B) != 0:
-                return ws.report(
-                    "crapo", "fail",
-                    counterexample={"chain": B.labels(),
-                                    "mu": mu_chain_infinity(L, B)},
-                )
+            mu = mu_chain_infinity(L, B)
+            if mu != 0:
+                return ws.report("crapo", "fail",
+                                 counterexample={"chain": B.labels(), "mu": mu})
     return ws.report("crapo", "pass", counts={"skipped_chains": skipped})
 
 
@@ -469,13 +465,14 @@ def run_suite(corpus=DEFAULT_CORPUS, ring: Ring = ZZ, checks=None, seed=None,
 
     Returns the list of CheckReports; callers decide what a failure means
     (the CLI maps any non-pass to a nonzero exit status).  Raises
-    UnknownCheck, before loading any lattice, if a name is not in CHECKS.
+    UnknownCheck, before loading any lattice, if a name is not in CHECKS;
+    an empty name is shown as ''.
     """
     selected = list(checks) if checks else list(CHECKS)
     unknown = [c for c in selected if c not in CHECKS]
     if unknown:
         raise UnknownCheck(
-            f"unknown checks: {', '.join(unknown)}\n"
+            f"unknown checks: {', '.join(c or repr(c) for c in unknown)}\n"
             f"available: {', '.join(sorted(CHECKS))}"
         )
     reports = []

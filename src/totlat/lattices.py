@@ -1,15 +1,15 @@
-"""Finite lattices: join/meet tables, chain families, generators.
+"""Finite lattices: a join table, chain families, generators.
 
-A Lattice wraps a Poset with fully materialized join and meet tables.
-Both are read off bitmasks: the join of x and y is the element whose
-up-set is `up[x] & up[y]`, found in a dict keyed by up-set, and meets come
-the same way from the down-set masks `L.down`, the transpose of the
-poset's up-sets.  The elements of an interval [x, y] are the bits of
-`up[x] & down[y]` (`interval_elements`).  The lattice keeps each element's
-comparability mask `up[x] | down[x]`, against which a set of elements is
-tested for being a chain, and the dict from down-set mask to element,
-which names the largest element of a principal down-set given as a mask.
-Each table costs n^2 lookups, so every generator and lattice file is
+A Lattice wraps a Poset and shares its order, the up-set masks `up` and
+their transpose `down`.  The join of x and y is the element whose up-set
+is `up[x] & up[y]`, kept in a table; the meet is the element whose
+down-set is `down[x] & down[y]`, looked up when asked for in the dict from
+down-set mask to element, which names the largest element of any
+principal down-set given as a mask.  The elements of an interval [x, y]
+are the bits of `up[x] & down[y]` (`interval_elements`).  The lattice
+keeps each element's comparability mask `up[x] | down[x]`, against which
+a set of elements is tested for being a chain.  The join table and the
+lattice test cost n^2 lookups, so every generator and lattice file is
 capped at MAX_ELEMENTS elements, the size of boolean:10.  Chain families:
 
   kind "A": chains whose least member is the bottom element,
@@ -20,7 +20,7 @@ capped at MAX_ELEMENTS elements, the size of boolean:10.  Chain families:
 `chain_counts(kind)` counts each family by length without building a
 chain, by a dynamic program down the strict order.
 
-Each Lattice computes its derived structure once: the down-sets, the
+Each Lattice computes its derived structure once: the join table, the
 comparability masks, the strict upper sets and `max_chain_length` on
 construction, each chain family, the chain counts and the opposite
 lattice on first use.
@@ -47,7 +47,7 @@ DIVISOR_HARD_CAP = 10**12
 class Lattice:
     """A poset in which every pair has a unique join and meet.
 
-    Instances are immutable and cache per instance: the down-set mask, the
+    Instances are immutable and cache per instance: the join table, the
     comparability mask and the strict upper set of each element, the
     element of each principal down-set mask, every chain family (one
     depth-first enumeration per kind), the chain counts and the opposite
@@ -59,25 +59,21 @@ class Lattice:
         n = poset.n
         if n == 0:
             raise EmptyLattice("a lattice needs at least one element")
-        up = poset.up
-        down = [0] * n  # bit x of down[y] is set iff x <= y
-        for x in range(n):
-            for y in bit_indices(up[x]):
-                down[y] |= 1 << x
-        # the join of x and y is the element whose up-set is up[x] & up[y]
+        up, down = poset.up, poset.down
+        # the join of x and y is the element whose up-set is up[x] & up[y],
+        # the meet the element whose down-set is down[x] & down[y]
         by_up = {m: z for z, m in enumerate(up)}
         by_down = {m: z for z, m in enumerate(down)}
-        self._join, self._meet = [], []
+        self._join = []
         for x in range(n):
             joins = [by_up.get(up[x] & m) for m in up]
-            meets = [by_down.get(down[x] & m) for m in down]
-            if None in joins or None in meets:
+            meets = [down[x] & m in by_down for m in down]
+            if None in joins or not all(meets):
                 # rows before x are complete, so the first gap has y >= x
-                y = next(y for y in range(n) if joins[y] is None or meets[y] is None)
+                y = next(y for y in range(n) if joins[y] is None or not meets[y])
                 raise NotALattice(poset.names[x], poset.names[y],
                                   "join" if joins[y] is None else "meet")
             self._join.append(joins)
-            self._meet.append(meets)
         full = (1 << n) - 1
         self.bottom = by_up[full]
         self.top = by_down[full]
@@ -91,7 +87,7 @@ class Lattice:
         for x in sorted(range(n), key=lambda v: len(above[v])):
             height[x] = max((height[y] + 1 for y in above[x]), default=0)
         self.max_chain_length = height[self.bottom]
-        self.down = tuple(down)
+        self.up, self.down = up, down
         # bit y of _comparable[x] is set iff x <= y or y <= x; a set of
         # elements is a chain iff its mask lies inside each member's
         self._comparable = tuple(u | d for u, d in zip(up, down))
@@ -134,7 +130,7 @@ class Lattice:
         return self._join[x][y]
 
     def meet(self, x, y):
-        return self._meet[x][y]
+        return self._by_down[self.down[x] & self.down[y]]
 
     def join_all(self, subset):
         """Join of an arbitrary subset; the empty join is the bottom element."""
@@ -159,7 +155,7 @@ class Lattice:
         return [
             x
             for x in range(self.n)
-            if self.join_all(y for y in range(self.n) if self.poset.lt(y, x)) != x
+            if self.join_all(bit_indices(self.down[x] & ~(1 << x))) != x
         ]
 
     # -- chains -----------------------------------------------------------
@@ -228,7 +224,7 @@ class Lattice:
 
     def interval_elements(self, x, y):
         """The elements z with x <= z <= y, ascending; empty unless x <= y."""
-        return list(bit_indices(self.poset.up[x] & self.down[y]))
+        return list(bit_indices(self.up[x] & self.down[y]))
 
     def is_complemented_interval(self, x, y):
         """True iff every z in [x, y] has a complement w: z v w = y, z ^ w = x."""
@@ -325,8 +321,8 @@ def partition_lattice(n):
 
     label = lambda p: "|".join("".join(map(str, b)) for b in p)
     names = [label(p) for p in parts]
-    leq = [[refines(p, q) for q in parts] for p in parts]
-    return Lattice(Poset(names, leq))
+    up = [sum(1 << j for j, q in enumerate(parts) if refines(p, q)) for p in parts]
+    return Lattice(Poset(names, up))
 
 
 def diamond_lattice(k):
@@ -348,13 +344,13 @@ def pentagon_lattice():
 def product_lattice(left: Lattice, right: Lattice):
     """Component-wise order on pairs; labels are 'x×y'."""
     _check_size("the product", left.n * right.n)
-    pairs = list(itertools.product(range(left.n), range(right.n)))
+    m = right.n
+    pairs = list(itertools.product(range(left.n), range(m)))
     names = [f"{left.names[a]}×{right.names[b]}" for a, b in pairs]
-    leq = [
-        [left.leq(a, c) and right.leq(b, d) for (c, d) in pairs]
-        for (a, b) in pairs
-    ]
-    return Lattice(Poset(names, leq))
+    # (c, d) has index c*m + d, so above (a, b) lies a copy of right.up[b]
+    # in the block of each c >= a; the blocks are disjoint, so sum is OR
+    up = [sum(right.up[b] << c * m for c in bit_indices(left.up[a])) for a, b in pairs]
+    return Lattice(Poset(names, up))
 
 
 def _check_size(what, count):

@@ -13,9 +13,9 @@ the masks of its fibres, each union of fibres looked up as a principal
 down-set (`opposite_morphism`).  The pairwise scan and the `join_all` form
 they replace are kept in the tests as their oracles.
 
-Also provided: the surjection onto a chain's index total order, read off
-the members' down-set masks in one pass, and the retraction onto the
-chain, read off the same masks; and exhaustive
+Also provided: the surjection onto a chain's index total order and the
+retraction onto the chain, both read off the members' down-set masks by
+one shared pass up the chain; and exhaustive
 enumeration of the join-endomorphism monoid via join-irreducibles.  The
 sections of the index order that the family construction picks from a
 chain's step intervals are built, with their weights, in
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .errors import ChainNotInB, ChainNotInZ, NotJoinMorphism, SourceTargetMismatch
 from .lattices import Lattice, chain_lattice
-from .posets import Chain, bit_indices
+from .posets import Chain
 
 
 @dataclass(frozen=True)
@@ -177,43 +177,44 @@ def alpha_of_chain(L: Lattice, B) -> JoinMap:
     """Retraction onto a bottom-to-top chain B: t -> min{b in B : b >= t}.
 
     Idempotent, pointwise >= identity, image exactly B.  The least member
-    above t is the member at t's index under `pi_of_chain`; it is read
-    off the same down-set masks in one pass up B, each member written
-    into the slots of the elements it is the first to cover.
+    above t is the member at t's index under `pi_of_chain`, read off the
+    same pass up B.
     """
     members = tuple(B)
     if not members or members[0] != L.bottom or members[-1] != L.top:
         raise ChainNotInZ("chain must contain both bottom and top")
-    down = L.down
-    values = [0] * L.n
-    placed = 0
-    for b in members:
-        fresh = down[b] & ~placed
-        placed |= fresh
-        while fresh:
-            low = fresh & -fresh
-            values[low.bit_length() - 1] = b
-            fresh ^= low
-    return JoinMap(L, L, tuple(values))
+    return JoinMap(L, L, _first_cover_marks(L, members, members))
 
 
 def pi_of_chain(L: Lattice, B) -> JoinMap:
     """Surjection onto the index total order determined by a top-ended chain B.
 
-    With B = {b_0 < ... < b_n = top}, sends t to the least p with t <= b_p:
-    one pass up B, giving each element not yet placed in the down-set of
-    b_p the index p.
+    With B = {b_0 < ... < b_n = top}, sends t to the least p with t <= b_p.
     """
     members = tuple(B)
     if not members or members[-1] != L.top:
         raise ChainNotInB("chain must contain the top element")
+    values = _first_cover_marks(L, members, range(len(members)))
+    return JoinMap(L, chain_lattice(len(members) - 1), values)
+
+
+def _first_cover_marks(L: Lattice, members, marks):
+    """The table giving each element the mark of the first member above it.
+
+    One pass up `members`, a chain that ends at the top: each member writes
+    its mark into the slots of its down-set that no earlier member covers.
+    """
+    down = L.down
     values = [0] * L.n
     placed = 0
-    for p, b in enumerate(members):
-        for t in bit_indices(L.down[b] & ~placed):
-            values[t] = p
-        placed |= L.down[b]
-    return JoinMap(L, chain_lattice(len(members) - 1), tuple(values))
+    for mark, b in zip(marks, members):
+        fresh = down[b] & ~placed
+        placed |= fresh
+        while fresh:
+            low = fresh & -fresh
+            values[low.bit_length() - 1] = mark
+            fresh ^= low
+    return tuple(values)
 
 
 def enumerate_join_endomorphisms(L: Lattice, tot_only=False):

@@ -52,24 +52,27 @@ class Chain:
 
 
 class Poset:
-    """Immutable finite poset with a precomputed order relation.
+    """Immutable finite poset, its order held as bitmasks.
 
-    `leq_table[i][j]` is True iff i <= j.  `up` holds the same relation as
-    int bitmasks: bit j of `up[i]` is set iff i <= j.  Validation, covers
-    and a lattice's joins, meets and ends work on these masks.  `leq()`
-    still reads the boolean table `_leq`: it is the hot path, and a table
-    lookup is faster per call than a shift and mask.  The Moebius memo
-    table is filled lazily.
+    Bit j of `up[i]` is set iff i <= j; `down`, computed once, is the
+    transpose: bit i of `down[j]` is set iff i <= j.  Every query, the
+    covers, the Moebius recursion, intervals and the dual read these
+    masks; no other form of the order is kept.  The Moebius memo table is
+    filled lazily.
     """
 
-    def __init__(self, names, leq_table):
+    def __init__(self, names, up):
         self.names = _distinct_labels(names)
-        self.n = len(self.names)
-        self._leq = tuple(tuple(bool(v) for v in row) for row in leq_table)
-        if len(self._leq) != self.n or any(len(r) != self.n for r in self._leq):
-            raise ValueError("leq table has wrong shape")
-        self.up = tuple(sum(1 << j for j, v in enumerate(row) if v) for row in self._leq)
+        self.n = n = len(self.names)
+        self.up = up = tuple(up)
+        if len(up) != n or any(m < 0 or m >> n for m in up):
+            raise ValueError("up-set masks have wrong shape")
         self._check_order_axioms()
+        down = [0] * n
+        for x, row in enumerate(up):
+            for y in bit_indices(row):
+                down[y] |= 1 << x
+        self.down = tuple(down)
         self._index = {name: i for i, name in enumerate(self.names)}
         self._covers = None
         self._mobius_memo = {}
@@ -94,11 +97,11 @@ class Poset:
         return (
             isinstance(other, Poset)
             and self.names == other.names
-            and self._leq == other._leq
+            and self.up == other.up
         )
 
     def __hash__(self):
-        return hash((self.names, self._leq))
+        return hash((self.names, self.up))
 
     def elements(self):
         return range(self.n)
@@ -110,13 +113,13 @@ class Poset:
             raise UnknownLabel(f"no element labeled {label!r}") from None
 
     def leq(self, x, y):
-        return self._leq[x][y]
+        return bool(self.up[x] >> y & 1)
 
     def lt(self, x, y):
-        return x != y and self._leq[x][y]
+        return x != y and bool(self.up[x] >> y & 1)
 
     def comparable(self, x, y):
-        return self._leq[x][y] or self._leq[y][x]
+        return bool((self.up[x] | self.down[x]) >> y & 1)
 
     @property
     def covers(self):
@@ -148,8 +151,7 @@ class Poset:
             else:
                 memo[(x, y)] = -sum(
                     self.mobius(x, z)
-                    for z in range(self.n)
-                    if self.leq(x, z) and self.lt(z, y)
+                    for z in bit_indices(self.up[x] & self.down[y] & ~(1 << y))
                 )
         return memo[(x, y)]
 
@@ -204,34 +206,30 @@ class Poset:
                 current.pop()
 
         extend([])
-        out = []
-        for members in sorted(set(results)):
-            if size is not None and len(members) != size:
-                continue
-            if not required.issubset(members):
-                continue
-            if members:
-                out.append(Chain(members, self))
-            elif size in (None, 0) and not required:
-                out.append(members)  # empty chain, as a bare tuple
-        # keep only Chain objects unless the empty chain is explicitly possible
-        return [c if isinstance(c, Chain) else EMPTY_CHAIN for c in out]
+        return [
+            Chain(members, self) if members else EMPTY_CHAIN
+            for members in sorted(set(results))
+            if (size is None or len(members) == size) and required.issubset(members)
+        ]
 
     def interval(self, x, y, open_=False):
         """Induced subposet on [x, y], or on ]x, y[ when `open_` is set."""
         if not self.leq(x, y):
             raise NotComparable(f"{self.names[x]} is not <= {self.names[y]}")
-        carrier = [z for z in range(self.n) if self.leq(x, z) and self.leq(z, y)]
+        span = self.up[x] & self.down[y]
         if open_:
-            carrier = [z for z in carrier if z != x and z != y]
-        names = [self.names[z] for z in carrier]
-        leq = [[self._leq[a][b] for b in carrier] for a in carrier]
-        return Poset(names, leq)
+            span &= ~(1 << x | 1 << y)
+        carrier = list(bit_indices(span))
+        position = {z: i for i, z in enumerate(carrier)}
+        up = [
+            sum(1 << position[w] for w in bit_indices(self.up[z] & span))
+            for z in carrier
+        ]
+        return Poset([self.names[z] for z in carrier], up)
 
     def dual(self):
         """The order-reversed poset over the same elements."""
-        leq = [[self._leq[j][i] for j in range(self.n)] for i in range(self.n)]
-        return Poset(self.names, leq)
+        return Poset(self.names, self.down)
 
     def __repr__(self):
         return f"Poset({self.n} elements, covers={self.cover_labels()})"
@@ -277,7 +275,7 @@ def poset_from_covers(names, covers):
     # Warshall closure: every row that reaches k takes in k's row
     for k in range(n):
         rows = [r | rows[k] if r >> k & 1 else r for r in rows]
-    return Poset(names, [[r >> j & 1 for j in range(n)] for r in rows])
+    return Poset(names, rows)
 
 
 def _distinct_labels(names):

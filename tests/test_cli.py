@@ -545,7 +545,12 @@ def test_cmd_verify_empty_checks_is_an_error(capsys):
     # an empty --checks names no check; it does not mean every check
     code, out, err = run_cli(capsys, "verify", "boolean:2", "--checks", "")
     assert code == 2 and out == ""
-    assert err.startswith("error: unknown checks: \navailable: central, ")
+    assert err.startswith("error: unknown checks: ''\navailable: central, ")
+    # an empty entry between commas is named too, beside the other bad names
+    code, out, err = run_cli(capsys, "verify", "boolean:2",
+                             "--checks", "idempotent,,bogus,central")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown checks: '', bogus\navailable: central, ")
 
 
 def test_cmd_verify_sampled_seed_recorded(capsys):

@@ -1,10 +1,11 @@
 """The up-set bitmask kernel against brute-force order computations.
 
-`Poset` validates its table, `poset_from_covers` closes cover lists and
-`Lattice` reads joins, meets and ends off up-set bitmasks.  Each is
-compared here with the direct definition: a triple-loop axiom scan, a
-triple-loop Warshall closure, and a candidate search for least upper and
-greatest lower bounds.
+`Poset` validates its up-set masks, `poset_from_covers` closes cover
+lists and `Lattice` reads joins, meets and ends off the masks.  Each is
+compared here with the direct definition: a triple-loop axiom scan of a
+boolean table, a triple-loop Warshall closure, and a candidate search for
+least upper and greatest lower bounds.  Tables are handed to `Poset` as
+masks through `masks`.
 """
 
 import itertools
@@ -21,6 +22,11 @@ ORACLE_SPECS = list(DEFAULT_CORPUS) + ["divisor:60", "partition:4", "diamond:5"]
 
 
 # -- brute-force definitions ----------------------------------------------
+
+
+def masks(table):
+    """The up-set masks of a boolean table: bit j of row i iff table[i][j]."""
+    return [sum(1 << j for j, v in enumerate(row) if v) for row in table]
 
 
 def first_fault(names, leq):
@@ -91,6 +97,12 @@ def test_tables_and_ends_match_brute_force(spec):
     L = generate(spec)
     assert_matches_brute_force(L)
     assert_matches_brute_force(L.opposite())
+    # down is the transpose of up, and it is the order of the opposite
+    p, n = L.poset, L.n
+    assert p.down == tuple(
+        sum(1 << x for x in range(n) if p.up[x] >> y & 1) for y in range(n)
+    )
+    assert L.opposite().poset.up == L.down
 
 
 @st.composite
@@ -102,7 +114,7 @@ def dag_posets(draw, max_size=7):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
     if draw(st.booleans()):
         pairs += [(0, j) for j in range(n)] + [(i, n - 1) for i in range(n)]
-    return Poset([f"e{i}" for i in range(n)], closure(n, pairs))
+    return Poset([f"e{i}" for i in range(n)], masks(closure(n, pairs)))
 
 
 @given(dag_posets())
@@ -168,14 +180,25 @@ BAD_TABLES = [
     # a 3-cycle left open: 0 <= 1 and 1 <= 2 without 0 <= 2
     ([[T, T, F], [F, T, T], [T, F, T]], TRANSITIVE),
 ]
+# shape faults no table has, as up-set masks over the labels x0, x1
+SHAPE = (ValueError, "up-set masks have wrong shape")
+BAD_MASKS = [
+    ((0b01,), SHAPE),  # one mask for two labels
+    ((0b01, -1), SHAPE),  # a negative mask
+    ((0b01, 0b110), SHAPE),  # bit 2, beyond the two elements
+]
 
 
-@pytest.mark.parametrize("table, fault", BAD_TABLES)
+@pytest.mark.parametrize("table, fault", BAD_TABLES + BAD_MASKS)
 def test_bad_tables_raise_the_first_fault(table, fault):
-    names = [f"x{i}" for i in range(len(table))]
-    assert first_fault(names, table) == fault
+    if isinstance(table, tuple):
+        names, up = ["x0", "x1"], table
+    else:
+        names = [f"x{i}" for i in range(len(table))]
+        assert first_fault(names, table) == fault
+        up = masks(table)
     with pytest.raises(fault[0]) as info:
-        Poset(names, table)
+        Poset(names, up)
     assert type(info.value) is fault[0] and str(info.value) == fault[1]
 
 
@@ -197,11 +220,9 @@ def test_random_tables_raise_the_first_fault(table):
     names = [f"x{i}" for i in range(len(table))]
     fault = first_fault(names, table)
     if fault is None:
-        p = Poset(names, table)
-        assert p.up == tuple(
-            sum(1 << j for j in range(p.n) if table[i][j]) for i in range(p.n)
-        )
+        p = Poset(names, masks(table))
+        assert [[p.leq(i, j) for j in range(p.n)] for i in range(p.n)] == table
     else:
         with pytest.raises(fault[0]) as info:
-            Poset(names, table)
+            Poset(names, masks(table))
         assert type(info.value) is fault[0] and str(info.value) == fault[1]

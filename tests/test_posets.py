@@ -45,9 +45,10 @@ def test_unknown_label():
 
 
 def test_duplicate_label_names_the_first_repeat():
-    eye = [[i == j for j in range(4)] for i in range(4)]
+    # the labels are checked before the masks, so even bad masks name it
     for build in (lambda: poset_from_covers(["x", "y", "y", "x"], []),
-                  lambda: Poset(["x", "y", "y", "x"], eye)):
+                  lambda: Poset(["x", "y", "y", "x"], [1 << i for i in range(4)]),
+                  lambda: Poset(["x", "y", "y", "x"], [-1])):
         with pytest.raises(DuplicateLabel, match="duplicate label 'y'") as info:
             build()
         assert isinstance(info.value, TotlatError) and isinstance(info.value, ValueError)

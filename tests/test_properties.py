@@ -27,7 +27,12 @@ def posets(draw, max_size=6):
     for k, i, j in itertools.product(range(n), repeat=3):
         if leq[i][k] and leq[k][j]:
             leq[i][j] = True
-    return Poset([f"e{i}" for i in range(n)], leq)
+    return Poset([f"e{i}" for i in range(n)], masks(leq))
+
+
+def masks(table):
+    """The up-set masks of a boolean table: bit j of row i iff table[i][j]."""
+    return [sum(1 << j for j, v in enumerate(row) if v) for row in table]
 
 
 @given(posets())
