@@ -38,7 +38,7 @@ from .morphisms import (
     opposite_morphism,
     pi_of_chain,
 )
-from .posets import Chain, Poset, poset_from_covers
+from .posets import Chain, Poset
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

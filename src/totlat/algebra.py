@@ -299,7 +299,7 @@ def mu_chain_infinity(L: Lattice, A) -> int:
     n = len(members) - 1
     product = 1
     for lo, hi in zip(members, members[1:]):
-        product *= L.poset.mobius(lo, hi)
+        product *= L.mobius(lo, hi)
     return (-1) ** (n + 1) * product
 
 
@@ -424,7 +424,7 @@ def j_upper(L: Lattice, B, ring: Ring = ZZ) -> FormalSum:
         raise ChainNotInB("chain must contain the top element")
     n = len(members) - 1
     P = chain_lattice(n)
-    mobius = L.poset.mobius
+    mobius = L.mobius
     # weights[p-1] maps each pick a in [b_{p-1}, b_p] to mu(b_{p-1}, a) != 0
     weights = [
         {a: mu for a in L.interval_elements(lo, hi) if (mu := mobius(lo, a))}

@@ -359,11 +359,11 @@ def check_opposite_involution(ws: Workspace):
     count = 0
     for phi in enumerate_join_endomorphisms(L):
         count += 1
-        if opposite_morphism(opposite_morphism(phi)) != phi:
+        op = opposite_morphism(phi)
+        if opposite_morphism(op) != phi:
             return ws.report("opposite_involution", "fail",
                              counterexample={"phi": phi.table_labels()})
         if phi.is_surjective():
-            op = opposite_morphism(phi)
             for tp in range(L.n):
                 fiber = [t for t in range(L.n) if phi.values[t] == tp]
                 if op.values[tp] != L.join_all(fiber):

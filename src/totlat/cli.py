@@ -81,10 +81,10 @@ def cmd_idempotent(args):
 
 def cmd_mobius(args):
     L = load_lattice(args.input)
-    if args.chain:
+    if args.chain is not None:
         labels = [s.strip() for s in args.chain.split(",")]
-        members = tuple(L.poset.index_of(s) for s in labels)
-        A = Chain(members, L.poset)
+        members = tuple(L.index_of(s) for s in labels)
+        A = Chain(members, L)
         value = mu_chain_infinity(L, A)
         print(f"mu(chain, infinity) = {value}")
         try:
@@ -95,9 +95,9 @@ def cmd_mobius(args):
         return 0
     if args.x is None or args.y is None:
         raise TotlatError("mobius needs either x y or --chain")
-    x = L.poset.index_of(args.x)
-    y = L.poset.index_of(args.y)
-    print(L.poset.mobius(x, y))
+    x = L.index_of(args.x)
+    y = L.index_of(args.y)
+    print(L.mobius(x, y))
     return 0
 
 

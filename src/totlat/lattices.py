@@ -1,7 +1,7 @@
 """Finite lattices: a join table, chain families, generators.
 
-A Lattice wraps a Poset and shares its order, the up-set masks `up` and
-their transpose `down`.  The join of x and y is the element whose up-set
+A Lattice is a Poset, and reads its order off the same up-set masks `up`
+and their transpose `down`.  The join of x and y is the element whose up-set
 is `up[x] & up[y]`, kept in a table; the meet is the element whose
 down-set is `down[x] & down[y]`, looked up when asked for in the dict from
 down-set mask to element, which names the largest element of any
@@ -21,9 +21,9 @@ capped at MAX_ELEMENTS elements, the size of boolean:10.  Chain families:
 chain, by a dynamic program down the strict order.
 
 Each Lattice computes its derived structure once: the join table, the
-comparability masks, the strict upper sets and `max_chain_length` on
-construction, each chain family, the chain counts and the opposite
-lattice on first use.
+comparability masks and the strict upper sets on construction, each chain
+family, the chain counts (and with them `max_chain_length`) and the
+opposite lattice on first use.
 `Poset.chains()` does not share this code; it stays the slow oracle that
 the chain families and their counts are tested against.
 """
@@ -35,7 +35,7 @@ import itertools
 import math
 
 from .errors import EmptyLattice, NotALattice, NotComparable, UnsupportedSpec
-from .posets import Chain, Poset, bit_indices, poset_from_covers
+from .posets import Chain, Poset, bit_indices
 
 PARTITION_HARD_CAP = 6
 # the most elements a generated or loaded lattice may have: boolean:10
@@ -44,22 +44,23 @@ MAX_ELEMENTS = 1024
 DIVISOR_HARD_CAP = 10**12
 
 
-class Lattice:
+class Lattice(Poset):
     """A poset in which every pair has a unique join and meet.
 
-    Instances are immutable and cache per instance: the join table, the
-    comparability mask and the strict upper set of each element, the
-    element of each principal down-set mask, every chain family (one
-    depth-first enumeration per kind), the chain counts and the opposite
-    lattice, whose own opposite is this instance.
+    Built as a Poset is, from labels and up-set masks, or by
+    `Lattice.from_covers`.  Instances are immutable and cache per
+    instance: the join table, the comparability mask and the strict upper
+    set of each element, the element of each principal down-set mask,
+    every chain family (one depth-first enumeration per kind), the chain
+    counts and the opposite lattice, whose own opposite is this instance.
     """
 
-    def __init__(self, poset: Poset):
-        self.poset = poset
-        n = poset.n
+    def __init__(self, names, up):
+        super().__init__(names, up)
+        n = self.n
         if n == 0:
             raise EmptyLattice("a lattice needs at least one element")
-        up, down = poset.up, poset.down
+        up, down = self.up, self.down
         # the join of x and y is the element whose up-set is up[x] & up[y],
         # the meet the element whose down-set is down[x] & down[y]
         by_up = {m: z for z, m in enumerate(up)}
@@ -71,23 +72,15 @@ class Lattice:
             if None in joins or not all(meets):
                 # rows before x are complete, so the first gap has y >= x
                 y = next(y for y in range(n) if joins[y] is None or not meets[y])
-                raise NotALattice(poset.names[x], poset.names[y],
+                raise NotALattice(self.names[x], self.names[y],
                                   "join" if joins[y] is None else "meet")
             self._join.append(joins)
         full = (1 << n) - 1
         self.bottom = by_up[full]
         self.top = by_down[full]
-        above = self._above = tuple(
+        self._above = tuple(
             tuple(bit_indices(up[x] & ~(1 << x))) for x in range(n)
         )
-        # longest path up from each element; an element's strict upper set
-        # is strictly smaller than that of anything below it, so sorting by
-        # its size reads a linear extension from the top down
-        height = [0] * n
-        for x in sorted(range(n), key=lambda v: len(above[v])):
-            height[x] = max((height[y] + 1 for y in above[x]), default=0)
-        self.max_chain_length = height[self.bottom]
-        self.up, self.down = up, down
         # bit y of _comparable[x] is set iff x <= y or y <= x; a set of
         # elements is a chain iff its mask lies inside each member's
         self._comparable = tuple(u | d for u, d in zip(up, down))
@@ -97,34 +90,6 @@ class Lattice:
         self._opposite = None
 
     # -- basic structure --------------------------------------------------
-
-    @property
-    def n(self):
-        return self.poset.n
-
-    @property
-    def names(self):
-        return self.poset.names
-
-    def __len__(self):
-        return self.poset.n
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Lattice) and self.poset == other.poset
-        )
-
-    def __hash__(self):
-        return hash(self.poset)
-
-    def leq(self, x, y):
-        return self.poset.leq(x, y)
-
-    def lt(self, x, y):
-        return self.poset.lt(x, y)
-
-    def comparable(self, x, y):
-        return self.poset.comparable(x, y)
 
     def join(self, x, y):
         return self._join[x][y]
@@ -142,10 +107,10 @@ class Lattice:
     def opposite(self):
         """The order-reversed lattice; join and meet swap, so do the ends.
 
-        Built once; `L.opposite().opposite() is L`.
+        Built once, as `dual()`; `L.opposite().opposite() is L`.
         """
         if self._opposite is None:
-            op = Lattice(self.poset.dual())
+            op = self.dual()
             op._opposite = self
             self._opposite = op
         return self._opposite
@@ -185,9 +150,14 @@ class Lattice:
             members = stack.pop()
             last = members[-1]
             if not to_top or last == self.top:
-                out.append(Chain(members, self.poset))
+                out.append(Chain(members, self))
             stack.extend(members + (y,) for y in reversed(self._above[last]))
         return tuple(out)
+
+    @property
+    def max_chain_length(self):
+        """The length of the longest chain: A's counts run over 0..it."""
+        return len(self.chain_counts("A")) - 1
 
     def chain_counts(self, kind):
         """The number of chains of a family, by length 0..max_chain_length.
@@ -205,7 +175,9 @@ class Lattice:
         if self._counts is None:
             above = self._above
             from_x, to_top = [None] * self.n, [None] * self.n
-            # elements above x come first, as for the heights
+            # an element's strict upper set is strictly smaller than that of
+            # anything below it, so sorting by its size reads a linear
+            # extension from the top down: the elements above x come first
             for x in sorted(range(self.n), key=lambda v: len(above[v])):
                 steps = max((len(from_x[y]) for y in above[x]), default=0)
                 f, t = [1] + [0] * steps, [int(x == self.top)] + [0] * steps
@@ -241,7 +213,7 @@ class Lattice:
         import hashlib
 
         text = ";".join(self.names) + "|" + ";".join(
-            f"{a}<{b}" for a, b in sorted(self.poset.cover_labels())
+            f"{a}<{b}" for a, b in sorted(self.cover_labels())
         )
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -260,7 +232,7 @@ def chain_lattice(n):
         raise UnsupportedSpec("chain lattice needs n >= 0")
     _check_size(f"chain:{n}", n + 1)
     names = [str(i) for i in range(n + 1)]
-    return Lattice(poset_from_covers(names, list(zip(names, names[1:]))))
+    return Lattice.from_covers(names, list(zip(names, names[1:])))
 
 
 BOOLEAN_ATOMS = "abcdefghij"
@@ -280,7 +252,7 @@ def boolean_lattice(n):
     covers = [
         (label(s), label(sorted(s + (a,)))) for s in subsets for a in atoms if a not in s
     ]
-    return Lattice(poset_from_covers([label(s) for s in subsets], covers))
+    return Lattice.from_covers([label(s) for s in subsets], covers)
 
 
 def divisor_lattice(m):
@@ -292,7 +264,7 @@ def divisor_lattice(m):
     _check_size(f"divisor:{m}", len(divs))
     # every divisibility pair, not only the covers; the closure absorbs them
     pairs = [(str(a), str(b)) for i, a in enumerate(divs) for b in divs[i + 1:] if b % a == 0]
-    return Lattice(poset_from_covers([str(d) for d in divs], pairs))
+    return Lattice.from_covers([str(d) for d in divs], pairs)
 
 
 def _set_partitions(items):
@@ -322,7 +294,7 @@ def partition_lattice(n):
     label = lambda p: "|".join("".join(map(str, b)) for b in p)
     names = [label(p) for p in parts]
     up = [sum(1 << j for j, q in enumerate(parts) if refines(p, q)) for p in parts]
-    return Lattice(Poset(names, up))
+    return Lattice(names, up)
 
 
 def diamond_lattice(k):
@@ -332,13 +304,13 @@ def diamond_lattice(k):
     _check_size(f"diamond:{k}", k + 2)
     mids = [f"m{i}" for i in range(1, k + 1)]
     covers = [("0", m) for m in mids] + [(m, "1") for m in mids]
-    return Lattice(poset_from_covers(["0"] + mids + ["1"], covers))
+    return Lattice.from_covers(["0"] + mids + ["1"], covers)
 
 
 def pentagon_lattice():
     """N_5: a 3-chain side and a single element side between the same ends."""
     covers = [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")]
-    return Lattice(poset_from_covers(["0", "a", "b", "c", "1"], covers))
+    return Lattice.from_covers(["0", "a", "b", "c", "1"], covers)
 
 
 def product_lattice(left: Lattice, right: Lattice):
@@ -350,7 +322,7 @@ def product_lattice(left: Lattice, right: Lattice):
     # (c, d) has index c*m + d, so above (a, b) lies a copy of right.up[b]
     # in the block of each c >= a; the blocks are disjoint, so sum is OR
     up = [sum(right.up[b] << c * m for c in bit_indices(left.up[a])) for a, b in pairs]
-    return Lattice(Poset(names, up))
+    return Lattice(names, up)
 
 
 def _check_size(what, count):

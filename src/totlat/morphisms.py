@@ -170,7 +170,7 @@ def image_chain(phi: JoinMap):
     mask = sum(1 << v for v in image)
     down = T.down
     ordered = sorted(image, key=lambda v: (down[v] & mask).bit_count())
-    return Chain(tuple(ordered), T.poset)
+    return Chain(tuple(ordered), T)
 
 
 def alpha_of_chain(L: Lattice, B) -> JoinMap:

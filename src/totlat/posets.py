@@ -1,6 +1,8 @@
 """Finite posets: construction from covers, chains, and Moebius functions.
 
 Elements are dense integer indices 0..n-1; labels are display-only.
+`Poset(names, up)` takes the up-set masks; `Poset.from_covers(names,
+covers)` closes a list of cover pairs into them.
 Two independent Moebius computations are provided: the defining recursion
 (`mobius`) and Philip Hall's alternating chain count (`mobius_hall`), which
 serves as the oracle for everything downstream.
@@ -88,13 +90,38 @@ class Poset:
                 if up[j] & ~row:
                     raise ValueError("leq not transitive")
 
+    @classmethod
+    def from_covers(cls, names, covers):
+        """Build an instance of this class from labels and cover pairs.
+
+        The order is the reflexive-transitive closure of the pairs; redundant
+        (non-cover) input pairs are tolerated, the stored covers are re-derived
+        as the transitive reduction.  A cycle among the pairs raises
+        CycleDetected from the Poset's own antisymmetry check.
+        """
+        names = _distinct_labels(names)
+        index = {name: i for i, name in enumerate(names)}
+        n = len(names)
+        rows = [1 << i for i in range(n)]
+        for a, b in covers:
+            a, b = str(a), str(b)
+            if a not in index:
+                raise UnknownLabel(f"no element labeled {a!r}")
+            if b not in index:
+                raise UnknownLabel(f"no element labeled {b!r}")
+            rows[index[a]] |= 1 << index[b]
+        # Warshall closure: every row that reaches k takes in k's row
+        for k in range(n):
+            rows = [r | rows[k] if r >> k & 1 else r for r in rows]
+        return cls(names, rows)
+
     # -- basic queries ----------------------------------------------------
 
     def __len__(self):
         return self.n
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Poset)
             and self.names == other.names
             and self.up == other.up
@@ -207,7 +234,7 @@ class Poset:
 
         extend([])
         return [
-            Chain(members, self) if members else EMPTY_CHAIN
+            Chain(members, self)
             for members in sorted(set(results))
             if (size is None or len(members) == size) and required.issubset(members)
         ]
@@ -228,54 +255,11 @@ class Poset:
         return Poset([self.names[z] for z in carrier], up)
 
     def dual(self):
-        """The order-reversed poset over the same elements."""
-        return Poset(self.names, self.down)
+        """The order-reversed poset over the same elements, of the same class."""
+        return type(self)(self.names, self.down)
 
     def __repr__(self):
         return f"Poset({self.n} elements, covers={self.cover_labels()})"
-
-
-class _EmptyChain:
-    """Degenerate empty chain: an enumeration result, never a family member."""
-
-    members = ()
-
-    def __len__(self):
-        return 0
-
-    def __iter__(self):
-        return iter(())
-
-    def __repr__(self):
-        return "Chain()"
-
-
-EMPTY_CHAIN = _EmptyChain()
-
-
-def poset_from_covers(names, covers):
-    """Build a poset from labels and cover pairs.
-
-    The order is the reflexive-transitive closure of the pairs; redundant
-    (non-cover) input pairs are tolerated, the stored covers are re-derived
-    as the transitive reduction.  A cycle among the pairs raises
-    CycleDetected from the Poset's own antisymmetry check.
-    """
-    names = _distinct_labels(names)
-    index = {name: i for i, name in enumerate(names)}
-    n = len(names)
-    rows = [1 << i for i in range(n)]
-    for a, b in covers:
-        a, b = str(a), str(b)
-        if a not in index:
-            raise UnknownLabel(f"no element labeled {a!r}")
-        if b not in index:
-            raise UnknownLabel(f"no element labeled {b!r}")
-        rows[index[a]] |= 1 << index[b]
-    # Warshall closure: every row that reaches k takes in k's row
-    for k in range(n):
-        rows = [r | rows[k] if r >> k & 1 else r for r in rows]
-    return Poset(names, rows)
 
 
 def _distinct_labels(names):

@@ -36,7 +36,6 @@ from .algebra import FormalSum, Ring
 from .errors import ParseError
 from .lattices import MAX_ELEMENTS, Lattice, generate
 from .morphisms import alpha_of_chain, image_chain, make_join_map
-from .posets import poset_from_covers
 
 
 def load_lattice(spec) -> Lattice:
@@ -88,7 +87,7 @@ def parse_lattice_file(text) -> Lattice:
         covers.append((parts[0], parts[1]))
     if names is None:
         raise ParseError("missing 'elements:' line")
-    return Lattice(poset_from_covers(names, covers))
+    return Lattice.from_covers(names, covers)
 
 
 def _coeff_to_json(ring: Ring, c):
@@ -136,7 +135,7 @@ def formal_sum_from_document(doc: dict, source: Lattice, target: Lattice) -> For
         for term in doc["terms"]:
             table = term["table"]
             values = tuple(
-                target.poset.index_of(table[source.names[x]])
+                target.index_of(table[source.names[x]])
                 for x in range(source.n)
             )
             extra = set(table) - set(source.names)

@@ -44,7 +44,7 @@ SMALL_CORPUS = ["chain:0", "chain:3", "boolean:2", "diamond:3", "pentagon",
 
 
 def z_chain(L, *labels):
-    return tuple(L.poset.index_of(s) for s in labels)
+    return tuple(L.index_of(s) for s in labels)
 
 
 # -- rings ----------------------------------------------------------------
@@ -259,7 +259,7 @@ def test_mu_maximal_chain():
         n = L.max_chain_length
         for A in L.chain_family("Z", n):
             if all(
-                (lo, hi) in L.poset.covers for lo, hi in zip(A.members, A.members[1:])
+                (lo, hi) in L.covers for lo, hi in zip(A.members, A.members[1:])
             ):
                 assert mu_chain_infinity(L, A) == -1
 
@@ -434,7 +434,7 @@ def brute_force_j_upper(L, B):
     [b_{p-1}, b_p], weighted by Hall's Moebius values."""
     n = len(B) - 1
     P = chain_lattice(n)
-    hall = functools.lru_cache(maxsize=None)(L.poset.mobius_hall)
+    hall = functools.lru_cache(maxsize=None)(L.mobius_hall)
     terms = []
     for picks in itertools.product(range(L.n), repeat=n):
         if all(L.leq(lo, a) and L.leq(a, hi) for lo, a, hi in zip(B, picks, B[1:])):

@@ -161,8 +161,8 @@ def test_fault_injection_mobius(monkeypatch):
     from totlat.algebra import mu_chain_infinity, mu_chain_infinity_oracle
     from totlat.posets import Chain
 
-    members = tuple(L.poset.index_of(s) for s in witness_chain)
-    A = Chain(members, L.poset)
+    members = tuple(L.index_of(s) for s in witness_chain)
+    A = Chain(members, L)
     assert mu_chain_infinity(L, A) == mu_chain_infinity_oracle(L, A)
 
 

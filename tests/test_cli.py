@@ -372,6 +372,13 @@ def test_default_chain_poset_limit_skips_large_oracle(monkeypatch):
     ]
 
 
+def test_cmd_mobius_empty_chain_is_an_unknown_label(capsys):
+    # an empty --chain is given, so it is read as the label '', not as omitted
+    code, out, err = run_cli(capsys, "mobius", "pentagon", "--chain", "")
+    assert code == 2 and out == ""
+    assert err == "error: no element labeled ''\n"
+
+
 def test_cmd_mobius_chain_not_increasing(capsys):
     code, out, err = run_cli(capsys, "mobius", "pentagon", "--chain", "0,b,a")
     assert code == 2 and out == ""
@@ -573,6 +580,7 @@ def test_cmd_verify_deterministic_json(capsys):
 @pytest.mark.parametrize("golden, argv", [
     ("verify_default.jsonl", ()),
     ("verify_partition4_seed1.jsonl", ("partition:4", "--seed", "1")),
+    ("verify_divisor60_seed1.jsonl", ("divisor:60", "--seed", "1")),
 ])
 def test_cmd_verify_matches_golden_reports(capsys, golden, argv):
     code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")

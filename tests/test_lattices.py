@@ -17,7 +17,7 @@ from totlat.lattices import (
     partition_lattice,
     pentagon_lattice,
 )
-from totlat.posets import Poset, poset_from_covers
+from totlat.posets import Poset
 
 CORPUS = [
     "chain:0", "chain:3", "boolean:2", "boolean:3", "diamond:3",
@@ -32,21 +32,21 @@ def lattice(request):
 
 def test_diamond_structure():
     L = boolean_lattice(2)
-    a, b = L.poset.index_of("a"), L.poset.index_of("b")
+    a, b = L.index_of("a"), L.index_of("b")
     assert L.join(a, b) == L.top
     assert L.meet(a, b) == L.bottom
     assert L.names[L.bottom] == "0"
 
 
 def test_antichain_is_not_a_lattice():
-    p = poset_from_covers(["a", "b"], [])
+    p = Poset.from_covers(["a", "b"], [])
     with pytest.raises(NotALattice):
-        Lattice(p)
+        Lattice(p.names, p.up)
 
 
 def test_empty_poset_is_not_a_lattice():
     with pytest.raises(EmptyLattice):
-        Lattice(Poset([], []))
+        Lattice([], [])
     assert issubclass(EmptyLattice, TotlatError)
 
 
@@ -68,7 +68,7 @@ def test_join_all_singleton(lattice):
 
 def test_join_all_diamond_atoms():
     L = boolean_lattice(2)
-    assert L.join_all([L.poset.index_of("a"), L.poset.index_of("b")]) == L.top
+    assert L.join_all([L.index_of("a"), L.index_of("b")]) == L.top
 
 
 def test_opposite_involution(lattice):
@@ -122,7 +122,7 @@ def test_chain_family_counts_match(lattice):
 
 
 def test_two_element_interval_complemented(lattice):
-    for x, y in lattice.poset.covers:
+    for x, y in lattice.covers:
         assert lattice.is_complemented_interval(x, y)
 
 
@@ -148,8 +148,8 @@ def test_generate_boolean_2_is_diamond():
 def test_generate_divisor_12():
     L = generate("divisor:12")
     assert sorted(int(x) for x in L.names) == [1, 2, 3, 4, 6, 12]
-    assert L.leq(L.poset.index_of("2"), L.poset.index_of("6"))
-    assert not L.leq(L.poset.index_of("4"), L.poset.index_of("6"))
+    assert L.leq(L.index_of("2"), L.index_of("6"))
+    assert not L.leq(L.index_of("4"), L.index_of("6"))
 
 
 def test_generate_partition_sizes():
@@ -226,7 +226,7 @@ ORACLE_SPECS = list(DEFAULT_CORPUS) + ["divisor:60", "diamond:5", "partition:4"]
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_chain_families_match_poset_chains(spec):
     L = generate(spec)
-    chains = [c for c in L.poset.chains() if len(c)]
+    chains = [c for c in L.chains() if len(c)]
     keep = {
         "A": lambda c: c.members[0] == L.bottom,
         "B": lambda c: c.members[-1] == L.top,
@@ -272,14 +272,23 @@ def test_chain_counts_unknown_kind():
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_max_chain_length_matches_poset_chains(spec):
     L = generate(spec)
-    assert L.max_chain_length == max(len(c) for c in L.poset.chains()) - 1
+    assert L.max_chain_length == max(len(c) for c in L.chains()) - 1
+    assert L.max_chain_length == len(L.chain_counts("A")) - 1
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_lattice_is_a_poset_whose_dual_is_its_opposite(spec):
+    L = generate(spec)
+    assert isinstance(L, Poset)
+    assert type(L.dual()) is Lattice
+    assert L.dual() == L.opposite()
 
 
 def test_opposite_built_once(lattice):
     op = lattice.opposite()
     assert lattice.opposite() is op
     assert op.opposite() is lattice
-    assert op == Lattice(lattice.poset.dual())
+    assert op == Lattice(lattice.names, lattice.down)
 
 
 def test_chain_family_returns_fresh_list():
@@ -320,7 +329,7 @@ def test_divisor_lattice_by_trial_division():
         divs = [d for d in range(1, m + 1) if m % d == 0]
         L = divisor_lattice(m)
         assert L.names == tuple(map(str, divs))
-        assert sorted(L.poset.cover_labels()) == sorted(
+        assert sorted(L.cover_labels()) == sorted(
             (str(a), str(b)) for a in divs for b in divs
             if a < b and b % a == 0
             and not any(a < c < b and c % a == 0 and b % c == 0 for c in divs)

@@ -36,7 +36,7 @@ from totlat.posets import Chain
 
 
 def z_chain(L, *labels):
-    return tuple(L.poset.index_of(s) for s in labels)
+    return tuple(L.index_of(s) for s in labels)
 
 
 def test_identity_is_valid():
@@ -52,7 +52,7 @@ def test_constant_bottom_is_valid():
 
 def test_collapsing_top_fails():
     L = boolean_lattice(2)
-    a = L.poset.index_of("a")
+    a = L.index_of("a")
     table = list(range(L.n))
     table[L.top] = a  # fixes 0, a, b but sends top to a
     with pytest.raises(NotJoinMorphism):
@@ -243,7 +243,7 @@ def image_chain_oracle(phi):
         if not T.comparable(a, b):
             return None
     ordered = tuple(sorted(image, key=lambda x: sum(T.leq(y, x) for y in image)))
-    return Chain(ordered, T.poset)
+    return Chain(ordered, T)
 
 
 def opposite_morphism_oracle(phi):

@@ -1,6 +1,6 @@
 """The up-set bitmask kernel against brute-force order computations.
 
-`Poset` validates its up-set masks, `poset_from_covers` closes cover
+`Poset` validates its up-set masks, `Poset.from_covers` closes cover
 lists and `Lattice` reads joins, meets and ends off the masks.  Each is
 compared here with the direct definition: a triple-loop axiom scan of a
 boolean table, a triple-loop Warshall closure, and a candidate search for
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from totlat.checks import DEFAULT_CORPUS
 from totlat.errors import CycleDetected, NotALattice
 from totlat.lattices import Lattice, generate
-from totlat.posets import Poset, poset_from_covers
+from totlat.posets import Poset
 
 ORACLE_SPECS = list(DEFAULT_CORPUS) + ["divisor:60", "partition:4", "diamond:5"]
 
@@ -81,7 +81,7 @@ def first_missing_bound(p):
 
 
 def assert_matches_brute_force(L):
-    p, n = L.poset, L.n
+    p, n = L, L.n
     for x, y in itertools.product(range(n), repeat=2):
         assert L.join(x, y) == bound(p, x, y, True), (x, y)
         assert L.meet(x, y) == bound(p, x, y, False), (x, y)
@@ -98,11 +98,11 @@ def test_tables_and_ends_match_brute_force(spec):
     assert_matches_brute_force(L)
     assert_matches_brute_force(L.opposite())
     # down is the transpose of up, and it is the order of the opposite
-    p, n = L.poset, L.n
+    p, n = L, L.n
     assert p.down == tuple(
         sum(1 << x for x in range(n) if p.up[x] >> y & 1) for y in range(n)
     )
-    assert L.opposite().poset.up == L.down
+    assert L.opposite().up == L.down
 
 
 @st.composite
@@ -122,10 +122,10 @@ def dag_posets(draw, max_size=7):
 def test_lattice_matches_brute_force_or_names_first_missing_bound(p):
     missing = first_missing_bound(p)
     if missing is None:
-        assert_matches_brute_force(Lattice(p))
+        assert_matches_brute_force(Lattice(p.names, p.up))
     else:
         with pytest.raises(NotALattice) as info:
-            Lattice(p)
+            Lattice(p.names, p.up)
         assert (info.value.x, info.value.y, info.value.which) == missing
 
 
@@ -142,18 +142,18 @@ def cover_lists(draw, max_size=6):
 
 @given(cover_lists())
 @settings(max_examples=150, deadline=None)
-def test_poset_from_covers_matches_brute_force_closure(case):
+def test_from_covers_matches_brute_force_closure(case):
     n, pairs = case
     names = [f"v{i}" for i in range(n)]
     leq = closure(n, pairs)
     fault = first_fault(names, leq)
     covers = [(names[a], names[b]) for a, b in pairs]
     if fault is None:
-        p = poset_from_covers(names, covers)
+        p = Poset.from_covers(names, covers)
         assert [[p.leq(i, j) for j in range(n)] for i in range(n)] == leq
     else:
         with pytest.raises(CycleDetected) as info:
-            poset_from_covers(names, covers)
+            Poset.from_covers(names, covers)
         assert (CycleDetected, str(info.value)) == fault
 
 

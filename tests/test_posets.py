@@ -7,7 +7,7 @@ from totlat.errors import (
     TotlatError,
     UnknownLabel,
 )
-from totlat.posets import Chain, Poset, poset_from_covers
+from totlat.posets import Chain, Poset
 
 DIAMOND = (["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
 M3 = (
@@ -17,11 +17,11 @@ M3 = (
 
 
 def diamond():
-    return poset_from_covers(*DIAMOND)
+    return Poset.from_covers(*DIAMOND)
 
 
 def test_singleton():
-    p = poset_from_covers(["x"], [])
+    p = Poset.from_covers(["x"], [])
     assert p.n == 1
     assert p.leq(0, 0)
     assert p.covers == ()
@@ -36,17 +36,17 @@ def test_diamond_closure():
 
 def test_cycle_detected():
     with pytest.raises(CycleDetected):
-        poset_from_covers(["0", "1"], [("0", "1"), ("1", "0")])
+        Poset.from_covers(["0", "1"], [("0", "1"), ("1", "0")])
 
 
 def test_unknown_label():
     with pytest.raises(UnknownLabel):
-        poset_from_covers(["0", "1"], [("0", "2")])
+        Poset.from_covers(["0", "1"], [("0", "2")])
 
 
 def test_duplicate_label_names_the_first_repeat():
     # the labels are checked before the masks, so even bad masks name it
-    for build in (lambda: poset_from_covers(["x", "y", "y", "x"], []),
+    for build in (lambda: Poset.from_covers(["x", "y", "y", "x"], []),
                   lambda: Poset(["x", "y", "y", "x"], [1 << i for i in range(4)]),
                   lambda: Poset(["x", "y", "y", "x"], [-1])):
         with pytest.raises(DuplicateLabel, match="duplicate label 'y'") as info:
@@ -56,15 +56,15 @@ def test_duplicate_label_names_the_first_repeat():
 
 def test_redundant_covers_tolerated():
     # the non-cover pair (0,1) must be absorbed by the closure
-    p = poset_from_covers(*DIAMOND)
-    q = poset_from_covers(DIAMOND[0], DIAMOND[1] + [("0", "1")])
+    p = Poset.from_covers(*DIAMOND)
+    q = Poset.from_covers(DIAMOND[0], DIAMOND[1] + [("0", "1")])
     assert p == q
 
 
 def test_cover_roundtrip():
     for names, covers in (DIAMOND, M3):
-        p = poset_from_covers(names, covers)
-        assert p == poset_from_covers(names, p.cover_labels())
+        p = Poset.from_covers(names, covers)
+        assert p == Poset.from_covers(names, p.cover_labels())
 
 
 def test_mobius_reflexive():
@@ -88,7 +88,7 @@ def test_mobius_diamond_top():
 
 
 def test_mobius_m3_top():
-    p = poset_from_covers(*M3)
+    p = Poset.from_covers(*M3)
     assert p.mobius(p.index_of("0"), p.index_of("1")) == 2
     assert p.mobius_hall(p.index_of("0"), p.index_of("1")) == 2
 
@@ -104,7 +104,7 @@ def test_mobius_not_comparable():
 def test_mobius_delta_sum():
     # sum over x<=z<=y of mu(x,z) is 1 iff x==y, else 0
     for names, covers in (DIAMOND, M3):
-        p = poset_from_covers(names, covers)
+        p = Poset.from_covers(names, covers)
         for x in p.elements():
             for y in p.elements():
                 if p.leq(x, y):
@@ -114,7 +114,7 @@ def test_mobius_delta_sum():
 
 
 def test_chains_two_element():
-    p = poset_from_covers(["0", "1"], [("0", "1")])
+    p = Poset.from_covers(["0", "1"], [("0", "1")])
     assert [c.members for c in p.chains(size=2)] == [(0, 1)]
 
 
@@ -126,7 +126,7 @@ def test_chains_diamond_size3():
 
 
 def test_chains_longer_than_poset():
-    p = poset_from_covers(["0", "1", "2", "3"],
+    p = Poset.from_covers(["0", "1", "2", "3"],
                           [("0", "1"), ("1", "2"), ("2", "3")])
     assert p.chains(size=5) == []
 
@@ -142,6 +142,7 @@ def test_empty_chain_included():
     p = diamond()
     assert len(p.chains(size=0)) == 1
     assert len(p.chains(size=0)[0]) == 0
+    assert p.chains()[0].labels() == ()
 
 
 def test_interval_closed_singleton():
@@ -157,7 +158,7 @@ def test_interval_open_diamond():
 
 
 def test_interval_whole():
-    p = poset_from_covers(["0", "1", "2"], [("0", "1"), ("1", "2")])
+    p = Poset.from_covers(["0", "1", "2"], [("0", "1"), ("1", "2")])
     assert p.interval(0, 2) == p
 
 
