@@ -127,29 +127,38 @@ def _exact_integer(c):
     return q.numerator
 
 
-def _accumulate(ring, acc, terms):
+def _accumulate(modulus, acc, terms, coerce=None):
     """Add (value table, coeff) pairs into the dict `acc` in place.
 
-    Each coefficient is coerced into the ring once, and a key is deleted as
-    soon as its coefficient becomes zero, so `acc` always holds a normalised
-    sum.
+    `coerce` is given where the coefficients come from outside the ring;
+    sums and products of ring elements are not coerced again.  Modulo m
+    every inserted coefficient is reduced.  A key is deleted as soon as
+    its coefficient becomes zero, so `acc` always holds a normalised sum.
     """
-    coerce = ring.coerce
-    modulus = ring.modulus
     for table, c in terms:
-        c = coerce(c)
+        if coerce is not None:
+            c = coerce(c)
         old = acc.get(table)
-        if old is None:
-            if c:
-                acc[table] = c
-            continue
-        c += old
+        if old is not None:
+            c += old
         if modulus is not None:
             c %= modulus
         if c:
             acc[table] = c
-        else:
+        elif old is not None:
             del acc[table]
+
+
+def _table_getter(f):
+    """The function g -> g o f on value tables, as one C-level call.
+
+    On a one-element source `itemgetter` returns the entry, not a tuple,
+    so there the entry is wrapped.
+    """
+    get = itemgetter(*f)
+    if len(f) == 1:
+        return lambda g: (get(g),)
+    return get
 
 
 class FormalSum:
@@ -159,7 +168,8 @@ class FormalSum:
     its value table, a tuple of target indices, one per source element,
     which also gives the canonical serialization order.  Normalized: zero
     coefficients are dropped on construction, so equality is plain
-    term-by-term comparison.
+    term-by-term comparison.  The coefficients given to the constructor
+    are coerced into the ring; sums built from sums are not coerced again.
     """
 
     __slots__ = ("ring", "source", "target", "terms")
@@ -169,7 +179,15 @@ class FormalSum:
         self.source = source
         self.target = target
         self.terms: dict[tuple[int, ...], object] = {}
-        _accumulate(ring, self.terms, terms.items() if isinstance(terms, dict) else terms)
+        _accumulate(ring.modulus, self.terms,
+                    terms.items() if isinstance(terms, dict) else terms, ring.coerce)
+
+    @classmethod
+    def _of(cls, ring, source, target, terms):
+        """The sum whose terms are the normalised dict `terms`, taken as is."""
+        s = cls.__new__(cls)
+        s.ring, s.source, s.target, s.terms = ring, source, target, terms
+        return s
 
     @classmethod
     def total(cls, ring, source, target, sums):
@@ -182,8 +200,10 @@ class FormalSum:
         for s in sums:
             if s.ring != ring or s.source != source or s.target != target:
                 raise SignatureMismatch("formal sums have different signatures")
-            _accumulate(ring, acc, s.terms.items())
-        return cls(ring, source, target, acc)
+            _accumulate(ring.modulus, acc, s.terms.items())
+        # a copy: the running dict keeps room for every key it ever held,
+        # and most cancel in the family construction
+        return cls._of(ring, source, target, dict(acc))
 
     def _require_same_signature(self, other):
         if (
@@ -195,10 +215,9 @@ class FormalSum:
 
     def __add__(self, other):
         self._require_same_signature(other)
-        return FormalSum(
-            self.ring, self.source, self.target,
-            itertools.chain(self.terms.items(), other.terms.items()),
-        )
+        acc = dict(self.terms)
+        _accumulate(self.ring.modulus, acc, other.terms.items())
+        return FormalSum._of(self.ring, self.source, self.target, acc)
 
     def __neg__(self):
         return self.scale(-1)
@@ -208,20 +227,15 @@ class FormalSum:
 
     def scale(self, c):
         c = self.ring.coerce(c)
-        return FormalSum(
-            self.ring,
-            self.source,
-            self.target,
-            ((table, c * v) for table, v in self.terms.items()),
-        )
+        acc = {}
+        _accumulate(self.ring.modulus, acc, ((table, c * v) for table, v in self.terms.items()))
+        return FormalSum._of(self.ring, self.source, self.target, acc)
 
     def __mul__(self, other):
         """Composition product: (self * other) means self after other.
 
-        Each inner table f becomes one `itemgetter(*f)`, which reads the
-        composite table g o f off an outer table g in one C-level call.  On
-        a one-element source `itemgetter` returns the entry, not a tuple,
-        so there the entry is wrapped.
+        Each inner table f becomes one getter (`_table_getter`), which
+        reads the composite table g o f off an outer table g.
         """
         if not isinstance(other, FormalSum):
             return NotImplemented
@@ -229,17 +243,14 @@ class FormalSum:
             raise SignatureMismatch("formal sums over different rings")
         if other.target != self.source:
             raise SourceTargetMismatch("inner target differs from outer source")
-        inner = [(itemgetter(*f), cf) for f, cf in other.terms.items()]
-        if other.source.n == 1:
-            inner = [(lambda g, get=get: (get(g),), cf) for get, cf in inner]
-        return FormalSum(
-            self.ring, other.source, self.target,
-            (
-                (get(g), cg * cf)
-                for g, cg in self.terms.items()
-                for get, cf in inner
-            ),
-        )
+        inner = [(_table_getter(f), cf) for f, cf in other.terms.items()]
+        acc = {}
+        _accumulate(self.ring.modulus, acc, (
+            (get(g), cg * cf)
+            for g, cg in self.terms.items()
+            for get, cf in inner
+        ))
+        return FormalSum._of(self.ring, other.source, self.target, acc)
 
     def __eq__(self, other):
         return (
@@ -272,6 +283,29 @@ class FormalSum:
     def __repr__(self):
         bits = " + ".join(f"{c}*{jm!r}" for jm, c in self.sorted_terms())
         return f"FormalSum({bits or '0'})"
+
+
+def map_products(s: FormalSum):
+    """The function p -> (terms of s * [p], terms of [p] * s), s an endomorphism sum.
+
+    [p] is the endomorphism with value table p as a sum with coefficient
+    1, so s * [p] has the coefficients of s on the tables g o p and
+    [p] * s on the tables p o f, and `embed` and `*` give the same dicts.
+    The tables of s and their getters are built once, so a sweep over
+    many maps pays for each only its composites and their accumulation.
+    """
+    tables = list(s.terms)
+    coeffs = list(s.terms.values())
+    getters = [_table_getter(f) for f in tables]
+    modulus = s.ring.modulus
+
+    def products(p):
+        left, right = {}, {}
+        _accumulate(modulus, left, zip(map(_table_getter(p), tables), coeffs))
+        _accumulate(modulus, right, zip([get(p) for get in getters], coeffs))
+        return left, right
+
+    return products
 
 
 def identity_sum(L: Lattice, ring: Ring = ZZ) -> FormalSum:

@@ -11,9 +11,16 @@ checks that compare constructions (the family construction, the filtered
 direct sum, the sums modulo m) still build their side independently.  The
 join-endomorphisms are not kept: each check streams them from the
 enumerator.  Held as JoinMaps, they raised the peak RSS of the `sweep`
-benchmark from 16.7 to 18.6 MiB (+11.7 %) to save about 0.07 s of its
-1.0 s of CPU; packed into uint16 arrays, from 16.66 to 17.0 MiB (+2 %)
-to save about 0.1 s.
+benchmark by 11.7 % when tried; the enumeration that each check repeats
+instead is a small part of the sweep.
+
+`central` compares e o phi with phi o e for every map phi, and
+`identity_on_tot` compares both with psi for every chain-image map psi.
+Neither builds a formal sum per map: `algebra.map_products` takes the
+tables and coefficients of `e`, and a getter per table, once per check,
+then reads the composites of each value table with them and accumulates
+them exactly, as `FormalSum.__mul__` would with the map embedded.  The
+tests keep the embedded products as the oracle.
 
 The f_family check never multiplies two idempotents f_B = j^B * pi^B out
 on L.  Each pi^C is surjective, so right composition by it is injective
@@ -50,6 +57,7 @@ from .algebra import (
     identity_sum,
     j_upper,
     limit_from_env,
+    map_products,
     mu_chain_infinity,
     mu_chain_infinity_oracle,
 )
@@ -172,12 +180,14 @@ def check_identity_on_tot(ws: Workspace):
     """e acts as two-sided identity on every endomorphism with chain image."""
     if not ws.enumerable:
         return ws.report("identity_on_tot", "skipped", note=SKIPPED_ABOVE_GATE)
-    e = ws.e
+    products = map_products(ws.e)
+    one = ws.ring.coerce(1)
     count = 0
     for psi in enumerate_join_endomorphisms(ws.L, tot_only=True):
         count += 1
-        s = embed(psi, ws.ring)
-        if e * s != s or s * e != s:
+        s = {psi.values: one}
+        left, right = products(psi.values)
+        if left != s or right != s:
             return ws.report(
                 "identity_on_tot", "fail",
                 counterexample={"psi": psi.table_labels()},
@@ -187,7 +197,7 @@ def check_identity_on_tot(ws: Workspace):
 
 
 def check_central(ws: Workspace):
-    e = ws.e
+    products = map_products(ws.e)
     note = None
     used_seed = None
     if ws.enumerable:
@@ -202,8 +212,8 @@ def check_central(ws: Workspace):
     count = 0
     for phi in endos:
         count += 1
-        s = embed(phi, ws.ring)
-        if e * s != s * e:
+        left, right = products(phi.values)
+        if left != right:
             return ws.report(
                 "central", "fail",
                 counterexample={"phi": phi.table_labels()},

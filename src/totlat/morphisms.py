@@ -21,19 +21,23 @@ sections of the index order that the family construction picks from a
 chain's step intervals are built, with their weights, in
 `algebra.j_upper`; they increase by construction and are not validated.
 
-The enumerator and the sampler test each assignment of values to the
+The enumerator and the sampler test assignments of values to the
 join-irreducibles against one kernel of lookup tables, built once per
 call: the irreducibles, the positions of the irreducibles below each
 element, the rows of the join table and the incomparable pairs with
-their joins.  A candidate costs only list lookups: its extension folds
-join-table rows, and its pair test compares table entries.  It is the
+their joins.  A test costs only list lookups: an extension folds
+join-table rows, and a pair test compares table entries.  It is the
 same test that `make_join_map` makes, which stays apart from the kernel
-as the validator of outside tables and the oracle of the tests.
+as the validator of outside tables and the oracle of the tests.  The
+sampler tests whole assignments.  The enumerator searches them depth
+first, one position per depth, and the kernel's schedule runs each test
+at the depth of the deepest position it reads, so a failing prefix is
+cut with all its extensions: the search costs in proportion to the
+prefixes that pass, not to all n ** k assignments.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -221,17 +225,52 @@ def enumerate_join_endomorphisms(L: Lattice, tot_only=False):
     """All join-endomorphisms, each exactly once, by join-irreducible assignment.
 
     A join-endomorphism is determined by its values on join-irreducibles;
-    each assignment extends by t -> join of the assigned values below t.
-    Assignments whose extension disagrees with them on some irreducible are
-    skipped (they reappear as their own extension), and extensions failing
-    the join-morphism check are discarded.  Iteration order is lexicographic
-    over assignments.
+    each assignment extends by t -> join of the assigned values below t,
+    and is kept iff its extension agrees with it on every irreducible and
+    passes the join-morphism check.  The assignments are searched depth
+    first, one irreducible position per depth, trying values in ascending
+    order, so the maps come in lexicographic order over assignments, the
+    order of `itertools.product`.  Every test reads only positions up to
+    the depth at which `_kernel`'s schedule holds it, so a prefix that
+    fails one fails every assignment that extends it, and its subtree is
+    cut.
     """
     kernel = _kernel(L)
-    for assignment in itertools.product(range(L.n), repeat=len(kernel.irr)):
-        values = _endomorphism_of(kernel, assignment)
-        if values is None:
-            continue
+    n, join, bottom, schedule = L.n, kernel.join, kernel.bottom, kernel.schedule
+    ext = [bottom] * n
+    assigned = [0] * len(schedule)
+    last = len(schedule) - 1
+
+    def search(depth):
+        extend, fixed, pairs = schedule[depth]
+        # the join of each element's values at shallower positions is the
+        # same for every value tried here, so its join-table row is looked
+        # up once and each value finishes the element by one entry
+        rows = []
+        for t, shallower in extend:
+            acc = bottom
+            for p in shallower:
+                acc = join[acc][assigned[p]]
+            rows.append((t, join[acc]))
+        for v in range(n):
+            assigned[depth] = v
+            for t, row in rows:
+                ext[t] = row[v]
+            for j, p in fixed:
+                if ext[j] != assigned[p]:
+                    break
+            else:
+                for x, y, xy in pairs:
+                    if ext[xy] != join[ext[x]][ext[y]]:
+                        break
+                else:
+                    if depth < last:
+                        yield from search(depth + 1)
+                    else:
+                        yield tuple(ext)
+
+    # with no irreducibles L is one point, and the empty assignment its map
+    for values in search(0) if schedule else [tuple(ext)]:
         if tot_only and not has_chain_image(L, values):
             continue
         yield JoinMap(L, L, values)
@@ -245,9 +284,23 @@ class _Kernel(NamedTuple):
     join: list[list[int]]  # the rows of L._join
     bottom: int
     pairs: tuple[tuple[int, int, int], ...]  # (x, y, x v y), x, y incomparable
+    # per position, the tests whose deepest position read is it: the
+    # elements to extend, each with its shallower positions; the
+    # irreducibles with their positions; the pairs, as in `pairs`
+    schedule: tuple[tuple[tuple, tuple, tuple], ...]
 
 
 def _kernel(L: Lattice) -> _Kernel:
+    """The kernel of L, with its tests scheduled by the positions they read.
+
+    An element's extension reads the positions below it; the test at an
+    irreducible j reads those and j's own position, which is one of them;
+    a pair test reads ext at x, y and x v y, and the positions below x and
+    y lie below x v y.  So each test is held at the depth of the deepest
+    position below the element it tests, whatever order the irreducibles
+    come in.  Only bottom has no position below it; it extends to bottom
+    and is no test's x v y.
+    """
     irr = tuple(L.join_irreducibles())
     below = tuple(
         tuple(p for p, j in enumerate(irr) if L.down[t] >> j & 1) for t in range(L.n)
@@ -259,7 +312,16 @@ def _kernel(L: Lattice) -> _Kernel:
         for y in range(x + 1, L.n)
         if not L.comparable(x, y)
     )
-    return _Kernel(irr, below, join, L.bottom, pairs)
+    deepest = [max(positions, default=-1) for positions in below]
+    schedule = tuple(
+        (
+            tuple((t, below[t][:-1]) for t in range(L.n) if deepest[t] == d),
+            tuple((j, p) for p, j in enumerate(irr) if deepest[j] == d),
+            tuple(pair for pair in pairs if deepest[pair[2]] == d),
+        )
+        for d in range(len(irr))
+    )
+    return _Kernel(irr, below, join, L.bottom, pairs, schedule)
 
 
 def _endomorphism_of(kernel: _Kernel, assignment):

@@ -16,6 +16,7 @@ from totlat.algebra import (
     idempotent_original,
     identity_sum,
     j_upper,
+    map_products,
     mu_chain_infinity,
     mu_chain_infinity_oracle,
 )
@@ -222,7 +223,7 @@ def product_oracle(x, y):
     ])
 
 
-@pytest.mark.parametrize("ring", ["int", "mod:2", "rat"])
+@pytest.mark.parametrize("ring", ["int", "mod:2", "mod:3", "rat"])
 @pytest.mark.parametrize("spec", list(DEFAULT_CORPUS) + ["divisor:60"])
 def test_products_match_list_comprehension_oracle(spec, ring):
     # e with itself and with maps, and the family's j^B, pi^B and f_B,
@@ -242,6 +243,25 @@ def test_products_match_list_comprehension_oracle(spec, ring):
     for x, y in pairs:
         product = x * y
         assert list(product.terms.items()) == list(product_oracle(x, y).terms.items())
+
+
+@pytest.mark.parametrize("ring", ["int", "mod:2", "mod:3", "rat"])
+@pytest.mark.parametrize("spec", SMALL_CORPUS)
+def test_map_products_match_products_with_embedded_maps(spec, ring):
+    # e is central, so its two sides agree; the weighted sum of the
+    # retractions is not, and tells the sides apart
+    ring = Ring.parse(ring)
+    L = generate(spec)
+    e = idempotent_direct(L, ring)
+    retractions = FormalSum(ring, L, L, [
+        (alpha_of_chain(L, B).values, k + 1) for k, B in enumerate(L.chain_family("Z"))])
+    for x in (e, retractions):
+        products = map_products(x)
+        for phi in enumerate_join_endomorphisms(L):
+            s = embed(phi, ring)
+            left, right = products(phi.values)
+            assert left == (x * s).terms
+            assert right == (s * x).terms
 
 
 def test_sorted_terms_deterministic():

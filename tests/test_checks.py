@@ -19,7 +19,7 @@ from totlat.checks import (
     check_crapo_restriction,
     run_suite,
 )
-from totlat.algebra import ZZ, FormalSum, Ring, embed
+from totlat.algebra import ZZ, FormalSum, Ring, embed, idempotent_direct
 from totlat.errors import UnknownCheck
 from totlat.lattices import boolean_lattice, chain_lattice, generate
 from totlat.morphisms import JoinMap, compose, enumerate_join_endomorphisms, pi_of_chain
@@ -301,6 +301,72 @@ def test_f_family_one_sided_product_fails_like_the_oracle(monkeypatch, spec, mut
     assert report["counterexample"] == {"chains": [first.labels(), second.labels()],
                                         "kind": "not orthogonal"}
     assert report == f_family_oracle(ws).to_dict()
+
+
+# -- central and identity_on_tot against embedded products ---------------
+
+
+def central_oracle(ws):
+    """check_central's exhaustive report, from `embed` and `FormalSum.__mul__`."""
+    e = ws.e
+    count = 0
+    for phi in enumerate_join_endomorphisms(ws.L):
+        count += 1
+        s = embed(phi, ws.ring)
+        if e * s != s * e:
+            return ws.report("central", "fail", counterexample={"phi": phi.table_labels()},
+                             counts={"examined": count, "mode": "exhaustive"})
+    return ws.report("central", "pass", counts={"endomorphisms": count, "mode": "exhaustive"})
+
+
+def identity_on_tot_oracle(ws):
+    """check_identity_on_tot's report, from `embed` and `FormalSum.__mul__`."""
+    e = ws.e
+    count = 0
+    for psi in enumerate_join_endomorphisms(ws.L, tot_only=True):
+        count += 1
+        s = embed(psi, ws.ring)
+        if e * s != s or s * e != s:
+            return ws.report("identity_on_tot", "fail",
+                             counterexample={"psi": psi.table_labels()},
+                             counts={"examined": count})
+    return ws.report("identity_on_tot", "pass", counts={"tot_endomorphisms": count})
+
+
+def flipped_term(s, table):
+    terms = dict(s.terms)
+    terms[table] = -terms[table]
+    return FormalSum(s.ring, s.source, s.target, terms)
+
+
+def dropped_term(s, table):
+    terms = dict(s.terms)
+    del terms[table]
+    return FormalSum(s.ring, s.source, s.target, terms)
+
+
+MULTI_TERM_SPECS = [spec for spec in checks.DEFAULT_CORPUS
+                    if len(idempotent_direct(generate(spec)).terms) > 1] + ["diamond:5"]
+
+
+@pytest.mark.parametrize("mutate", [flipped_term, dropped_term])
+@pytest.mark.parametrize("ring", ["int", "mod:3"])
+@pytest.mark.parametrize("spec", MULTI_TERM_SPECS)
+def test_central_and_identity_on_tot_on_a_mutated_e_match_the_oracles(spec, ring, mutate):
+    # one term of e at a time is corrupted; both checks must report what
+    # the embedded products report, pass or fail
+    L, ring = generate(spec), Ring.parse(ring)
+    e = idempotent_direct(L, ring)
+    statuses = []
+    for table in sorted(e.terms):
+        ws = Workspace(L, ring, descriptor=spec)
+        ws.e = mutate(e, table)
+        for check, oracle in ((check_central, central_oracle),
+                              (check_identity_on_tot, identity_on_tot_oracle)):
+            report = check(ws).to_dict()
+            assert report == oracle(ws).to_dict()
+            statuses.append(report["status"])
+    assert "fail" in statuses
 
 
 # -- ideal_closure against composing JoinMaps pairwise ----------------------

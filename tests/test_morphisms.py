@@ -12,6 +12,7 @@ from totlat.errors import (
     SourceTargetMismatch,
 )
 from totlat.lattices import (
+    Lattice,
     boolean_lattice,
     chain_lattice,
     generate,
@@ -32,7 +33,7 @@ from totlat.morphisms import (
     pi_of_chain,
     sample_join_endomorphisms,
 )
-from totlat.posets import Chain
+from totlat.posets import Chain, bit_indices
 
 
 def z_chain(L, *labels):
@@ -476,6 +477,43 @@ def test_kernel_enumeration_matches_method_calls(spec):
     assert all(phi.source is L and phi.target is L for phi in maps)
     tot = [phi.values for phi in enumerate_join_endomorphisms(L, tot_only=True)]
     assert tot == [phi.values for phi in maps if image_chain_oracle(phi) is not None]
+
+
+def _relabelled(L, seed):
+    """L with its elements renumbered by a seeded shuffle of the indices."""
+    order = list(range(L.n))
+    random.Random(seed).shuffle(order)  # new index i is old element order[i]
+    new_index = {old: new for new, old in enumerate(order)}
+    up = [sum(1 << new_index[y] for y in bit_indices(L.up[x])) for x in order]
+    return Lattice([L.names[x] for x in order], up)
+
+
+def _irreducibles_out_of_order(L):
+    irr = L.join_irreducibles()
+    return any(L.lt(irr[q], irr[p]) for p in range(len(irr)) for q in range(p + 1, len(irr)))
+
+
+RELABELLED = ["chain:0", "divisor:60", "pentagon", "diamond:4",
+              "product:boolean:2,chain:1", "partition:3"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("spec", RELABELLED)
+def test_enumeration_order_matches_method_calls_after_relabelling(spec, seed):
+    L = _relabelled(generate(spec), seed)
+    maps = [phi.values for phi in enumerate_join_endomorphisms(L)]
+    assert maps == list(_method_call_enumeration(L))
+    tot = [phi.values for phi in enumerate_join_endomorphisms(L, tot_only=True)]
+    assert tot == [v for v in maps if image_chain_oracle(JoinMap(L, L, v)) is not None]
+
+
+@pytest.mark.parametrize("spec", ["divisor:60", "pentagon"])
+def test_relabelling_takes_irreducibles_out_of_linear_extension_order(spec):
+    # the depth-first schedule may not rely on an irreducible coming after
+    # the irreducibles below it; the shuffles above exercise that
+    assert not _irreducibles_out_of_order(generate(spec))
+    assert any(_irreducibles_out_of_order(_relabelled(generate(spec), seed))
+               for seed in range(3))
 
 
 @pytest.mark.parametrize("spec", ["partition:4", "divisor:360", "diamond:8"])
