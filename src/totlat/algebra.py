@@ -3,6 +3,10 @@ constructions.
 
 A formal sum holds its ring, source and target lattices once and keys
 each term by the map's value table, so a product composes tables directly.
+`map_products` composes one sum with many single maps: on at most 256
+elements it holds the tables as `bytes`, and each composite is one
+`bytes.translate` call; above that it falls back to tuples read through
+`itemgetter`.
 Coefficients live in an exact commutative ring (integers, integers mod m,
 or rationals); no floating point anywhere.  Integer coefficients are the
 canonical path: every coefficient that occurs is a Moebius value.
@@ -286,26 +290,48 @@ class FormalSum:
 
 
 def map_products(s: FormalSum):
-    """The function p -> (terms of s * [p], terms of [p] * s), s an endomorphism sum.
+    """(key, products) for an endomorphism sum s: products(p) gives the
+    terms of s * [p] and of [p] * s, keyed by `key` of their value tables.
 
     [p] is the endomorphism with value table p as a sum with coefficient
     1, so s * [p] has the coefficients of s on the tables g o p and
-    [p] * s on the tables p o f, and `embed` and `*` give the same dicts.
-    The tables of s and their getters are built once, so a sweep over
-    many maps pays for each only its composites and their accumulation.
+    [p] * s on the tables p o f; re-keyed by `key`, `embed` and `*` give
+    the same dicts.  On at most 256 elements a table is keyed as `bytes`,
+    and each table of s also gets its 256-byte translation table, so that
+    g o p is `p.translate(g's table)` and p o f is `f.translate(p's)`, one
+    C call per composite.  Above 256 elements a table is keyed as a tuple
+    and read through `_table_getter`.  The tables of s are prepared once,
+    so a sweep over many maps pays for each only its composites and their
+    accumulation.
     """
-    tables = list(s.terms)
     coeffs = list(s.terms.values())
-    getters = [_table_getter(f) for f in tables]
     modulus = s.ring.modulus
 
+    if s.source.n > 256:
+        tables = list(s.terms)
+        getters = [_table_getter(f) for f in tables]
+
+        def products(p):
+            left, right = {}, {}
+            _accumulate(modulus, left, zip(map(_table_getter(p), tables), coeffs))
+            _accumulate(modulus, right, zip([get(p) for get in getters], coeffs))
+            return left, right
+
+        return tuple, products
+
+    tables = [bytes(f) for f in s.terms]
+    pad = bytes(256 - s.source.n)
+    trans = [f + pad for f in tables]
+
     def products(p):
+        p = bytes(p)
+        p_trans = p + pad
         left, right = {}, {}
-        _accumulate(modulus, left, zip(map(_table_getter(p), tables), coeffs))
-        _accumulate(modulus, right, zip([get(p) for get in getters], coeffs))
+        _accumulate(modulus, left, zip(map(p.translate, trans), coeffs))
+        _accumulate(modulus, right, zip([f.translate(p_trans) for f in tables], coeffs))
         return left, right
 
-    return products
+    return bytes, products
 
 
 def identity_sum(L: Lattice, ring: Ring = ZZ) -> FormalSum:

@@ -16,11 +16,15 @@ instead is a small part of the sweep.
 
 `central` compares e o phi with phi o e for every map phi, and
 `identity_on_tot` compares both with psi for every chain-image map psi.
-Neither builds a formal sum per map: `algebra.map_products` takes the
-tables and coefficients of `e`, and a getter per table, once per check,
-then reads the composites of each value table with them and accumulates
-them exactly, as `FormalSum.__mul__` would with the map embedded.  The
-tests keep the embedded products as the oracle.
+Neither builds a formal sum per map: `algebra.map_products` prepares the
+tables and coefficients of `e` once per check, as byte strings with
+their translation tables on at most 256 elements and as tuples with a
+getter each above, then composes each value table with them and
+accumulates the composites exactly, as `FormalSum.__mul__` would with
+the map embedded; the products are keyed by the same encoding, so psi
+is compared as `key(psi.values)`.  The tests keep the embedded products
+as the oracle.  The chain-image maps come from the enumerator's pruned
+search, which never builds a map whose image is not a chain.
 
 The f_family check never multiplies two idempotents f_B = j^B * pi^B out
 on L.  Each pi^C is surjective, so right composition by it is injective
@@ -180,12 +184,12 @@ def check_identity_on_tot(ws: Workspace):
     """e acts as two-sided identity on every endomorphism with chain image."""
     if not ws.enumerable:
         return ws.report("identity_on_tot", "skipped", note=SKIPPED_ABOVE_GATE)
-    products = map_products(ws.e)
+    key, products = map_products(ws.e)
     one = ws.ring.coerce(1)
     count = 0
     for psi in enumerate_join_endomorphisms(ws.L, tot_only=True):
         count += 1
-        s = {psi.values: one}
+        s = {key(psi.values): one}
         left, right = products(psi.values)
         if left != s or right != s:
             return ws.report(
@@ -197,7 +201,7 @@ def check_identity_on_tot(ws: Workspace):
 
 
 def check_central(ws: Workspace):
-    products = map_products(ws.e)
+    _, products = map_products(ws.e)
     note = None
     used_seed = None
     if ws.enumerable:

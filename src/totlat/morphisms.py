@@ -33,7 +33,9 @@ sampler tests whole assignments.  The enumerator searches them depth
 first, one position per depth, and the kernel's schedule runs each test
 at the depth of the deepest position it reads, so a failing prefix is
 cut with all its extensions: the search costs in proportion to the
-prefixes that pass, not to all n ** k assignments.
+prefixes that pass, not to all n ** k assignments.  Asked for the maps
+with a chain image only, it also cuts every prefix whose values are not
+pairwise comparable.
 """
 
 from __future__ import annotations
@@ -234,14 +236,25 @@ def enumerate_join_endomorphisms(L: Lattice, tot_only=False):
     the depth at which `_kernel`'s schedule holds it, so a prefix that
     fails one fails every assignment that extends it, and its subtree is
     cut.
+
+    With `tot_only`, only the maps whose image is a chain are yielded.
+    The image is the irreducibles' values, their joins and bottom, so it
+    is a chain iff those values are pairwise comparable.  The search
+    carries the AND of the comparability masks of the values assigned so
+    far and skips every value outside it, so no other map is built; the
+    maps come in the same order as the full enumeration's.
     """
     kernel = _kernel(L)
     n, join, bottom, schedule = L.n, kernel.join, kernel.bottom, kernel.schedule
     ext = [bottom] * n
     assigned = [0] * len(schedule)
     last = len(schedule) - 1
+    full = (1 << n) - 1
+    # the values a later position may take given a value here: those
+    # comparable with it for chain images, any value otherwise
+    narrow = L._comparable if tot_only else (full,) * n
 
-    def search(depth):
+    def search(depth, allowed):
         extend, fixed, pairs = schedule[depth]
         # the join of each element's values at shallower positions is the
         # same for every value tried here, so its join-table row is looked
@@ -253,6 +266,8 @@ def enumerate_join_endomorphisms(L: Lattice, tot_only=False):
                 acc = join[acc][assigned[p]]
             rows.append((t, join[acc]))
         for v in range(n):
+            if not allowed >> v & 1:
+                continue
             assigned[depth] = v
             for t, row in rows:
                 ext[t] = row[v]
@@ -265,14 +280,12 @@ def enumerate_join_endomorphisms(L: Lattice, tot_only=False):
                         break
                 else:
                     if depth < last:
-                        yield from search(depth + 1)
+                        yield from search(depth + 1, allowed & narrow[v])
                     else:
                         yield tuple(ext)
 
     # with no irreducibles L is one point, and the empty assignment its map
-    for values in search(0) if schedule else [tuple(ext)]:
-        if tot_only and not has_chain_image(L, values):
-            continue
+    for values in search(0, full) if schedule else [tuple(ext)]:
         yield JoinMap(L, L, values)
 
 

@@ -256,12 +256,31 @@ def test_map_products_match_products_with_embedded_maps(spec, ring):
     retractions = FormalSum(ring, L, L, [
         (alpha_of_chain(L, B).values, k + 1) for k, B in enumerate(L.chain_family("Z"))])
     for x in (e, retractions):
-        products = map_products(x)
+        key, products = map_products(x)
         for phi in enumerate_join_endomorphisms(L):
             s = embed(phi, ring)
             left, right = products(phi.values)
-            assert left == (x * s).terms
-            assert right == (s * x).terms
+            assert left == {key(t): c for t, c in (x * s).terms.items()}
+            assert right == {key(t): c for t, c in (s * x).terms.items()}
+
+
+@pytest.mark.parametrize("spec, table_key", [("diamond:254", bytes), ("diamond:255", tuple)])
+def test_map_products_key_tables_by_lattice_size(spec, table_key):
+    # byte tables reach 256 elements, one more falls back to tuples
+    ring = Ring("mod", 3)
+    L = generate(spec)
+    chains = list(L.chain_family("Z"))
+    retractions = FormalSum(ring, L, L, [
+        (alpha_of_chain(L, B).values, k + 1) for k, B in enumerate(chains)])
+    maps = [identity_map(L)] + [alpha_of_chain(L, B) for B in chains[:3]]
+    for x in (idempotent_direct(L, ring), retractions):
+        key, products = map_products(x)
+        assert key is table_key
+        for phi in maps:
+            s = embed(phi, ring)
+            left, right = products(phi.values)
+            assert left == {key(t): c for t, c in (x * s).terms.items()}
+            assert right == {key(t): c for t, c in (s * x).terms.items()}
 
 
 def test_sorted_terms_deterministic():

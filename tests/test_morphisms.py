@@ -479,6 +479,16 @@ def test_kernel_enumeration_matches_method_calls(spec):
     assert tot == [phi.values for phi in maps if image_chain_oracle(phi) is not None]
 
 
+@pytest.mark.parametrize(
+    "spec", sorted(set(DEFAULT_CORPUS) | {"divisor:60", "diamond:5", "boolean:4"})
+)
+def test_pruned_chain_image_enumeration_matches_filtered_enumeration(spec):
+    L = generate(spec)
+    filtered = [phi for phi in enumerate_join_endomorphisms(L)
+                if has_chain_image(L, phi.values)]
+    assert list(enumerate_join_endomorphisms(L, tot_only=True)) == filtered
+
+
 def _relabelled(L, seed):
     """L with its elements renumbered by a seeded shuffle of the indices."""
     order = list(range(L.n))
