@@ -30,7 +30,6 @@ from .morphisms import (
     JoinMap,
     alpha_of_chain,
     compose,
-    constant_bottom,
     enumerate_join_endomorphisms,
     identity_map,
     image_chain,

@@ -110,9 +110,6 @@ class Ring:
             return c
         return Fraction(c)
 
-    def is_zero(self, a):
-        return self.coerce(a) == 0
-
     def __str__(self):
         return f"mod:{self.modulus}" if self.kind == "mod" else self.kind
 

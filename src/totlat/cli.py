@@ -64,6 +64,8 @@ def cmd_info(args):
 
 
 def cmd_idempotent(args):
+    if args.crapo and args.method != "direct":
+        raise TotlatError("--crapo applies only to --method direct")
     L = load_lattice(args.input)
     ring = Ring.parse(args.ring)
     if args.method == "direct":
@@ -80,6 +82,8 @@ def cmd_idempotent(args):
 
 
 def cmd_mobius(args):
+    if args.chain is not None and (args.x is not None or args.y is not None):
+        raise TotlatError("mobius takes either x y or --chain, not both")
     L = load_lattice(args.input)
     if args.chain is not None:
         labels = [s.strip() for s in args.chain.split(",")]

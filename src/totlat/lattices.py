@@ -332,6 +332,15 @@ def _check_size(what, count):
         )
 
 
+_SIZED_GENERATORS = {
+    "chain": chain_lattice,
+    "boolean": boolean_lattice,
+    "divisor": divisor_lattice,
+    "partition": partition_lattice,
+    "diamond": diamond_lattice,
+}
+
+
 def generate(spec):
     """Build a lattice from a generator descriptor string.
 
@@ -344,24 +353,21 @@ def generate(spec):
     head, sep, rest = spec.partition(":")
     if not sep:
         raise UnsupportedSpec(f"unknown generator {spec!r}")
-    try:
-        if head == "chain":
-            return chain_lattice(int(rest))
-        if head == "boolean":
-            return boolean_lattice(int(rest))
-        if head == "divisor":
-            return divisor_lattice(int(rest))
-        if head == "partition":
-            return partition_lattice(int(rest))
-        if head == "diamond":
-            return diamond_lattice(int(rest))
-        if head == "product":
-            parts = rest.split(",")
-            if len(parts) != 2:
-                raise UnsupportedSpec(
-                    f"product takes exactly two comma-separated factors: {spec!r}"
-                )
-            return product_lattice(generate(parts[0]), generate(parts[1]))
-    except ValueError as exc:
-        raise UnsupportedSpec(f"bad generator argument in {spec!r}: {exc}") from None
+    if head in _SIZED_GENERATORS:
+        # ASCII digits after an optional '-', which keeps a negative size's
+        # range message; int() would also take "1_0", "+3" and non-ASCII digits
+        digits = rest.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise UnsupportedSpec(f"bad generator argument in {spec!r}")
+        try:
+            return _SIZED_GENERATORS[head](int(rest))
+        except ValueError as exc:  # more digits than int() converts
+            raise UnsupportedSpec(f"bad generator argument in {spec!r}: {exc}") from None
+    if head == "product":
+        parts = rest.split(",")
+        if len(parts) != 2:
+            raise UnsupportedSpec(
+                f"product takes exactly two comma-separated factors: {spec!r}"
+            )
+        return product_lattice(generate(parts[0]), generate(parts[1]))
     raise UnsupportedSpec(f"unknown generator {spec!r}")

@@ -22,26 +22,26 @@ chain's step intervals are built, with their weights, in
 `algebra.j_upper`; they increase by construction and are not validated.
 
 The enumerator and the sampler test assignments of values to the
-join-irreducibles against one kernel of lookup tables, built once per
-call: the irreducibles, the positions of the irreducibles below each
-element, the rows of the join table and the incomparable pairs with
-their joins.  A test costs only list lookups: an extension folds
-join-table rows, and a pair test compares table entries.  It is the
-same test that `make_join_map` makes, which stays apart from the kernel
-as the validator of outside tables and the oracle of the tests.  The
-sampler tests whole assignments.  The enumerator searches them depth
-first, one position per depth, and the kernel's schedule runs each test
-at the depth of the deepest position it reads, so a failing prefix is
-cut with all its extensions: the search costs in proportion to the
-prefixes that pass, not to all n ** k assignments.  Asked for the maps
-with a chain image only, it also cuts every prefix whose values are not
-pairwise comparable.
+join-irreducibles against one schedule of tests, built once per call by
+`_kernel`.  Per irreducible position it holds the elements whose
+extension that position completes, each with the shallower positions
+below it; the irreducibles whose extension must equal their own value;
+and the incomparable pairs whose join the extension must preserve.  Each
+test sits at the deepest position it reads, and costs only join-table
+lookups.  It is the same test that `make_join_map` makes, which stays
+apart from the schedule as the validator of outside tables and the
+oracle of the tests.  The enumerator searches the assignments depth
+first, one position per depth, so a failing prefix is cut with all its
+extensions: the search costs in proportion to the prefixes that pass,
+not to all n ** k assignments.  Asked for the maps with a chain image
+only, it also cuts every prefix whose values are not pairwise
+comparable.  The sampler walks each drawn assignment along the same
+schedule and stops at the first position that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import ChainNotInB, ChainNotInZ, NotJoinMorphism, SourceTargetMismatch
 from .lattices import Lattice, chain_lattice
@@ -58,9 +58,6 @@ class JoinMap:
 
     def __hash__(self):
         return hash(self.values)
-
-    def __call__(self, x):
-        return self.values[x]
 
     def is_surjective(self):
         return len(set(self.values)) == self.target.n
@@ -95,21 +92,8 @@ def make_join_map(source: Lattice, target: Lattice, table) -> JoinMap:
     return JoinMap(source, target, values)
 
 
-def is_join_map(source: Lattice, target: Lattice, table) -> bool:
-    try:
-        make_join_map(source, target, table)
-        return True
-    except NotJoinMorphism:
-        return False
-
-
 def identity_map(L: Lattice) -> JoinMap:
     return JoinMap(L, L, tuple(range(L.n)))
-
-
-def constant_bottom(source: Lattice, target: Lattice | None = None) -> JoinMap:
-    target = target or source
-    return JoinMap(source, target, (target.bottom,) * source.n)
 
 
 def compose(g: JoinMap, f: JoinMap) -> JoinMap:
@@ -244,8 +228,8 @@ def enumerate_join_endomorphisms(L: Lattice, tot_only=False):
     far and skips every value outside it, so no other map is built; the
     maps come in the same order as the full enumeration's.
     """
-    kernel = _kernel(L)
-    n, join, bottom, schedule = L.n, kernel.join, kernel.bottom, kernel.schedule
+    schedule = _kernel(L)
+    n, join, bottom = L.n, L._join, L.bottom
     ext = [bottom] * n
     assigned = [0] * len(schedule)
     last = len(schedule) - 1
@@ -289,44 +273,33 @@ def enumerate_join_endomorphisms(L: Lattice, tot_only=False):
         yield JoinMap(L, L, values)
 
 
-class _Kernel(NamedTuple):
-    """The lookup tables that test irreducible assignments on one lattice."""
+def _kernel(L: Lattice):
+    """L's tests of irreducible assignments, scheduled by the positions they read.
 
-    irr: tuple[int, ...]
-    below: tuple[tuple[int, ...], ...]  # per element, positions in irr below it
-    join: list[list[int]]  # the rows of L._join
-    bottom: int
-    pairs: tuple[tuple[int, int, int], ...]  # (x, y, x v y), x, y incomparable
-    # per position, the tests whose deepest position read is it: the
-    # elements to extend, each with its shallower positions; the
-    # irreducibles with their positions; the pairs, as in `pairs`
-    schedule: tuple[tuple[tuple, tuple, tuple], ...]
-
-
-def _kernel(L: Lattice) -> _Kernel:
-    """The kernel of L, with its tests scheduled by the positions they read.
-
-    An element's extension reads the positions below it; the test at an
-    irreducible j reads those and j's own position, which is one of them;
-    a pair test reads ext at x, y and x v y, and the positions below x and
-    y lie below x v y.  So each test is held at the depth of the deepest
-    position below the element it tests, whatever order the irreducibles
-    come in.  Only bottom has no position below it; it extends to bottom
-    and is no test's x v y.
+    One entry per position of `L.join_irreducibles()`, each holding the
+    tests whose deepest position read is it: the elements to extend, each
+    with its shallower positions; the irreducibles with their positions;
+    and the incomparable pairs (x, y, x v y).  An element's extension reads
+    the positions below it; the test at an irreducible j reads those and
+    j's own position, which is one of them; a pair test reads ext at x, y
+    and x v y, and the positions below x and y lie below x v y.  So each
+    test is held at the depth of the deepest position below the element it
+    tests, whatever order the irreducibles come in.  Only bottom has no
+    position below it; it extends to bottom and is no test's x v y.
     """
-    irr = tuple(L.join_irreducibles())
-    below = tuple(
+    irr = L.join_irreducibles()
+    below = [
         tuple(p for p, j in enumerate(irr) if L.down[t] >> j & 1) for t in range(L.n)
-    )
+    ]
     join = L._join
-    pairs = tuple(
+    pairs = [
         (x, y, join[x][y])
         for x in range(L.n)
         for y in range(x + 1, L.n)
         if not L.comparable(x, y)
-    )
+    ]
     deepest = [max(positions, default=-1) for positions in below]
-    schedule = tuple(
+    return tuple(
         (
             tuple((t, below[t][:-1]) for t in range(L.n) if deepest[t] == d),
             tuple((j, p) for p, j in enumerate(irr) if deepest[j] == d),
@@ -334,49 +307,46 @@ def _kernel(L: Lattice) -> _Kernel:
         )
         for d in range(len(irr))
     )
-    return _Kernel(irr, below, join, L.bottom, pairs, schedule)
 
 
-def _endomorphism_of(kernel: _Kernel, assignment):
+def _extend_assignment(L: Lattice, schedule, assignment):
     """The value table an irreducible assignment determines, or None.
 
-    None when the extension disagrees with the assignment on some
-    irreducible, or fails the join-morphism check.  The extension sends
-    bottom to bottom and is monotone, so only incomparable pairs can break
+    The assignment is walked along the schedule, one position at a time as
+    the search takes them, and None comes at the first position where the
+    extension disagrees with the assignment on an irreducible or fails the
+    join-morphism check.  The extension sends bottom to bottom and is
+    monotone, so only incomparable pairs can break
     `ext(x v y) = ext(x) v ext(y)`; the check is `make_join_map`'s, read
     off the tables.
     """
-    ext = _extend_assignment(kernel, assignment)
-    for j, v in zip(kernel.irr, assignment):
-        if ext[j] != v:
-            return None
-    join = kernel.join
-    for x, y, xy in kernel.pairs:
-        if ext[xy] != join[ext[x]][ext[y]]:
-            return None
+    join, bottom = L._join, L.bottom
+    ext = [bottom] * L.n
+    for v, (extend, fixed, pairs) in zip(assignment, schedule):
+        for t, shallower in extend:
+            acc = bottom
+            for p in shallower:
+                acc = join[acc][assignment[p]]
+            ext[t] = join[acc][v]
+        for j, p in fixed:
+            if ext[j] != assignment[p]:
+                return None
+        for x, y, xy in pairs:
+            if ext[xy] != join[ext[x]][ext[y]]:
+                return None
     return tuple(ext)
-
-
-def _extend_assignment(kernel: _Kernel, assignment):
-    join, bottom = kernel.join, kernel.bottom
-    ext = []
-    for positions in kernel.below:
-        acc = bottom
-        for p in positions:
-            acc = join[acc][assignment[p]]
-        ext.append(acc)
-    return ext
 
 
 def sample_join_endomorphisms(L: Lattice, count, rng):
     """Draw `count` valid join-endomorphisms by uniform irreducible assignment.
 
-    Rejection sampling; deterministic for a fixed rng state.
+    Rejection sampling; deterministic for a fixed rng state.  Each attempt
+    draws its whole assignment before any test.
     """
-    kernel = _kernel(L)
+    schedule = _kernel(L)
     out = []
     while len(out) < count:
-        values = _endomorphism_of(kernel, [rng.randrange(L.n) for _ in kernel.irr])
+        values = _extend_assignment(L, schedule, [rng.randrange(L.n) for _ in schedule])
         if values is not None:
             out.append(JoinMap(L, L, values))
     return out

@@ -43,9 +43,6 @@ class Chain:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, x):
-        return x in self.members
-
     def labels(self):
         return tuple(self.ambient.names[m] for m in self.members)
 
@@ -58,9 +55,8 @@ class Poset:
 
     Bit j of `up[i]` is set iff i <= j; `down`, computed once, is the
     transpose: bit i of `down[j]` is set iff i <= j.  Every query, the
-    covers, the Moebius recursion, intervals and the dual read these
-    masks; no other form of the order is kept.  The Moebius memo table is
-    filled lazily.
+    covers, the Moebius recursion and the dual read these masks; no other
+    form of the order is kept.  The Moebius memo table is filled lazily.
     """
 
     def __init__(self, names, up):
@@ -117,9 +113,6 @@ class Poset:
 
     # -- basic queries ----------------------------------------------------
 
-    def __len__(self):
-        return self.n
-
     def __eq__(self, other):
         return self is other or (
             isinstance(other, Poset)
@@ -129,9 +122,6 @@ class Poset:
 
     def __hash__(self):
         return hash((self.names, self.up))
-
-    def elements(self):
-        return range(self.n)
 
     def index_of(self, label):
         try:
@@ -238,21 +228,6 @@ class Poset:
             for members in sorted(set(results))
             if (size is None or len(members) == size) and required.issubset(members)
         ]
-
-    def interval(self, x, y, open_=False):
-        """Induced subposet on [x, y], or on ]x, y[ when `open_` is set."""
-        if not self.leq(x, y):
-            raise NotComparable(f"{self.names[x]} is not <= {self.names[y]}")
-        span = self.up[x] & self.down[y]
-        if open_:
-            span &= ~(1 << x | 1 << y)
-        carrier = list(bit_indices(span))
-        position = {z: i for i, z in enumerate(carrier)}
-        up = [
-            sum(1 << position[w] for w in bit_indices(self.up[z] & span))
-            for z in carrier
-        ]
-        return Poset([self.names[z] for z in carrier], up)
 
     def dual(self):
         """The order-reversed poset over the same elements, of the same class."""

@@ -308,6 +308,11 @@ def test_cmd_idempotent_crapo_agrees(capsys):
     assert plain == filtered
 
 
+def test_cmd_idempotent_crapo_with_original_method_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "idempotent", "pentagon", "--crapo", "--method", "original")
+    assert code == 2 and out == "" and err.startswith("error: ") and "--crapo" in err
+
+
 def test_cmd_idempotent_mod_ring(capsys):
     code, out, _ = run_cli(
         capsys, "idempotent", "boolean:2", "--ring", "mod:2", "--format", "json"
@@ -337,6 +342,12 @@ def test_cmd_mobius_chain(capsys):
     code, out, _ = run_cli(capsys, "mobius", "boolean:2", "--chain", "0,a")
     assert code == 0
     assert "= 0" in out and "oracle = 0" in out
+
+
+@pytest.mark.parametrize("pair", [("0", "ab"), ("0",)])
+def test_cmd_mobius_elements_with_chain_is_an_error(capsys, pair):
+    code, out, err = run_cli(capsys, "mobius", "boolean:2", *pair, "--chain", "0,a")
+    assert code == 2 and out == "" and err.startswith("error: ") and "--chain" in err
 
 
 def test_cmd_mobius_unknown_label(capsys):

@@ -176,6 +176,10 @@ def test_generate_unknown():
         generate("chain")
     with pytest.raises(UnsupportedSpec):
         generate("chain:x")
+    # int() would read these as chain:10, chain:3 and boolean:3
+    for spec in ("chain:1_0", "chain:\u0663", "boolean:+3"):
+        with pytest.raises(UnsupportedSpec):
+            generate(spec)
 
 
 def test_generate_product():

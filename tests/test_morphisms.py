@@ -22,12 +22,10 @@ from totlat.morphisms import (
     JoinMap,
     alpha_of_chain,
     compose,
-    constant_bottom,
     enumerate_join_endomorphisms,
     has_chain_image,
     identity_map,
     image_chain,
-    is_join_map,
     make_join_map,
     opposite_morphism,
     pi_of_chain,
@@ -236,6 +234,19 @@ ORACLE_SPECS = list(DEFAULT_CORPUS) + ["divisor:60", "diamond:5", "partition:4"]
 # -- the mask fast paths against pairwise and join_all oracles --------------
 
 
+def constant_bottom(L):
+    return JoinMap(L, L, (L.bottom,) * L.n)
+
+
+def is_join_map(L, M, table):
+    """True iff `make_join_map` accepts the table."""
+    try:
+        make_join_map(L, M, table)
+        return True
+    except NotJoinMorphism:
+        return False
+
+
 def image_chain_oracle(phi):
     """The image as a Chain, by a pairwise `comparable` scan, else None."""
     T = phi.target
@@ -427,8 +438,6 @@ def test_ideal_closure():
 
 
 def test_sampling_is_deterministic_and_valid():
-    import random
-
     L = generate("partition:4")
     a = sample_join_endomorphisms(L, 20, random.Random(7))
     b = sample_join_endomorphisms(L, 20, random.Random(7))
@@ -437,7 +446,7 @@ def test_sampling_is_deterministic_and_valid():
         assert is_join_map(L, L, phi.values)
 
 
-# -- the lookup-table kernel against the per-candidate method calls ---------
+# -- the assignment schedule against the per-candidate method calls ---------
 
 
 def _method_call_endomorphism(L, irr, assignment):
@@ -526,11 +535,18 @@ def test_relabelling_takes_irreducibles_out_of_linear_extension_order(spec):
                for seed in range(3))
 
 
-@pytest.mark.parametrize("spec", ["partition:4", "divisor:360", "diamond:8"])
-def test_kernel_sampling_matches_method_calls(spec):
-    import random
-
+@pytest.mark.parametrize("spec, relabel_seed", [
+    *(pytest.param(spec, None, id=spec)
+      for spec in ("partition:4", "divisor:360", "diamond:8", "chain:0")),
+    *(pytest.param(spec, seed, id=f"{spec}-relabelled-{seed}")
+      for spec in RELABELLED for seed in range(3)),
+])
+def test_kernel_sampling_matches_method_calls(spec, relabel_seed):
     L = generate(spec)
+    if relabel_seed is not None:
+        # the sampler walks each draw along the search's schedule, which may
+        # not rely on an irreducible coming after the irreducibles below it
+        L = _relabelled(L, relabel_seed)
     for seed in range(5):
         drawn = sample_join_endomorphisms(L, 10, random.Random(seed))
         assert [phi.values for phi in drawn] == _method_call_sample(L, 10, random.Random(seed))
