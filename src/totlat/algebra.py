@@ -19,11 +19,19 @@ The headline objects:
                           idempotents f_B built from interval-pick families.
 
 Both produce the same element; the equivalence is the main cross-check.
+
+The family sum is computed over the integers: each f_B is built from its
+sections read through the table of pi^B, the f_B are added in Z, and the
+total is mapped into the requested ring once.  That is exact, because
+every coefficient of j^B is a signed product of Moebius values, and Z -> R
+is the unique ring map, which commutes with the sums and products that
+build e; modulo m the mapping drops the terms that vanish.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -467,6 +475,29 @@ def has_noncomplemented_step(L: Lattice, B) -> bool:
 # -- the family construction ----------------------------------------------
 
 
+def _sections(L: Lattice, members):
+    """The (section table, coefficient) pairs of j^B, B = members, over Z.
+
+    Raises ChainNotInB before any pair is made if B misses the top.  The
+    tables are distinct, one per pick tuple, and no coefficient is zero.
+    """
+    if not members or members[-1] != L.top:
+        raise ChainNotInB("chain must contain the top element")
+    mobius = L.mobius
+    # weights[p-1] maps each pick a in [b_{p-1}, b_p] to mu(b_{p-1}, a) != 0
+    weights = [
+        {a: mu for a in L.interval_elements(lo, hi) if (mu := mobius(lo, a))}
+        for lo, hi in zip(members, members[1:])
+    ]
+    sign = (-1) ** (len(members) - 1)
+    head = (L.bottom,)
+    return zip(
+        (head + picks for picks in itertools.product(*weights)),
+        (sign * math.prod(mus)
+         for mus in itertools.product(*(step.values() for step in weights))),
+    )
+
+
 def j_upper(L: Lattice, B, ring: Ring = ZZ) -> FormalSum:
     """The section sum over a top-ended chain B = {b_0 < ... < b_n}.
 
@@ -474,37 +505,36 @@ def j_upper(L: Lattice, B, ring: Ring = ZZ) -> FormalSum:
     prod_p mu(b_{p-1}, a_p) times the section 0 -> bottom, p -> a_p of the
     index order.  Picks with mu zero are left out, as their terms vanish.
     Every section is a join-morphism as built: its source is a chain, and
-    it increases because a_p <= b_p <= b_{q-1} <= a_q for p < q.
+    it increases because a_p <= b_p <= b_{q-1} <= a_q for p < q.  The
+    coefficients are integers, coerced into `ring` on the way in.
     """
     members = tuple(B)
-    if not members or members[-1] != L.top:
-        raise ChainNotInB("chain must contain the top element")
-    n = len(members) - 1
-    P = chain_lattice(n)
-    mobius = L.mobius
-    # weights[p-1] maps each pick a in [b_{p-1}, b_p] to mu(b_{p-1}, a) != 0
-    weights = [
-        {a: mu for a in L.interval_elements(lo, hi) if (mu := mobius(lo, a))}
-        for lo, hi in zip(members, members[1:])
-    ]
-    sign = (-1) ** n
-    terms = []
-    for picks in itertools.product(*weights):
-        coeff = sign
-        for step, a in zip(weights, picks):
-            coeff *= step[a]
-        terms.append(((L.bottom,) + picks, coeff))
-    return FormalSum(ring, P, L, terms)
+    sections = _sections(L, members)
+    return FormalSum(ring, chain_lattice(len(members) - 1), L, sections)
 
 
 def f_of_chain(L: Lattice, B, ring: Ring = ZZ) -> FormalSum:
-    """The idempotent attached to a top-ended chain: section sum after the
-    index surjection."""
-    return j_upper(L, B, ring) * embed(pi_of_chain(L, B), ring)
+    """The idempotent f_B = j^B o pi^B attached to a top-ended chain B.
+
+    Each section table of j^B is read through pi^B's table, and the terms
+    are kept over Z as they come: pi^B is surjective, so distinct sections
+    stay distinct after it, and no coefficient is zero.  The sum is mapped
+    into `ring` once, which drops the terms that vanish modulo m.
+    """
+    members = tuple(B)
+    sections = _sections(L, members)
+    through_pi = _table_getter(pi_of_chain(L, members).values)
+    f = FormalSum._of(ZZ, L, L, {through_pi(table): c for table, c in sections})
+    return f if ring == ZZ else f.map_ring(ring)
 
 
 def idempotent_original(L: Lattice, ring: Ring = ZZ) -> FormalSum:
-    """Sum of f_B over all top-ended chains B of every length."""
-    return FormalSum.total(ring, L, L, (
-        f_of_chain(L, B, ring) for B in sorted(L.chain_family("B"), key=len)
+    """Sum of f_B over all top-ended chains B of every length.
+
+    The f_B are summed over Z and the sum is mapped into `ring` once; Z -> R
+    is a ring map and commutes with the sums and products that build e.
+    """
+    e = FormalSum.total(ZZ, L, L, (
+        f_of_chain(L, B) for B in sorted(L.chain_family("B"), key=len)
     ))
+    return e if ring == ZZ else e.map_ring(ring)

@@ -499,6 +499,43 @@ def test_f_of_chain_two_point_lattice():
     assert f_top + f_both == identity_sum(L)
 
 
+FAMILY_ORACLE_SPECS = list(DEFAULT_CORPUS) + ["divisor:60", "diamond:5", "partition:4"]
+FAMILY_ORACLE_RINGS = ["int", "mod:2", "mod:3", "rat"]
+
+
+def ring_level_f(L, B, ring):
+    """f_B = j^B * pi^B multiplied out with every step in `ring`."""
+    return j_upper(L, B, ring) * embed(pi_of_chain(L, B), ring)
+
+
+@pytest.mark.parametrize("ring", FAMILY_ORACLE_RINGS)
+@pytest.mark.parametrize("spec", FAMILY_ORACLE_SPECS)
+def test_f_of_chain_matches_ring_level_product(spec, ring):
+    # partition:4 has Moebius values 2 and -6, so terms vanish mod 2 and 3
+    L = generate(spec)
+    ring = Ring.parse(ring)
+    for B in L.chain_family("B"):
+        assert f_of_chain(L, B, ring) == ring_level_f(L, B, ring), B
+    if L.n > 1:
+        with pytest.raises(ChainNotInB):
+            f_of_chain(L, (L.bottom,), ring)
+
+
+@pytest.mark.parametrize("ring", FAMILY_ORACLE_RINGS)
+@pytest.mark.parametrize("spec", FAMILY_ORACLE_SPECS)
+def test_original_matches_ring_level_sum(spec, ring):
+    L = generate(spec)
+    R = Ring.parse(ring)
+    oracle = FormalSum.total(R, L, L, (
+        ring_level_f(L, B, R) for B in sorted(L.chain_family("B"), key=len)))
+    e = idempotent_original(L, R)
+    assert e == oracle
+    # the terms that vanish modulo 2 and 3 are dropped
+    partition4_terms = {"int": 32, "mod:2": 21, "mod:3": 31}
+    if spec == "partition:4" and ring in partition4_terms:
+        assert len(e.terms) == partition4_terms[ring]
+
+
 def test_f_of_chain_idempotent():
     for spec in ("boolean:2", "pentagon", "divisor:12"):
         L = generate(spec)
