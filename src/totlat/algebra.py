@@ -3,10 +3,14 @@ constructions.
 
 A formal sum holds its ring, source and target lattices once and keys
 each term by the map's value table, so a product composes tables directly.
-`map_products` composes one sum with many single maps: on at most 256
-elements it holds the tables as `bytes`, and each composite is one
-`bytes.translate` call; above that it falls back to tuples read through
-`itemgetter`.
+`map_products` and `vanishing_products` test the products of one sum with
+many single maps: on at most 256 elements they hold the tables as
+`bytes`, and each composite is one `bytes.translate` call; above that
+they fall back to tuples read through `itemgetter`.  With integer
+coefficients an equality of two such products is decided by sorting the
+composites, each repeated |c| times on the side of its sign, and
+comparing two lists; modulo m, or with a fractional coefficient, the
+composites are accumulated term by term.
 Coefficients live in an exact commutative ring (integers, integers mod m,
 or rationals); no floating point anywhere.  Integer coefficients are the
 canonical path: every coefficient that occurs is a Moebius value.
@@ -294,49 +298,158 @@ class FormalSum:
         return f"FormalSum({bits or '0'})"
 
 
-def map_products(s: FormalSum):
-    """(key, products) for an endomorphism sum s: products(p) gives the
-    terms of s * [p] and of [p] * s, keyed by `key` of their value tables.
+def _composition(n):
+    """(key, outer, inner, at) for the value tables of maps on an n-element lattice.
 
-    [p] is the endomorphism with value table p as a sum with coefficient
-    1, so s * [p] has the coefficients of s on the tables g o p and
-    [p] * s on the tables p o f; re-keyed by `key`, `embed` and `*` give
-    the same dicts.  On at most 256 elements a table is keyed as `bytes`,
-    and each table of s also gets its 256-byte translation table, so that
-    g o p is `p.translate(g's table)` and p o f is `f.translate(p's)`, one
-    C call per composite.  Above 256 elements a table is keyed as a tuple
-    and read through `_table_getter`.  The tables of s are prepared once,
-    so a sweep over many maps pays for each only its composites and their
-    accumulation.
+    A table t of a sum is prepared once, as outer(t) to be read through
+    maps and as inner(t) to have maps read through it.  For a map p,
+    at(p) gives (after, apply, args): after(outer(g)) is the table of
+    g o p, and args repeats one argument without end, so that
+    map(apply, inners, args) gives the tables p o f; each is encoded as
+    key(table) would encode it.  On at most 256 elements a table is
+    `bytes` and each composite one `bytes.translate` call: outer(g) is
+    `_translation(g)`, so g o p is `p.translate(outer(g))` and p o f is
+    `f.translate(_translation(p))`.  Above 256 elements a table is a
+    tuple, read through `_table_getter`.  Nothing is built per lattice,
+    and no closure per map: a sweep makes one `at` call for a few dozen
+    composites, and binding two closures there cost a third of the time
+    of `map_products`' test.
     """
-    coeffs = list(s.terms.values())
-    modulus = s.ring.modulus
+    if n > 256:
+        return tuple, tuple, _table_getter, _tuples_at
+    return bytes, _translation, bytes, _bytes_at
 
-    if s.source.n > 256:
-        tables = list(s.terms)
-        getters = [_table_getter(f) for f in tables]
 
-        def products(p):
+def _translation(table):
+    """A table of at most 256 entries as the 256 bytes `bytes.translate` reads."""
+    return bytes(table).ljust(256, b"\0")
+
+
+def _bytes_at(p):
+    p = bytes(p)
+    return p.translate, bytes.translate, itertools.repeat(_translation(p))
+
+
+def _tuples_at(p):
+    return _table_getter(p), _apply, itertools.repeat(p)
+
+
+def _apply(get, table):
+    return get(table)
+
+
+def _signed_tables(s: FormalSum):
+    """(positive, negative): each table of s repeated c times if its
+    coefficient c is positive, and -c times if negative.
+
+    None over Z/m or when a coefficient is not an integer.  Over Z, and
+    so over Q for integral coefficients, sum c_i [l_i] = sum c_i [r_i]
+    holds exactly when the multiset of the l_i of positive terms and the
+    r_i of negative ones, each repeated |c_i| times, equals the multiset
+    of the r_i of positive terms and the l_i of negative ones: both say
+    that every table has the same total coefficient on the two sides.
+    Modulo m that fails: -1 = m - 1, and m copies of one table vanish.
+    """
+    if s.ring.kind == "mod" or any(c.denominator != 1 for c in s.terms.values()):
+        return None
+    positive, negative = [], []
+    for table, c in s.terms.items():
+        c = c.numerator
+        (positive if c > 0 else negative).extend([table] * abs(c))
+    return positive, negative
+
+
+def map_products(s: FormalSum):
+    """(commutes, fixes) for an endomorphism sum s and maps p, given as
+    value tables: commutes(p) tells whether s * [p] == [p] * s, and
+    fixes(p) whether s * [p] == [p] == [p] * s.
+
+    [p] is the endomorphism p as a sum with coefficient 1, so s * [p]
+    has the coefficients of s on the tables g o p and [p] * s on the
+    tables p o f.  The tables of s are prepared once by `_composition`,
+    so a sweep over many maps pays for each only its composites.  With
+    integral coefficients (over Z, or over Q when every denominator is 1)
+    each equality is decided by `_signed_tables`' multisets: each table
+    of s is prepared on its sign's side, repeated |c| times, and the two
+    sides are sorted and compared, with no per-term step in Python.  Over
+    Z/m or with a fractional coefficient, the composites are accumulated
+    exactly, as `FormalSum.__mul__` would with p embedded.
+    """
+    key, outer, inner, at = _composition(s.source.n)
+    signed = _signed_tables(s)
+    if signed is None:
+        modulus, one = s.ring.modulus, s.ring.coerce(1)
+        coeffs = list(s.terms.values())
+        outers, inners = list(map(outer, s.terms)), list(map(inner, s.terms))
+
+        def commutes(p):
+            after, apply, args = at(p)
             left, right = {}, {}
-            _accumulate(modulus, left, zip(map(_table_getter(p), tables), coeffs))
-            _accumulate(modulus, right, zip([get(p) for get in getters], coeffs))
-            return left, right
+            _accumulate(modulus, left, zip(map(after, outers), coeffs))
+            _accumulate(modulus, right, zip(map(apply, inners, args), coeffs))
+            return left == right
 
-        return tuple, products
+        def fixes(p):
+            after, apply, args = at(p)
+            fixed, left = {key(p): one}, {}
+            _accumulate(modulus, left, zip(map(after, outers), coeffs))
+            if left != fixed:
+                return False
+            right = {}
+            _accumulate(modulus, right, zip(map(apply, inners, args), coeffs))
+            return right == fixed
 
-    tables = [bytes(f) for f in s.terms]
-    pad = bytes(256 - s.source.n)
-    trans = [f + pad for f in tables]
+        return commutes, fixes
 
-    def products(p):
-        p = bytes(p)
-        p_trans = p + pad
-        left, right = {}, {}
-        _accumulate(modulus, left, zip(map(p.translate, trans), coeffs))
-        _accumulate(modulus, right, zip([f.translate(p_trans) for f in tables], coeffs))
-        return left, right
+    positive, negative = signed
+    pos_out, neg_out = list(map(outer, positive)), list(map(outer, negative))
+    pos_in, neg_in = list(map(inner, positive)), list(map(inner, negative))
 
-    return bytes, products
+    def commutes(p):
+        after, apply, args = at(p)
+        return (sorted(itertools.chain(map(after, pos_out), map(apply, neg_in, args)))
+                == sorted(itertools.chain(map(after, neg_out), map(apply, pos_in, args))))
+
+    def fixes(p):
+        after, apply, args = at(p)
+        fixed = key(p)
+        return (sorted(map(after, pos_out)) == sorted([fixed, *map(after, neg_out)])
+                and sorted(map(apply, pos_in, args))
+                == sorted([fixed, *map(apply, neg_in, args)]))
+
+    return commutes, fixes
+
+
+def vanishing_products(s: FormalSum):
+    """The predicate vanishes(p): whether [p] * s is zero, for a map p out
+    of the target of s, given as its value table.
+
+    Decided as in `map_products`: with integral coefficients by comparing
+    the sorted tables p o f of the positive and the negative terms of s,
+    each repeated |c| times, and otherwise by accumulating them exactly.
+    """
+    _, _, inner, at = _composition(s.target.n)
+    signed = _signed_tables(s)
+    if signed is None:
+        modulus, coeffs = s.ring.modulus, list(s.terms.values())
+        inners = list(map(inner, s.terms))
+
+        def vanishes(p):
+            _, apply, args = at(p)
+            acc = {}
+            _accumulate(modulus, acc, zip(map(apply, inners, args), coeffs))
+            return not acc
+
+        return vanishes
+
+    positive, negative = (list(map(inner, side)) for side in signed)
+
+    def vanishes(p):
+        _, apply, args = at(p)
+        return (sorted(map(apply, positive, args))
+                == sorted(map(apply, negative, args)))
+
+    return vanishes
 
 
 def identity_sum(L: Lattice, ring: Ring = ZZ) -> FormalSum:

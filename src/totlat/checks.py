@@ -17,13 +17,14 @@ instead is a small part of the sweep.
 `central` compares e o phi with phi o e for every map phi, and
 `identity_on_tot` compares both with psi for every chain-image map psi.
 Neither builds a formal sum per map: `algebra.map_products` prepares the
-tables and coefficients of `e` once per check, as byte strings with
-their translation tables on at most 256 elements and as tuples with a
-getter each above, then composes each value table with them and
-accumulates the composites exactly, as `FormalSum.__mul__` would with
-the map embedded; the products are keyed by the same encoding, so psi
-is compared as `key(psi.values)`.  The tests keep the embedded products
-as the oracle.  The chain-image maps come from the enumerator's pruned
+tables of `e` once per check, as byte strings with their translation
+tables on at most 256 elements and as tuples with a getter each above,
+and returns the two predicates.  The coefficients of `e` are integers,
+so over Z and Q each predicate sorts the composites of the map with the
+tables of `e`, each repeated |c| times on its sign's side, and compares
+two lists; modulo m it accumulates them exactly, as `FormalSum.__mul__`
+would with the map embedded.  The tests keep the embedded products as
+the oracle.  The chain-image maps come from the enumerator's pruned
 search, which never builds a map whose image is not a chain.
 
 The f_family check never multiplies two idempotents f_B = j^B * pi^B out
@@ -31,8 +32,10 @@ on L.  Each pi^C is surjective, so right composition by it is injective
 on formal sums.  Hence f_B * f_C is zero exactly when j^B * (pi^B * j^C)
 is, and f_B * f_B = f_B exactly when j^B * (pi^B * j^B) = j^B; the tables
 of these products have one entry per member of C, not one per element of
-L.  The pairwise L-level loop is kept in the tests as the oracle of this
-check.
+L.  Whether pi^B * j^C is zero is decided by `algebra.vanishing_products`,
+with the tables of j^C prepared once per chain; only a nonzero pi^B * j^C
+is multiplied out, and then by j^B.  The pairwise L-level loop is kept
+in the tests as the oracle of this check.
 
 Feasibility gates keep the default suite fast: exhaustive endomorphism
 sweeps require at most `assignment_limit()` candidate assignments, n ** k
@@ -64,6 +67,7 @@ from .algebra import (
     map_products,
     mu_chain_infinity,
     mu_chain_infinity_oracle,
+    vanishing_products,
 )
 from .errors import FeasibilityLimit, UnknownCheck
 from .lattices import Lattice
@@ -184,14 +188,11 @@ def check_identity_on_tot(ws: Workspace):
     """e acts as two-sided identity on every endomorphism with chain image."""
     if not ws.enumerable:
         return ws.report("identity_on_tot", "skipped", note=SKIPPED_ABOVE_GATE)
-    key, products = map_products(ws.e)
-    one = ws.ring.coerce(1)
+    _, fixes = map_products(ws.e)
     count = 0
     for psi in enumerate_join_endomorphisms(ws.L, tot_only=True):
         count += 1
-        s = {key(psi.values): one}
-        left, right = products(psi.values)
-        if left != s or right != s:
+        if not fixes(psi.values):
             return ws.report(
                 "identity_on_tot", "fail",
                 counterexample={"psi": psi.table_labels()},
@@ -201,7 +202,7 @@ def check_identity_on_tot(ws: Workspace):
 
 
 def check_central(ws: Workspace):
-    _, products = map_products(ws.e)
+    commutes, _ = map_products(ws.e)
     note = None
     used_seed = None
     if ws.enumerable:
@@ -216,8 +217,7 @@ def check_central(ws: Workspace):
     count = 0
     for phi in endos:
         count += 1
-        left, right = products(phi.values)
-        if left != right:
+        if not commutes(phi.values):
             return ws.report(
                 "central", "fail",
                 counterexample={"phi": phi.table_labels()},
@@ -252,32 +252,38 @@ def check_f_family(ws: Workspace):
     over any ring.  Hence f_B * f_C = (j^B * (pi^B * j^C)) * pi^C is zero
     iff j^B * (pi^B * j^C) is, and f_B * f_B = f_B iff
     j^B * (pi^B * j^B) = j^B; both products act on index-chain tables.
-    The outer product is skipped when pi^B * j^C is already zero.  Chains
+    Whether pi^B * j^C is zero is decided by `vanishing_products(j^C)`
+    reading pi^B's table, with no formal product; only when it is not
+    are pi^B * j^C and then j^B * (pi^B * j^C) multiplied out.  Chains
     are tested in the order, and with the witnesses, of multiplying the
     f_B out pairwise on L, which the tests keep as the oracle, so the
     reports are the same.
     """
     L, ring = ws.L, ws.ring
-    sides = [(B, j_upper(L, B, ring), embed(pi_of_chain(L, B), ring))
-             for B in sorted(L.chain_family("B"), key=len)]
-    for B, j, pi in sides:
+    sides = []
+    for B in sorted(L.chain_family("B"), key=len):
+        j, pi = j_upper(L, B, ring), pi_of_chain(L, B)
+        sides.append((B, j, embed(pi, ring), pi.values, vanishing_products(j)))
+    for B, j, pi, _, _ in sides:
         if j * (pi * j) != j:
             return ws.report("f_family", "fail",
                              counterexample={"chain": B.labels(), "kind": "not idempotent"})
 
-    def vanishes(j, pi, k):
-        inner = pi * k
-        return inner.is_zero() or (j * inner).is_zero()
+    def vanishes(side, other):
+        # f_B * f_C is zero iff pi^B * j^C is, or else j^B * (pi^B * j^C)
+        _, j, pi, pi_table, _ = side
+        _, k, _, _, k_vanishes_after = other
+        return k_vanishes_after(pi_table) or (j * (pi * k)).is_zero()
 
-    for i, (B, j, pi) in enumerate(sides):
-        for C, k, rho in sides[i + 1:]:
-            if not vanishes(j, pi, k) or not vanishes(k, rho, j):
+    for i, first in enumerate(sides):
+        for second in sides[i + 1:]:
+            if not vanishes(first, second) or not vanishes(second, first):
                 return ws.report(
                     "f_family", "fail",
-                    counterexample={"chains": [B.labels(), C.labels()],
+                    counterexample={"chains": [first[0].labels(), second[0].labels()],
                                     "kind": "not orthogonal"},
                 )
-    total = FormalSum.total(ring, L, L, (j * pi for _, j, pi in sides))
+    total = FormalSum.total(ring, L, L, (j * pi for _, j, pi, _, _ in sides))
     if total != ws.e:
         return ws.report("f_family", "fail",
                          counterexample={"kind": "sum differs from direct idempotent",

@@ -126,8 +126,19 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
+def integer(text):
+    """An integer written in ASCII digits with an optional leading '-'.
+
+    int() would also take "1_0", "+5", " 3" and non-ASCII digits.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be an integer, not {text!r}")
+    return int(text)
+
+
 def positive_int(text):
-    value = int(text)
+    value = integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
     return value
@@ -166,7 +177,7 @@ def build_parser():
                             "omit to run the default corpus")
     p_ver.add_argument("--checks", help="comma-separated check names")
     p_ver.add_argument("--ring", default="int")
-    p_ver.add_argument("--seed", type=int, default=None)
+    p_ver.add_argument("--seed", type=integer, default=None)
     p_ver.add_argument("--sample-count", type=positive_int, default=500)
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.set_defaults(func=cmd_verify)

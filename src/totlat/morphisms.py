@@ -341,12 +341,24 @@ def sample_join_endomorphisms(L: Lattice, count, rng):
     """Draw `count` valid join-endomorphisms by uniform irreducible assignment.
 
     Rejection sampling; deterministic for a fixed rng state.  Each attempt
-    draws its whole assignment before any test.
+    draws its whole assignment before any test.  A value is drawn as
+    `rng.randrange(L.n)` draws it, by rejecting `getrandbits` values of
+    n's bit length that reach n, so the stream is the same without the
+    method's per-call overhead.
     """
     schedule = _kernel(L)
+    n = L.n
+    bits = n.bit_length()
+    getrandbits = rng.getrandbits
     out = []
     while len(out) < count:
-        values = _extend_assignment(L, schedule, [rng.randrange(L.n) for _ in schedule])
+        assignment = []
+        for _ in schedule:
+            v = getrandbits(bits)
+            while v >= n:
+                v = getrandbits(bits)
+            assignment.append(v)
+        values = _extend_assignment(L, schedule, assignment)
         if values is not None:
             out.append(JoinMap(L, L, values))
     return out

@@ -19,7 +19,9 @@ from totlat.algebra import (
     map_products,
     mu_chain_infinity,
     mu_chain_infinity_oracle,
+    vanishing_products,
 )
+from totlat.algebra import _composition  # the size at which tables become tuples
 from totlat.checks import DEFAULT_CORPUS
 from totlat.errors import (
     ChainNotInA,
@@ -241,42 +243,85 @@ def test_products_match_list_comprehension_oracle(spec, ring):
         assert list(product.terms.items()) == list(product_oracle(x, y).terms.items())
 
 
-@pytest.mark.parametrize("ring", ["int", "mod:2", "mod:3", "rat"])
-@pytest.mark.parametrize("spec", SMALL_CORPUS)
-def test_map_products_match_products_with_embedded_maps(spec, ring):
-    # e is central, so its two sides agree; the weighted sum of the
-    # retractions is not, and tells the sides apart
-    ring = Ring.parse(ring)
-    L = generate(spec)
+def sums_to_compose(L, ring):
+    """Endomorphism sums whose products with maps tell the two sides apart.
+
+    e is central and fixes exactly the chain-image maps; on partition:3
+    and diamond:5 it has the coefficients -2 and -4.  The retractions
+    weighted 1, 2, 3, 1, 2, ... commute with few maps.  e + c (alpha_B - alpha_C)
+    still fixes the constant map to bottom, which both retractions fix
+    on either side; c is 3, or 3/2 over the rationals, where the
+    fractional coefficient is accumulated, not compared as multisets.
+    """
+    chains = list(L.chain_family("Z"))
+    retractions = [alpha_of_chain(L, B).values for B in chains]
     e = idempotent_direct(L, ring)
-    retractions = FormalSum(ring, L, L, [
-        (alpha_of_chain(L, B).values, k + 1) for k, B in enumerate(L.chain_family("Z"))])
-    for x in (e, retractions):
-        key, products = map_products(x)
-        for phi in enumerate_join_endomorphisms(L):
+    sums = [e, FormalSum(ring, L, L, [(r, k % 3 + 1) for k, r in enumerate(retractions)])]
+    if len(chains) > 1:
+        c = Fraction(3, 2) if ring.kind == "rat" else 3
+        sums.append(e + FormalSum(ring, L, L, [(retractions[0], c), (retractions[1], -c)]))
+    return sums
+
+
+def assert_map_products_match_embedded_products(L, ring, maps):
+    outcomes = set()
+    for x in sums_to_compose(L, ring):
+        commutes, fixes = map_products(x)
+        for phi in maps:
             s = embed(phi, ring)
-            left, right = products(phi.values)
-            assert left == {key(t): c for t, c in (x * s).terms.items()}
-            assert right == {key(t): c for t, c in (s * x).terms.items()}
+            left, right = x * s, s * x
+            outcome = (commutes(phi.values), fixes(phi.values))
+            assert outcome == (left == right, left == s == right)
+            outcomes.add(outcome)
+    return outcomes
+
+
+@pytest.mark.parametrize("ring", ["int", "mod:2", "mod:3", "rat"])
+@pytest.mark.parametrize("spec", SMALL_CORPUS + ["diamond:5"])
+def test_map_products_match_products_with_embedded_maps(spec, ring):
+    L = generate(spec)
+    outcomes = assert_map_products_match_embedded_products(
+        L, Ring.parse(ring), list(enumerate_join_endomorphisms(L)))
+    if L.n > 1:
+        assert outcomes >= {(True, True), (True, False), (False, False)}
 
 
 @pytest.mark.parametrize("spec, table_key", [("diamond:254", bytes), ("diamond:255", tuple)])
 def test_map_products_key_tables_by_lattice_size(spec, table_key):
     # byte tables reach 256 elements, one more falls back to tuples
-    ring = Ring("mod", 3)
     L = generate(spec)
-    chains = list(L.chain_family("Z"))
-    retractions = FormalSum(ring, L, L, [
-        (alpha_of_chain(L, B).values, k + 1) for k, B in enumerate(chains)])
-    maps = [identity_map(L)] + [alpha_of_chain(L, B) for B in chains[:3]]
-    for x in (idempotent_direct(L, ring), retractions):
-        key, products = map_products(x)
-        assert key is table_key
-        for phi in maps:
-            s = embed(phi, ring)
-            left, right = products(phi.values)
-            assert left == {key(t): c for t, c in (x * s).terms.items()}
-            assert right == {key(t): c for t, c in (s * x).terms.items()}
+    assert _composition(L.n)[0] is table_key
+    # swapping two atoms is an automorphism, which the weighted
+    # retractions do not commute with
+    a, b = [x for x in range(L.n) if x not in (L.bottom, L.top)][:2]
+    swap = list(range(L.n))
+    swap[a], swap[b] = b, a
+    maps = ([identity_map(L), constant_bottom(L), JoinMap(L, L, tuple(swap))]
+            + [alpha_of_chain(L, B) for B in itertools.islice(L.chain_family("Z"), 3)])
+    for ring in ("int", "mod:3", "rat"):
+        outcomes = assert_map_products_match_embedded_products(L, Ring.parse(ring), maps)
+        assert outcomes >= {(True, True), (False, False)}
+
+
+@pytest.mark.parametrize("ring", ["int", "mod:2", "mod:3", "rat"])
+@pytest.mark.parametrize("spec", SMALL_CORPUS + ["diamond:5", "diamond:255"])
+def test_vanishing_products_match_products_with_embedded_maps(spec, ring):
+    # pi^B * j^C, as the f_family check tests it; over the rationals j^C
+    # is also halved, which takes the accumulating path
+    ring = Ring.parse(ring)
+    L = generate(spec)
+    chains = sorted(L.chain_family("B"), key=len)[:12]
+    pis = [pi_of_chain(L, B) for B in chains]
+    outcomes = set()
+    for C in chains:
+        j = j_upper(L, C, ring)
+        for k in (j, j.scale(Fraction(1, 2))) if ring.kind == "rat" else (j,):
+            vanishes = vanishing_products(k)
+            for pi in pis:
+                outcome = vanishes(pi.values)
+                assert outcome == (embed(pi, ring) * k).is_zero()
+                outcomes.add(outcome)
+    assert outcomes == {True, False} if len(chains) > 1 else {False}
 
 
 def test_sorted_terms_deterministic():

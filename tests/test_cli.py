@@ -465,6 +465,26 @@ def test_sample_count_below_one_is_a_usage_error(count):
     assert f"argument --sample-count: must be at least 1, not {count}".encode() in err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--seed", "\u0663"),  # ARABIC-INDIC DIGIT THREE
+    ("--seed", "1_0"),
+    ("--sample-count", "+5"),
+])
+def test_integer_options_take_ascii_digits_only(option, value):
+    proc = cli_process("verify", "partition:4", "--checks", "central", option, value)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2 and out == b""
+    assert err.startswith(b"usage: totlat verify")
+    assert f"argument {option}: must be an integer, not {value!r}".encode() in err
+
+
+def test_negative_seed_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "verify", "partition:4", "--checks", "central",
+                           "--seed", "-3", "--sample-count", "5", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["seed"] == -3
+
+
 def test_cmd_verify_single_lattice(capsys):
     code, out, _ = run_cli(capsys, "verify", "boolean:2", "--format", "json")
     assert code == 0
@@ -592,6 +612,8 @@ def test_cmd_verify_deterministic_json(capsys):
     ("verify_default.jsonl", ()),
     ("verify_partition4_seed1.jsonl", ("partition:4", "--seed", "1")),
     ("verify_divisor60_seed1.jsonl", ("divisor:60", "--seed", "1")),
+    ("verify_divisor60_rat.jsonl", ("divisor:60", "--ring", "rat")),
+    ("verify_divisor60_mod2.jsonl", ("divisor:60", "--ring", "mod:2")),
 ])
 def test_cmd_verify_matches_golden_reports(capsys, golden, argv):
     code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
