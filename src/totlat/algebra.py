@@ -9,8 +9,9 @@ many single maps: on at most 256 elements they hold the tables as
 they fall back to tuples read through `itemgetter`.  With integer
 coefficients an equality of two such products is decided by sorting the
 composites, each repeated |c| times on the side of its sign, and
-comparing two lists; modulo m, or with a fractional coefficient, the
-composites are accumulated term by term.
+comparing two lists; modulo m, with a fractional coefficient, or with
+coefficients too large to repeat, the composites are accumulated term by
+term.
 Coefficients live in an exact commutative ring (integers, integers mod m,
 or rationals); no floating point anywhere.  Integer coefficients are the
 canonical path: every coefficient that occurs is a Moebius value.
@@ -338,11 +339,20 @@ def _apply(get, table):
     return get(table)
 
 
+# the most composites per term, on average, that the multiset comparison
+# of `_signed_tables` makes; e and every j^B stay under 1.7 on every
+# lattice measured, and a sum with larger coefficients is accumulated
+MAX_REPEATS_PER_TERM = 4
+
+
 def _signed_tables(s: FormalSum):
     """(positive, negative): each table of s repeated c times if its
     coefficient c is positive, and -c times if negative.
 
-    None over Z/m or when a coefficient is not an integer.  Over Z, and
+    None over Z/m, when a coefficient is not an integer, or when the |c|
+    add up to more than MAX_REPEATS_PER_TERM times the number of terms:
+    each repeat costs one composite per map, and the exact fold of
+    `_accumulate` then costs less.  Over Z, and
     so over Q for integral coefficients, sum c_i [l_i] = sum c_i [r_i]
     holds exactly when the multiset of the l_i of positive terms and the
     r_i of negative ones, each repeated |c_i| times, equals the multiset
@@ -350,7 +360,8 @@ def _signed_tables(s: FormalSum):
     that every table has the same total coefficient on the two sides.
     Modulo m that fails: -1 = m - 1, and m copies of one table vanish.
     """
-    if s.ring.kind == "mod" or any(c.denominator != 1 for c in s.terms.values()):
+    if (s.ring.kind == "mod" or any(c.denominator != 1 for c in s.terms.values())
+            or sum(map(abs, s.terms.values())) > MAX_REPEATS_PER_TERM * len(s.terms)):
         return None
     positive, negative = [], []
     for table, c in s.terms.items():
@@ -369,11 +380,12 @@ def map_products(s: FormalSum):
     tables p o f.  The tables of s are prepared once by `_composition`,
     so a sweep over many maps pays for each only its composites.  With
     integral coefficients (over Z, or over Q when every denominator is 1)
-    each equality is decided by `_signed_tables`' multisets: each table
-    of s is prepared on its sign's side, repeated |c| times, and the two
-    sides are sorted and compared, with no per-term step in Python.  Over
-    Z/m or with a fractional coefficient, the composites are accumulated
-    exactly, as `FormalSum.__mul__` would with p embedded.
+    of moderate size each equality is decided by `_signed_tables`'
+    multisets: each table of s is prepared on its sign's side, repeated
+    |c| times, and the two sides are sorted and compared, with no
+    per-term step in Python.  Otherwise, when `_signed_tables` gives
+    None, the composites are accumulated exactly, as `FormalSum.__mul__`
+    would with p embedded.
     """
     key, outer, inner, at = _composition(s.source.n)
     signed = _signed_tables(s)

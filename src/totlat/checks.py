@@ -27,15 +27,30 @@ would with the map embedded.  The tests keep the embedded products as
 the oracle.  The chain-image maps come from the enumerator's pruned
 search, which never builds a map whose image is not a chain.
 
-The f_family check never multiplies two idempotents f_B = j^B * pi^B out
-on L.  Each pi^C is surjective, so right composition by it is injective
-on formal sums.  Hence f_B * f_C is zero exactly when j^B * (pi^B * j^C)
-is, and f_B * f_B = f_B exactly when j^B * (pi^B * j^B) = j^B; the tables
-of these products have one entry per member of C, not one per element of
-L.  Whether pi^B * j^C is zero is decided by `algebra.vanishing_products`,
-with the tables of j^C prepared once per chain; only a nonzero pi^B * j^C
-is multiplied out, and then by j^B.  The pairwise L-level loop is kept
-in the tests as the oracle of this check.
+The f_family check certifies the orthogonality of the f_B instead of
+testing each pair.  Lemma: idempotents p_1 ... p_k of a finite-dimensional
+algebra over a field of characteristic 0 whose sum is idempotent are
+pairwise orthogonal.  In the left-regular representation the trace of
+an idempotent is its rank, so rank(sum p_i) = sum rank(p_i); the images
+of the p_i then form a direct sum equal to the image of their sum, and
+p_i p_j = 0 for i != j.  The algebra of maps on L over Q contains the
+one over Z, so over Z and Q the check passes, after testing each f_B for
+idempotence, as soon as sum f_B == e and e * e == e.  Modulo m the lemma
+fails (in characteristic 2, p_1 = p_2 = 1 sum to the idempotent 0 while
+p_1 p_2 = 1), so there, and whenever the certificate fails, every pair
+is tested as before: whether pi^B * j^C is zero is decided by
+`algebra.vanishing_products`, and only a nonzero one is multiplied out
+by j^B; the first non-orthogonal pair is the witness.  The pairwise
+L-level loop is kept in the tests as the oracle of this check.
+
+e * e is multiplied out once per Workspace, for whichever sum `e` holds
+(the tests assign mutated ones); `idempotent`, `f_family` and
+`decomposition` read it.  `decomposition` needs nothing else: in any
+ring (1 - e)^2 = 1 - 2e + e^2 and e(1 - e) = (1 - e)e = e - e^2.
+`ideal_closure` reads each map through each distinct chain image: a
+composite with a chain-image map a fails only as p o a, whose image is
+p(image of a); it tries the pairs in order, for the first witness, only
+if one of these fails.
 
 Feasibility gates keep the default suite fast: exhaustive endomorphism
 sweeps require at most `assignment_limit()` candidate assignments, n ** k
@@ -47,6 +62,7 @@ Both limits are read from the environment when a check needs them.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -61,7 +77,6 @@ from .algebra import (
     has_noncomplemented_step,
     idempotent_direct,
     idempotent_original,
-    identity_sum,
     j_upper,
     limit_from_env,
     map_products,
@@ -148,11 +163,20 @@ class Workspace:
         self.descriptor = descriptor
         self.seed = seed
         self.sample_count = sample_count
+        self._square = self._square_of = None
 
     @cached_property
     def e(self) -> FormalSum:
         """The direct idempotent over the workspace ring."""
         return idempotent_direct(self.L, self.ring)
+
+    @property
+    def e_squared(self) -> FormalSum:
+        """e * e, multiplied out once for whichever sum `e` holds now."""
+        e = self.e
+        if self._square_of is not e:
+            self._square, self._square_of = e * e, e
+        return self._square
 
     @cached_property
     def enumerable(self):
@@ -174,8 +198,7 @@ def _sum_as_witness(s: FormalSum):
 
 
 def check_idempotent(ws: Workspace):
-    e = ws.e
-    square = e * e
+    e, square = ws.e, ws.e_squared
     if square == e:
         return ws.report("idempotent", "pass", counts={"terms": len(e.terms)})
     return ws.report(
@@ -245,6 +268,12 @@ def check_formula_equivalence(ws: Workspace):
 def check_f_family(ws: Workspace):
     """Each f_B idempotent, all pairs orthogonal, and their sum is e.
 
+    After the per-chain idempotence test the f_B are summed.  Over Z and
+    Q, a sum equal to e with e * e == e certifies that every pair is
+    orthogonal (see the module docstring), so no pair is tested.  Modulo
+    m, or when the certificate fails, the pairs are tested as follows and
+    then the sum is compared with e.
+
     f_B = j^B * pi^B, and no two f_B are multiplied out on L.  pi^C is
     surjective, so g -> g o pi^C is injective on value tables, and X * pi^C
     has the terms of X, moved to distinct tables, with the same
@@ -263,32 +292,40 @@ def check_f_family(ws: Workspace):
     sides = []
     for B in sorted(L.chain_family("B"), key=len):
         j, pi = j_upper(L, B, ring), pi_of_chain(L, B)
-        sides.append((B, j, embed(pi, ring), pi.values, vanishing_products(j)))
-    for B, j, pi, _, _ in sides:
+        sides.append((B, j, embed(pi, ring), pi.values))
+    for B, j, pi, _ in sides:
         if j * (pi * j) != j:
             return ws.report("f_family", "fail",
                              counterexample={"chain": B.labels(), "kind": "not idempotent"})
-
-    def vanishes(side, other):
-        # f_B * f_C is zero iff pi^B * j^C is, or else j^B * (pi^B * j^C)
-        _, j, pi, pi_table, _ = side
-        _, k, _, _, k_vanishes_after = other
-        return k_vanishes_after(pi_table) or (j * (pi * k)).is_zero()
-
-    for i, first in enumerate(sides):
-        for second in sides[i + 1:]:
-            if not vanishes(first, second) or not vanishes(second, first):
-                return ws.report(
-                    "f_family", "fail",
-                    counterexample={"chains": [first[0].labels(), second[0].labels()],
-                                    "kind": "not orthogonal"},
-                )
-    total = FormalSum.total(ring, L, L, (j * pi for _, j, pi, _, _ in sides))
-    if total != ws.e:
-        return ws.report("f_family", "fail",
-                         counterexample={"kind": "sum differs from direct idempotent",
-                                         "sum": _sum_as_witness(total)})
+    total = FormalSum.total(ring, L, L, (j * pi for _, j, pi, _ in sides))
+    if ring.kind == "mod" or total != ws.e or ws.e_squared != ws.e:
+        pair = _nonorthogonal_pair(sides)
+        if pair is not None:
+            return ws.report("f_family", "fail",
+                             counterexample={"chains": pair, "kind": "not orthogonal"})
+        if total != ws.e:
+            return ws.report("f_family", "fail",
+                             counterexample={"kind": "sum differs from direct idempotent",
+                                             "sum": _sum_as_witness(total)})
     return ws.report("f_family", "pass", counts={"chains": len(sides)})
+
+
+def _nonorthogonal_pair(sides):
+    """The labels of the first chains B before C with f_B * f_C or
+    f_C * f_B nonzero, or None; `sides` as `check_f_family` builds them.
+
+    f_B * f_C is zero iff pi^B * j^C is, or else j^B * (pi^B * j^C).
+    """
+    vanishes_after = [vanishing_products(j) for _, j, _, _ in sides]
+
+    def vanishes(first, second):
+        (_, j, pi, pi_table), (_, k, _, _) = sides[first], sides[second]
+        return vanishes_after[second](pi_table) or (j * (pi * k)).is_zero()
+
+    for first, second in itertools.combinations(range(len(sides)), 2):
+        if not vanishes(first, second) or not vanishes(second, first):
+            return [sides[first][0].labels(), sides[second][0].labels()]
+    return None
 
 
 def check_mobius_lemmas(ws: Workspace):
@@ -406,27 +443,27 @@ def check_opposite_involution(ws: Workspace):
 
 
 def check_decomposition(ws: Workspace):
-    """Id splits as e + (Id - e) with both parts idempotent and orthogonal."""
-    e = ws.e
-    one = identity_sum(ws.L, ws.ring)
-    rest = one - e
-    ok = (
-        rest * rest == rest
-        and (e * rest).is_zero()
-        and (rest * e).is_zero()
-        and e + rest == one
-    )
-    if ok:
+    """Id splits as e + (Id - e) with both parts idempotent and orthogonal.
+
+    In any ring (Id - e)^2 = Id - 2e + e^2 and e(Id - e) = (Id - e)e =
+    e - e^2, and e + (Id - e) = Id always holds, so all four equalities
+    hold iff e^2 == e: the check reads the workspace's shared e^2.
+    """
+    if ws.e_squared == ws.e:
         return ws.report("decomposition", "pass")
-    return ws.report("decomposition", "fail", counterexample={"e": _sum_as_witness(e)})
+    return ws.report("decomposition", "fail", counterexample={"e": _sum_as_witness(ws.e)})
 
 
 def check_ideal_closure(ws: Workspace):
     """Composites of a chain-image endomorphism with anything stay chain-image.
 
     Each composite is the raw value table `[a[v] for v in p]` or
-    `[p[v] for v in a]`, tested with `has_chain_image`; pairs are tried in
-    the order of the enumeration, so the first failing pair is the witness.
+    `[p[v] for v in a]`, tested with `has_chain_image`.  The image of
+    a o p lies inside the image of a, a chain, so only p o a can fail,
+    and its image p(image of a) depends on a only through that image:
+    each map is first read through each distinct chain image.  Only if
+    one of these fails are the pairs tried in the order of the
+    enumeration, so the first failing pair is the witness.
     """
     L = ws.L
     if not ws.enumerable or L.n > 6:
@@ -434,17 +471,20 @@ def check_ideal_closure(ws: Workspace):
                          note="restricted to exhaustively enumerable lattices with <= 6 elements")
     alls = list(enumerate_join_endomorphisms(L))
     tots = [alpha for alpha in alls if has_chain_image(L, alpha.values)]
-    for alpha in tots:
-        a = alpha.values
-        for phi in alls:
-            p = phi.values
-            if not (has_chain_image(L, [a[v] for v in p])
-                    and has_chain_image(L, [p[v] for v in a])):
-                return ws.report(
-                    "ideal_closure", "fail",
-                    counterexample={"alpha": alpha.table_labels(),
-                                    "phi": phi.table_labels()},
-                )
+    chain_images = {frozenset(alpha.values) for alpha in tots}
+    if not all(has_chain_image(L, [phi.values[v] for v in image])
+               for phi in alls for image in chain_images):
+        for alpha in tots:
+            a = alpha.values
+            for phi in alls:
+                p = phi.values
+                if not (has_chain_image(L, [a[v] for v in p])
+                        and has_chain_image(L, [p[v] for v in a])):
+                    return ws.report(
+                        "ideal_closure", "fail",
+                        counterexample={"alpha": alpha.table_labels(),
+                                        "phi": phi.table_labels()},
+                    )
     return ws.report("ideal_closure", "pass", counts={"tot": len(tots), "all": len(alls)})
 
 

@@ -19,7 +19,7 @@ from totlat.checks import (
     check_crapo_restriction,
     run_suite,
 )
-from totlat.algebra import ZZ, FormalSum, Ring, embed, idempotent_direct
+from totlat.algebra import ZZ, FormalSum, Ring, embed, idempotent_direct, identity_sum
 from totlat.errors import UnknownCheck
 from totlat.lattices import boolean_lattice, chain_lattice, generate
 from totlat.morphisms import JoinMap, compose, enumerate_join_endomorphisms, pi_of_chain
@@ -192,16 +192,21 @@ def test_individual_checks_pass(spec):
 # -- f_family against multiplying every pair f_B, f_C out on L ----------------
 
 
+def family_member(L, B, ring):
+    """f_B = j^B * pi^B on L, from the j^B and pi^B the check reads."""
+    return checks.j_upper(L, B, ring) * embed(checks.pi_of_chain(L, B), ring)
+
+
 def f_family_oracle(ws):
     """check_f_family's report, from the L-level products of the f_B.
 
     Each f_B = j^B * pi^B is built on L and every product f_B * f_C is
-    multiplied out in full.  j^B comes from `checks.j_upper`, so a test
-    that corrupts the sections the check uses corrupts the oracle's too.
+    multiplied out in full.  j^B and pi^B come from `checks.j_upper` and
+    `checks.pi_of_chain`, so a test that corrupts the sections or the
+    surjections the check uses corrupts the oracle's too.
     """
     L, ring = ws.L, ws.ring
-    fs = [(B, checks.j_upper(L, B, ring) * embed(pi_of_chain(L, B), ring))
-          for B in sorted(L.chain_family("B"), key=len)]
+    fs = [(B, family_member(L, B, ring)) for B in sorted(L.chain_family("B"), key=len)]
     for B, f in fs:
         if f * f != f:
             return ws.report("f_family", "fail",
@@ -305,6 +310,109 @@ def test_f_family_one_sided_product_fails_like_the_oracle(monkeypatch, spec, mut
         assert report == f_family_oracle(ws).to_dict()
 
 
+# The check passes over Z and Q without testing a pair when its
+# certificate holds: every f_B idempotent, sum f_B == e and e * e == e.
+# Each test below breaks one premise and compares with the oracle.
+
+
+@pytest.mark.parametrize("ring", ["int", "mod:2", "rat"])
+@pytest.mark.parametrize("spec", ["pentagon", "divisor:12", "boolean:3"])
+def test_f_family_with_an_idempotent_e_other_than_the_sum_fails_like_the_oracle(spec, ring):
+    # e * e == e holds, sum f_B == e does not
+    L, ring = generate(spec), Ring.parse(ring)
+    first = min(L.chain_family("B"), key=len)
+    e = idempotent_direct(L, ring)
+    for other in (FormalSum(ring, L, L), identity_sum(L, ring),
+                  e - family_member(L, first, ring)):
+        ws = Workspace(L, ring, descriptor=spec)
+        ws.e = other
+        assert ws.e_squared == ws.e
+        report = check_f_family(ws).to_dict()
+        assert report["counterexample"]["kind"] == "sum differs from direct idempotent"
+        assert report == f_family_oracle(ws).to_dict()
+
+
+@pytest.mark.parametrize("spec", ["pentagon", "divisor:12"])
+def test_f_family_summing_to_a_non_idempotent_e_fails_like_the_oracle(monkeypatch, spec):
+    # f_C becomes f_C + z, z = f_B y f_C, as in the one-sided test, and e
+    # becomes their new sum e + z: every f_B is idempotent and they sum
+    # to e, but e * e = e + 2z, so the certificate does not apply
+    L = generate(spec)
+    real_j, real_e = checks.j_upper, checks.idempotent_direct
+    chains = sorted(L.chain_family("B"), key=len)
+    for ring in (ZZ, Ring("rat"), Ring("mod", 3)):
+        f = {tuple(B): family_member(L, B, ring) for B in chains}
+        endos = [embed(y, ring) for y in enumerate_join_endomorphisms(L)]
+        B, C, y = next((B, C, y) for B in chains for C in chains if B != C for y in endos
+                       if not (f[tuple(B)] * y * f[tuple(C)]).is_zero())
+        z = f[tuple(B)] * y * f[tuple(C)]
+
+        def corrupted_j(L, D, ring=ZZ):
+            s = real_j(L, D, ring)
+            return s + f[tuple(B)] * y * s if tuple(D) == tuple(C) else s
+
+        monkeypatch.setattr(checks, "j_upper", corrupted_j)
+        monkeypatch.setattr(checks, "idempotent_direct",
+                            lambda L, ring=ZZ, crapo_filter=False: real_e(L, ring) + z)
+        ws = Workspace(L, ring, descriptor=spec)
+        assert FormalSum.total(ring, L, L, (family_member(L, D, ring) for D in chains)) == ws.e
+        assert ws.e_squared != ws.e
+        report = check_f_family(ws).to_dict()
+        assert report["counterexample"]["kind"] == "not orthogonal"
+        assert report == f_family_oracle(ws).to_dict()
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("ring", ["int", "mod:2", "mod:3", "rat"])
+@pytest.mark.parametrize("spec", ["pentagon", "divisor:12", "boolean:3"])
+def test_f_family_with_a_repeated_member_fails_like_the_oracle(monkeypatch, spec, ring):
+    # C takes B's sections and surjection, so f_C = f_B and f_B * f_C =
+    # f_B; e is replaced by the new sum, r + 2 f_B with r = e - f_B - f_C.
+    # Modulo 2 that is the idempotent r, so there every premise but
+    # characteristic 0 holds: only testing the pairs finds the witness.
+    L, ring = generate(spec), Ring.parse(ring)
+    chains = sorted(L.chain_family("B"), key=len)
+    B, C = chains[0], chains[1]
+    real_j, real_pi = checks.j_upper, checks.pi_of_chain
+    e = idempotent_direct(L, ring)
+    e = e - family_member(L, C, ring) + family_member(L, B, ring)
+    monkeypatch.setattr(checks, "j_upper", lambda L, D, ring=ZZ:
+                        real_j(L, B if tuple(D) == tuple(C) else D, ring))
+    monkeypatch.setattr(checks, "pi_of_chain", lambda L, D:
+                        real_pi(L, B if tuple(D) == tuple(C) else D))
+    ws = Workspace(L, ring, descriptor=spec)
+    ws.e = e
+    assert FormalSum.total(ring, L, L, (family_member(L, D, ring) for D in chains)) == e
+    assert (ws.e_squared == e) == (ring.modulus == 2)
+    report = check_f_family(ws).to_dict()
+    assert report["counterexample"] == {"chains": [B.labels(), C.labels()],
+                                        "kind": "not orthogonal"}
+    assert report == f_family_oracle(ws).to_dict()
+
+
+def test_f_family_tests_pairs_only_modulo_m(monkeypatch):
+    # on the passing corpus the certificate holds over Z and Q, so no
+    # pi^B * j^C is tested; modulo 2 every pair is
+    real = checks.vanishing_products
+    calls = []
+
+    def counted(s):
+        vanishes = real(s)
+
+        def counted_vanishes(p):
+            calls.append(p)
+            return vanishes(p)
+
+        return counted_vanishes
+
+    monkeypatch.setattr(checks, "vanishing_products", counted)
+    for ring in ("int", "rat", "mod:2"):
+        calls.clear()
+        reports = run_suite(ring=Ring.parse(ring), checks=["f_family"])
+        assert {r.status for r in reports} == {"pass"}
+        assert bool(calls) == (ring == "mod:2"), ring
+
+
 # -- central and identity_on_tot against embedded products ---------------
 
 
@@ -383,6 +491,59 @@ def test_central_and_identity_on_tot_on_a_mutated_e_match_the_oracles(spec, ring
         assert "fail" in statuses
 
 
+# -- idempotent and decomposition against their full products -------------
+
+
+def idempotent_oracle(ws):
+    """check_idempotent's report, with e * e multiplied out afresh."""
+    e = ws.e
+    square = e * e
+    if square == e:
+        return ws.report("idempotent", "pass", counts={"terms": len(e.terms)})
+    return ws.report(
+        "idempotent", "fail",
+        counterexample={"e": checks._sum_as_witness(e),
+                        "e_squared": checks._sum_as_witness(square)},
+    )
+
+
+def decomposition_oracle(ws):
+    """check_decomposition's report, from the four products it asserts."""
+    e = ws.e
+    one = identity_sum(ws.L, ws.ring)
+    rest = one - e
+    if (rest * rest == rest and (e * rest).is_zero() and (rest * e).is_zero()
+            and e + rest == one):
+        return ws.report("decomposition", "pass")
+    return ws.report("decomposition", "fail",
+                     counterexample={"e": checks._sum_as_witness(e)})
+
+
+@pytest.mark.parametrize("mutate", [flipped_term, dropped_term, doubled_term])
+@pytest.mark.parametrize("ring", ["int", "mod:2", "mod:3", "rat"])
+def test_decomposition_and_idempotent_on_a_mutated_e_match_the_oracles(ring, mutate):
+    # One workspace per lattice takes each mutated e in turn, after e * e
+    # of the true e is cached: the shared square must follow what `e`
+    # holds.  Modulo 2 a flipped term changes nothing, and e without any
+    # one of its terms is still idempotent on every lattice here.
+    ring = Ring.parse(ring)
+    statuses = []
+    for spec in MULTI_TERM_SPECS:
+        ws = Workspace(generate(spec), ring, descriptor=spec)
+        e = ws.e
+        assert check_decomposition(ws).status == "pass"
+        for table in sorted(e.terms):
+            ws.e = mutate(e, table)
+            if ws.e == e:
+                continue
+            for check, oracle in ((check_decomposition, decomposition_oracle),
+                                  (check_idempotent, idempotent_oracle)):
+                report = check(ws).to_dict()
+                assert report == oracle(ws).to_dict()
+                statuses.append(report["status"])
+    assert ("fail" in statuses) == (ring.modulus != 2)
+
+
 # -- ideal_closure against composing JoinMaps pairwise ----------------------
 
 
@@ -456,3 +617,35 @@ def test_ideal_closure_mutated_maps_fail_like_the_oracle(monkeypatch, spec):
     assert report["counterexample"] == {"alpha": alpha.table_labels(),
                                         "phi": maps[-1].table_labels()}
     assert report == ideal_closure_oracle(ws).to_dict()
+
+
+@pytest.mark.parametrize("spec", ["boolean:2", "diamond:3", "pentagon", "partition:3"])
+def test_ideal_closure_reads_the_maps_through_every_chain_image(monkeypatch, spec):
+    # A chain image T is broken alone by a table that sends two members
+    # of T, which no other chain image holds both of, to incomparable
+    # elements and everything else to the bottom; one such table is
+    # appended at a time, so each of these images must be read.  (On
+    # divisor:12 every such pair lies in two chain images.)
+    L = generate(spec)
+    maps = list(enumerate_join_endomorphisms(L))
+    images = {frozenset(phi.values) for phi in maps if _pairwise_chain(phi)}
+    x, y = next((x, y) for x, y in itertools.combinations(range(L.n), 2)
+                if not L.comparable(x, y))
+    broken = 0
+    for image in images:
+        alone = [(u, v) for u, v in itertools.combinations(sorted(image), 2)
+                 if not any({u, v} <= other for other in images - {image})]
+        if not alone:
+            continue
+        table = [L.bottom] * L.n
+        (u, v), = alone[:1]
+        table[u], table[v] = x, y
+        injected = maps + [JoinMap(L, L, tuple(table))]
+        monkeypatch.setattr(checks, "enumerate_join_endomorphisms",
+                            lambda L: iter(injected))
+        ws = Workspace(L, descriptor=spec)
+        report = check_ideal_closure(ws).to_dict()
+        assert report["status"] == "fail"
+        assert report == ideal_closure_oracle(ws).to_dict()
+        broken += 1
+    assert broken
