@@ -340,9 +340,13 @@ def _apply(get, table):
 
 
 # the most composites per term, on average, that the multiset comparison
-# of `_signed_tables` makes; e and every j^B stay under 1.7 on every
-# lattice measured, and a sum with larger coefficients is accumulated
-MAX_REPEATS_PER_TERM = 4
+# of `_signed_tables` makes; past it the exact fold is faster.  Timed per
+# map: at 1 repeat per term the multiset wins by 1.3-1.6x, at 2 the fold
+# by 1.2-2x (diamond:254, diamond:255, divisor:360, partition:5 with e
+# scaled); on e itself the multiset wins on diamond:5 (1.50) and
+# partition:4 (1.47), ties on partition:5 (1.65) and loses 1.8x on
+# partition:6 (1.81)
+MAX_REPEATS_PER_TERM = 1.75
 
 
 def _signed_tables(s: FormalSum):
@@ -351,8 +355,8 @@ def _signed_tables(s: FormalSum):
 
     None over Z/m, when a coefficient is not an integer, or when the |c|
     add up to more than MAX_REPEATS_PER_TERM times the number of terms:
-    each repeat costs one composite per map, and the exact fold of
-    `_accumulate` then costs less.  Over Z, and
+    each repeat costs one composite per map and a longer sort, and the
+    exact fold of `_accumulate` then costs less.  Over Z, and
     so over Q for integral coefficients, sum c_i [l_i] = sum c_i [r_i]
     holds exactly when the multiset of the l_i of positive terms and the
     r_i of negative ones, each repeated |c_i| times, equals the multiset

@@ -22,7 +22,8 @@ tables on at most 256 elements and as tuples with a getter each above,
 and returns the two predicates.  The coefficients of `e` are integers,
 so over Z and Q each predicate sorts the composites of the map with the
 tables of `e`, each repeated |c| times on its sign's side, and compares
-two lists; modulo m it accumulates them exactly, as `FormalSum.__mul__`
+two lists; modulo m, or where the |c| are too large to repeat (on
+partition:6), it accumulates them exactly, as `FormalSum.__mul__`
 would with the map embedded.  The tests keep the embedded products as
 the oracle.  The chain-image maps come from the enumerator's pruned
 search, which never builds a map whose image is not a chain.
@@ -43,14 +44,12 @@ is tested as before: whether pi^B * j^C is zero is decided by
 by j^B; the first non-orthogonal pair is the witness.  The pairwise
 L-level loop is kept in the tests as the oracle of this check.
 
-e * e is multiplied out once per Workspace, for whichever sum `e` holds
-(the tests assign mutated ones); `idempotent`, `f_family` and
+e * e is multiplied out once per Workspace; `idempotent`, `f_family` and
 `decomposition` read it.  `decomposition` needs nothing else: in any
 ring (1 - e)^2 = 1 - 2e + e^2 and e(1 - e) = (1 - e)e = e - e^2.
-`ideal_closure` reads each map through each distinct chain image: a
+`ideal_closure` reads each map through each distinct chain image once: a
 composite with a chain-image map a fails only as p o a, whose image is
-p(image of a); it tries the pairs in order, for the first witness, only
-if one of these fails.
+p(image of a).
 
 Feasibility gates keep the default suite fast: exhaustive endomorphism
 sweeps require at most `assignment_limit()` candidate assignments, n ** k
@@ -163,20 +162,16 @@ class Workspace:
         self.descriptor = descriptor
         self.seed = seed
         self.sample_count = sample_count
-        self._square = self._square_of = None
 
     @cached_property
     def e(self) -> FormalSum:
         """The direct idempotent over the workspace ring."""
         return idempotent_direct(self.L, self.ring)
 
-    @property
+    @cached_property
     def e_squared(self) -> FormalSum:
-        """e * e, multiplied out once for whichever sum `e` holds now."""
-        e = self.e
-        if self._square_of is not e:
-            self._square, self._square_of = e * e, e
-        return self._square
+        """e * e, multiplied out once and shared by the checks that need it."""
+        return self.e * self.e
 
     @cached_property
     def enumerable(self):
@@ -460,10 +455,11 @@ def check_ideal_closure(ws: Workspace):
     Each composite is the raw value table `[a[v] for v in p]` or
     `[p[v] for v in a]`, tested with `has_chain_image`.  The image of
     a o p lies inside the image of a, a chain, so only p o a can fail,
-    and its image p(image of a) depends on a only through that image:
-    each map is first read through each distinct chain image.  Only if
-    one of these fails are the pairs tried in the order of the
-    enumeration, so the first failing pair is the witness.
+    and its image p(image of a) depends on a only through that image.
+    The pairs are walked in the order of the enumeration, chain-image map
+    first, and a map whose image an earlier one passed with is skipped,
+    so each distinct chain image is read through every map once and the
+    first failing pair is the witness.
     """
     L = ws.L
     if not ws.enumerable or L.n > 6:
@@ -471,20 +467,20 @@ def check_ideal_closure(ws: Workspace):
                          note="restricted to exhaustively enumerable lattices with <= 6 elements")
     alls = list(enumerate_join_endomorphisms(L))
     tots = [alpha for alpha in alls if has_chain_image(L, alpha.values)]
-    chain_images = {frozenset(alpha.values) for alpha in tots}
-    if not all(has_chain_image(L, [phi.values[v] for v in image])
-               for phi in alls for image in chain_images):
-        for alpha in tots:
-            a = alpha.values
-            for phi in alls:
-                p = phi.values
-                if not (has_chain_image(L, [a[v] for v in p])
-                        and has_chain_image(L, [p[v] for v in a])):
-                    return ws.report(
-                        "ideal_closure", "fail",
-                        counterexample={"alpha": alpha.table_labels(),
-                                        "phi": phi.table_labels()},
-                    )
+    passed = set()
+    for alpha in tots:
+        image = frozenset(alpha.values)
+        if image in passed:
+            continue
+        for phi in alls:
+            p = phi.values
+            if not has_chain_image(L, [p[v] for v in image]):
+                return ws.report(
+                    "ideal_closure", "fail",
+                    counterexample={"alpha": alpha.table_labels(),
+                                    "phi": phi.table_labels()},
+                )
+        passed.add(image)
     return ws.report("ideal_closure", "pass", counts={"tot": len(tots), "all": len(alls)})
 
 

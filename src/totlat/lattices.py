@@ -75,15 +75,8 @@ class Lattice(Poset):
                 raise NotALattice(self.names[x], self.names[y],
                                   "join" if joins[y] is None else "meet")
             self._join.append(joins)
-        self._derive(by_down)
-
-    def _derive(self, by_down):
-        """Set what the order and the join table give without a scan:
-        the ends, the strict upper sets, the comparability masks, and
-        empty caches; `by_down` maps each down-set mask to its element."""
-        n, up, down = self.n, self.up, self.down
         full = (1 << n) - 1
-        self.bottom = up.index(full)
+        self.bottom = by_up[full]
         self.top = by_down[full]
         self._above = tuple(
             tuple(bit_indices(up[x] & ~(1 << x))) for x in range(n)
@@ -114,19 +107,10 @@ class Lattice(Poset):
     def opposite(self):
         """The order-reversed lattice; join and meet swap, so do the ends.
 
-        Built once and read off this lattice, with no lattice scan: the
-        dual of a lattice is one, its up-sets are our down-sets, and its
-        join of x and y is our meet, the element of `down[x] & down[y]`.
-        `L.opposite().opposite() is L`.
+        Built once, as `dual()`; `L.opposite().opposite() is L`.
         """
         if self._opposite is None:
-            op = object.__new__(type(self))
-            op.names, op.n, op._index = self.names, self.n, self._index
-            op.up, op.down = self.down, self.up
-            op._covers, op._mobius_memo = None, {}
-            by_down = self._by_down
-            op._join = [[by_down[d & m] for m in self.down] for d in self.down]
-            op._derive({m: z for z, m in enumerate(self.up)})
+            op = self.dual()
             op._opposite = self
             self._opposite = op
         return self._opposite

@@ -522,17 +522,16 @@ def decomposition_oracle(ws):
 @pytest.mark.parametrize("mutate", [flipped_term, dropped_term, doubled_term])
 @pytest.mark.parametrize("ring", ["int", "mod:2", "mod:3", "rat"])
 def test_decomposition_and_idempotent_on_a_mutated_e_match_the_oracles(ring, mutate):
-    # One workspace per lattice takes each mutated e in turn, after e * e
-    # of the true e is cached: the shared square must follow what `e`
-    # holds.  Modulo 2 a flipped term changes nothing, and e without any
-    # one of its terms is still idempotent on every lattice here.
+    # one term of e at a time is corrupted, each in a fresh workspace.
+    # Modulo 2 a flipped term changes nothing, and e without any one of
+    # its terms is still idempotent on every lattice here.
     ring = Ring.parse(ring)
     statuses = []
     for spec in MULTI_TERM_SPECS:
-        ws = Workspace(generate(spec), ring, descriptor=spec)
-        e = ws.e
-        assert check_decomposition(ws).status == "pass"
+        L = generate(spec)
+        e = idempotent_direct(L, ring)
         for table in sorted(e.terms):
+            ws = Workspace(L, ring, descriptor=spec)
             ws.e = mutate(e, table)
             if ws.e == e:
                 continue
@@ -597,15 +596,17 @@ def broken_at(L, w):
     return JoinMap(L, L, tuple(table))
 
 
+@pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("spec", ["boolean:2", "diamond:3", "pentagon", "divisor:12",
                                   "partition:3"])
-def test_ideal_closure_mutated_maps_fail_like_the_oracle(monkeypatch, spec):
+def test_ideal_closure_mutated_maps_fail_like_the_oracle(monkeypatch, spec, reverse):
     # The first chain image above the bottom, alpha, is broken only by a
     # table appended last; a table put first breaks later chain images
     # only.  Pairs taken alpha first report (alpha, last table); pairs
-    # taken map first would report the first table.
+    # taken map first would report the first table.  The maps come in
+    # the enumeration's order or reversed, and alpha is first in either.
     L = generate(spec)
-    maps = list(enumerate_join_endomorphisms(L))
+    maps = list(enumerate_join_endomorphisms(L))[::-1 if reverse else 1]
     alpha = next(phi for phi in maps if _pairwise_chain(phi) and len(set(phi.values)) > 1)
     image = set(alpha.values)
     inside = max(image - {L.bottom})
@@ -624,8 +625,10 @@ def test_ideal_closure_reads_the_maps_through_every_chain_image(monkeypatch, spe
     # A chain image T is broken alone by a table that sends two members
     # of T, which no other chain image holds both of, to incomparable
     # elements and everything else to the bottom; one such table is
-    # appended at a time, so each of these images must be read.  (On
-    # divisor:12 every such pair lies in two chain images.)
+    # appended at a time, so each of these images must be read.  Of the
+    # maps with image T only one is kept, moved to the end, so that T is
+    # read from the last chain-image map.  (On divisor:12 every such pair
+    # lies in two chain images.)
     L = generate(spec)
     maps = list(enumerate_join_endomorphisms(L))
     images = {frozenset(phi.values) for phi in maps if _pairwise_chain(phi)}
@@ -640,7 +643,9 @@ def test_ideal_closure_reads_the_maps_through_every_chain_image(monkeypatch, spe
         table = [L.bottom] * L.n
         (u, v), = alone[:1]
         table[u], table[v] = x, y
-        injected = maps + [JoinMap(L, L, tuple(table))]
+        holders = [phi for phi in maps if frozenset(phi.values) == image]
+        injected = ([phi for phi in maps if frozenset(phi.values) != image]
+                    + holders[:1] + [JoinMap(L, L, tuple(table))])
         monkeypatch.setattr(checks, "enumerate_join_endomorphisms",
                             lambda L: iter(injected))
         ws = Workspace(L, descriptor=spec)
