@@ -3,18 +3,17 @@ constructions.
 
 A formal sum holds its ring, source and target lattices once and keys
 each term by the map's value table, so a product composes tables directly.
-`map_products` and `vanishing_products` test the products of one sum with
-many single maps: on at most 256 elements they hold the tables as
+`map_products` and `vanishing_products` test the products of one sum over
+Z with many single maps: on at most 256 elements they hold the tables as
 `bytes`, and each composite is one `bytes.translate` call; above that
-they fall back to tuples read through `itemgetter`.  With integer
-coefficients an equality of two such products is decided by sorting the
-composites, each repeated |c| times on the side of its sign, and
-comparing two lists; modulo m, with a fractional coefficient, or with
-coefficients too large to repeat, the composites are accumulated term by
-term.
+they fall back to tuples read through `itemgetter`.  An equality of two
+such products is decided by sorting the composites, each repeated |c|
+times on the side of its sign, and comparing two lists; with
+coefficients too large to repeat, the composites are folded term by term.
 Coefficients live in an exact commutative ring (integers, integers mod m,
-or rationals); no floating point anywhere.  Integer coefficients are the
-canonical path: every coefficient that occurs is a Moebius value.
+or rationals); no floating point anywhere.  Every coefficient that occurs
+is a Moebius value, so the sums are built over Z: Z -> R is the unique
+ring map, and it commutes with the sums and products that build e.
 
 The headline objects:
 
@@ -24,13 +23,8 @@ The headline objects:
                           idempotents f_B built from interval-pick families.
 
 Both produce the same element; the equivalence is the main cross-check.
-
-The family sum is computed over the integers: each f_B is built from its
-sections read through the table of pi^B, the f_B are added in Z, and the
-total is mapped into the requested ring once.  That is exact, because
-every coefficient of j^B is a signed product of Moebius values, and Z -> R
-is the unique ring map, which commutes with the sums and products that
-build e; modulo m the mapping drops the terms that vanish.
+The family sum adds the f_B over Z and is mapped into the requested ring
+once; modulo m the mapping drops the terms that vanish.
 """
 
 from __future__ import annotations
@@ -350,70 +344,69 @@ MAX_REPEATS_PER_TERM = 1.75
 
 
 def _signed_tables(s: FormalSum):
-    """(positive, negative): each table of s repeated c times if its
-    coefficient c is positive, and -c times if negative.
+    """(positive, negative): each table of the sum s over Z repeated c
+    times if its coefficient c is positive, and -c times if negative.
 
-    None over Z/m, when a coefficient is not an integer, or when the |c|
-    add up to more than MAX_REPEATS_PER_TERM times the number of terms:
-    each repeat costs one composite per map and a longer sort, and the
-    exact fold of `_accumulate` then costs less.  Over Z, and
-    so over Q for integral coefficients, sum c_i [l_i] = sum c_i [r_i]
-    holds exactly when the multiset of the l_i of positive terms and the
-    r_i of negative ones, each repeated |c_i| times, equals the multiset
-    of the r_i of positive terms and the l_i of negative ones: both say
-    that every table has the same total coefficient on the two sides.
-    Modulo m that fails: -1 = m - 1, and m copies of one table vanish.
+    None when the |c| add up to more than MAX_REPEATS_PER_TERM times the
+    number of terms: each repeat costs one composite per map and a longer
+    sort, and the exact fold of `_accumulate` then costs less.  Over Z,
+    sum c_i [l_i] = sum c_i [r_i] holds exactly when the multiset of the
+    l_i of positive terms and the r_i of negative ones, each repeated
+    |c_i| times, equals the multiset of the r_i of positive terms and the
+    l_i of negative ones: both say that every table has the same total
+    coefficient on the two sides.
     """
-    if (s.ring.kind == "mod" or any(c.denominator != 1 for c in s.terms.values())
-            or sum(map(abs, s.terms.values())) > MAX_REPEATS_PER_TERM * len(s.terms)):
+    if sum(map(abs, s.terms.values())) > MAX_REPEATS_PER_TERM * len(s.terms):
         return None
     positive, negative = [], []
     for table, c in s.terms.items():
-        c = c.numerator
         (positive if c > 0 else negative).extend([table] * abs(c))
     return positive, negative
 
 
+def _cancels(*terms):
+    """Whether the (value table, integer coefficient) pairs of the
+    iterables `terms` add up to zero, folded exactly by `_accumulate`."""
+    acc = {}
+    _accumulate(None, acc, itertools.chain(*terms))
+    return not acc
+
+
 def map_products(s: FormalSum):
-    """(commutes, fixes) for an endomorphism sum s and maps p, given as
-    value tables: commutes(p) tells whether s * [p] == [p] * s, and
-    fixes(p) whether s * [p] == [p] == [p] * s.
+    """(commutes, fixes) for an endomorphism sum s over Z and maps p,
+    given as value tables: commutes(p) tells whether s * [p] == [p] * s,
+    and fixes(p) whether s * [p] == [p] == [p] * s.
 
     [p] is the endomorphism p as a sum with coefficient 1, so s * [p]
     has the coefficients of s on the tables g o p and [p] * s on the
     tables p o f.  The tables of s are prepared once by `_composition`,
     so a sweep over many maps pays for each only its composites.  With
-    integral coefficients (over Z, or over Q when every denominator is 1)
-    of moderate size each equality is decided by `_signed_tables`'
-    multisets: each table of s is prepared on its sign's side, repeated
-    |c| times, and the two sides are sorted and compared, with no
-    per-term step in Python.  Otherwise, when `_signed_tables` gives
-    None, the composites are accumulated exactly, as `FormalSum.__mul__`
-    would with p embedded.
+    coefficients of moderate size each equality is decided by
+    `_signed_tables`' multisets: each table of s is prepared on its
+    sign's side, repeated |c| times, and the two sides are sorted and
+    compared, with no per-term step in Python.  Otherwise the difference
+    of the two sides is folded exactly by `_cancels`.  Raises
+    SignatureMismatch if s is not over Z.
     """
+    if s.ring != ZZ:
+        raise SignatureMismatch(f"products with maps are decided over int, not {s.ring}")
     key, outer, inner, at = _composition(s.source.n)
     signed = _signed_tables(s)
     if signed is None:
-        modulus, one = s.ring.modulus, s.ring.coerce(1)
         coeffs = list(s.terms.values())
+        negated = [-c for c in coeffs]
         outers, inners = list(map(outer, s.terms)), list(map(inner, s.terms))
 
         def commutes(p):
             after, apply, args = at(p)
-            left, right = {}, {}
-            _accumulate(modulus, left, zip(map(after, outers), coeffs))
-            _accumulate(modulus, right, zip(map(apply, inners, args), coeffs))
-            return left == right
+            return _cancels(zip(map(after, outers), coeffs),
+                            zip(map(apply, inners, args), negated))
 
         def fixes(p):
             after, apply, args = at(p)
-            fixed, left = {key(p): one}, {}
-            _accumulate(modulus, left, zip(map(after, outers), coeffs))
-            if left != fixed:
-                return False
-            right = {}
-            _accumulate(modulus, right, zip(map(apply, inners, args), coeffs))
-            return right == fixed
+            minus_p = ((key(p), -1),)
+            return (_cancels(zip(map(after, outers), coeffs), minus_p)
+                    and _cancels(zip(map(apply, inners, args), coeffs), minus_p))
 
         return commutes, fixes
 
@@ -437,24 +430,22 @@ def map_products(s: FormalSum):
 
 
 def vanishing_products(s: FormalSum):
-    """The predicate vanishes(p): whether [p] * s is zero, for a map p out
-    of the target of s, given as its value table.
+    """The predicate vanishes(p): whether [p] * s is zero, for a sum s
+    over Z and a map p out of its target, given as its value table.
 
-    Decided as in `map_products`: with integral coefficients by comparing
-    the sorted tables p o f of the positive and the negative terms of s,
-    each repeated |c| times, and otherwise by accumulating them exactly.
+    Decided as in `map_products`, from the tables p o f of the terms of
+    s.  Raises SignatureMismatch if s is not over Z.
     """
+    if s.ring != ZZ:
+        raise SignatureMismatch(f"products with maps are decided over int, not {s.ring}")
     _, _, inner, at = _composition(s.target.n)
     signed = _signed_tables(s)
     if signed is None:
-        modulus, coeffs = s.ring.modulus, list(s.terms.values())
-        inners = list(map(inner, s.terms))
+        coeffs, inners = list(s.terms.values()), list(map(inner, s.terms))
 
         def vanishes(p):
             _, apply, args = at(p)
-            acc = {}
-            _accumulate(modulus, acc, zip(map(apply, inners, args), coeffs))
-            return not acc
+            return _cancels(zip(map(apply, inners, args), coeffs))
 
         return vanishes
 
@@ -627,34 +618,32 @@ def _sections(L: Lattice, members):
     )
 
 
-def j_upper(L: Lattice, B, ring: Ring = ZZ) -> FormalSum:
-    """The section sum over a top-ended chain B = {b_0 < ... < b_n}.
+def j_upper(L: Lattice, B) -> FormalSum:
+    """The section sum over a top-ended chain B = {b_0 < ... < b_n}, over Z.
 
     (-1)^n times the sum, over picks a_p in [b_{p-1}, b_p] for p = 1..n, of
     prod_p mu(b_{p-1}, a_p) times the section 0 -> bottom, p -> a_p of the
     index order.  Picks with mu zero are left out, as their terms vanish.
     Every section is a join-morphism as built: its source is a chain, and
     it increases because a_p <= b_p <= b_{q-1} <= a_q for p < q.  The
-    coefficients are integers, coerced into `ring` on the way in.
+    sections are distinct and their coefficients nonzero integers, so the
+    terms are taken as they come; `map_ring` gives j^B over another ring.
     """
     members = tuple(B)
-    sections = _sections(L, members)
-    return FormalSum(ring, chain_lattice(len(members) - 1), L, sections)
+    return FormalSum._of(ZZ, chain_lattice(len(members) - 1), L, dict(_sections(L, members)))
 
 
-def f_of_chain(L: Lattice, B, ring: Ring = ZZ) -> FormalSum:
-    """The idempotent f_B = j^B o pi^B attached to a top-ended chain B.
+def f_of_chain(L: Lattice, B) -> FormalSum:
+    """The idempotent f_B = j^B o pi^B attached to a top-ended chain B, over Z.
 
     Each section table of j^B is read through pi^B's table, and the terms
-    are kept over Z as they come: pi^B is surjective, so distinct sections
-    stay distinct after it, and no coefficient is zero.  The sum is mapped
-    into `ring` once, which drops the terms that vanish modulo m.
+    are kept as they come: pi^B is surjective, so distinct sections stay
+    distinct after it, and no coefficient is zero.
     """
     members = tuple(B)
     sections = _sections(L, members)
     through_pi = _table_getter(pi_of_chain(L, members).values)
-    f = FormalSum._of(ZZ, L, L, {through_pi(table): c for table, c in sections})
-    return f if ring == ZZ else f.map_ring(ring)
+    return FormalSum._of(ZZ, L, L, {through_pi(table): c for table, c in sections})
 
 
 def idempotent_original(L: Lattice, ring: Ring = ZZ) -> FormalSum:

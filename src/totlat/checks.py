@@ -4,29 +4,33 @@ Each check takes one Workspace and returns a CheckReport.  All equalities
 are exact; a failing report carries a structured counterexample that can be
 re-verified independently of the check that produced it.
 
+Every identity is decided once, over Z: the sums compared (e, the f_B,
+j^B, pi^B, single maps) have integer coefficients, e over a ring R is the
+image of e over Z under Z -> R, and a ring map preserves identities.  The
+run's ring sets only the term counts `idempotent` and
+`formula_equivalence` report and one more ring for `ring_functoriality`.
+Witnesses are the sums over Z: over int and rat each report is what a
+decision in R gives, since Z[M] -> Q[M] is injective and an integral
+rational prints as its integer; modulo m a check fails where the
+identity over Z fails, even if its image modulo m holds.
+
 A Workspace holds one lattice under verification with the ring, the name
 its reports carry and the sampling options.  It computes the direct
-idempotent `e` once, on first use, for every check that needs it; the
-checks that compare constructions (the family construction, the filtered
-direct sum, the sums modulo m) still build their side independently.  The
-join-endomorphisms are not kept: each check streams them from the
-enumerator.  Held as JoinMaps, they raised the peak RSS of the `sweep`
-benchmark by 11.7 % when tried; the enumeration that each check repeats
-instead is a small part of the sweep.
+idempotent `e` over Z once, on first use, for every check that needs it;
+the checks that compare constructions (the family construction, the
+filtered direct sum, the sums modulo m) still build their side
+independently.  The join-endomorphisms are not kept: each check streams
+them from the enumerator.  Held as JoinMaps, they raised the peak RSS of
+the `sweep` benchmark by 11.7 % when tried; the enumeration that each
+check repeats instead is a small part of the sweep.
 
 `central` compares e o phi with phi o e for every map phi, and
 `identity_on_tot` compares both with psi for every chain-image map psi.
 Neither builds a formal sum per map: `algebra.map_products` prepares the
-tables of `e` once per check, as byte strings with their translation
-tables on at most 256 elements and as tuples with a getter each above,
-and returns the two predicates.  The coefficients of `e` are integers,
-so over Z and Q each predicate sorts the composites of the map with the
-tables of `e`, each repeated |c| times on its sign's side, and compares
-two lists; modulo m, or where the |c| are too large to repeat (on
-partition:6), it accumulates them exactly, as `FormalSum.__mul__`
-would with the map embedded.  The tests keep the embedded products as
-the oracle.  The chain-image maps come from the enumerator's pruned
-search, which never builds a map whose image is not a chain.
+tables of `e` once per check and returns the two predicates, which
+compare sorted composites; the tests keep the embedded products as the
+oracle.  The chain-image maps come from the enumerator's pruned search,
+which never builds a map whose image is not a chain.
 
 The f_family check certifies the orthogonality of the f_B instead of
 testing each pair.  Lemma: idempotents p_1 ... p_k of a finite-dimensional
@@ -35,14 +39,10 @@ pairwise orthogonal.  In the left-regular representation the trace of
 an idempotent is its rank, so rank(sum p_i) = sum rank(p_i); the images
 of the p_i then form a direct sum equal to the image of their sum, and
 p_i p_j = 0 for i != j.  The algebra of maps on L over Q contains the
-one over Z, so over Z and Q the check passes, after testing each f_B for
-idempotence, as soon as sum f_B == e and e * e == e.  Modulo m the lemma
-fails (in characteristic 2, p_1 = p_2 = 1 sum to the idempotent 0 while
-p_1 p_2 = 1), so there, and whenever the certificate fails, every pair
-is tested as before: whether pi^B * j^C is zero is decided by
-`algebra.vanishing_products`, and only a nonzero one is multiplied out
-by j^B; the first non-orthogonal pair is the witness.  The pairwise
-L-level loop is kept in the tests as the oracle of this check.
+one over Z, so the check passes, after testing each f_B for idempotence,
+as soon as sum f_B == e and e * e == e.  Only when the certificate
+fails are the pairs tested, to name the first non-orthogonal pair; the
+pairwise L-level loop is kept in the tests as the oracle.
 
 e * e is multiplied out once per Workspace; `idempotent`, `f_family` and
 `decomposition` read it.  `decomposition` needs nothing else: in any
@@ -153,7 +153,8 @@ class CheckReport:
 
 
 class Workspace:
-    """One lattice under verification and what its checks share."""
+    """One lattice under verification and what its checks share; `e` and
+    `e_squared` are over Z, where every check decides."""
 
     def __init__(self, L: Lattice, ring: Ring = ZZ, descriptor="?", seed=None,
                  sample_count=500):
@@ -165,8 +166,8 @@ class Workspace:
 
     @cached_property
     def e(self) -> FormalSum:
-        """The direct idempotent over the workspace ring."""
-        return idempotent_direct(self.L, self.ring)
+        """The direct idempotent over Z."""
+        return idempotent_direct(self.L)
 
     @cached_property
     def e_squared(self) -> FormalSum:
@@ -178,6 +179,10 @@ class Workspace:
         """True iff an exhaustive endomorphism sweep is within the gate."""
         L = self.L
         return L.n ** len(L.join_irreducibles()) <= assignment_limit()
+
+    def ring_terms(self, s: FormalSum):
+        """The number of terms of the sum s over Z left in the workspace ring."""
+        return len((s if self.ring == ZZ else s.map_ring(self.ring)).terms)
 
     def report(self, name, status, **kw):
         return CheckReport(name=name, lattice=self.descriptor, status=status, **kw)
@@ -195,7 +200,7 @@ def _sum_as_witness(s: FormalSum):
 def check_idempotent(ws: Workspace):
     e, square = ws.e, ws.e_squared
     if square == e:
-        return ws.report("idempotent", "pass", counts={"terms": len(e.terms)})
+        return ws.report("idempotent", "pass", counts={"terms": ws.ring_terms(e)})
     return ws.report(
         "idempotent", "fail",
         counterexample={"e": _sum_as_witness(e), "e_squared": _sum_as_witness(square)},
@@ -247,10 +252,10 @@ def check_central(ws: Workspace):
 
 def check_formula_equivalence(ws: Workspace):
     direct = ws.e
-    original = idempotent_original(ws.L, ws.ring)
+    original = idempotent_original(ws.L)
     if direct == original:
         return ws.report("formula_equivalence", "pass",
-                         counts={"terms": len(direct.terms)})
+                         counts={"terms": ws.ring_terms(direct)})
     return ws.report(
         "formula_equivalence", "fail",
         counterexample={
@@ -263,18 +268,16 @@ def check_formula_equivalence(ws: Workspace):
 def check_f_family(ws: Workspace):
     """Each f_B idempotent, all pairs orthogonal, and their sum is e.
 
-    After the per-chain idempotence test the f_B are summed.  Over Z and
-    Q, a sum equal to e with e * e == e certifies that every pair is
-    orthogonal (see the module docstring), so no pair is tested.  Modulo
-    m, or when the certificate fails, the pairs are tested as follows and
-    then the sum is compared with e.
+    After the per-chain idempotence test the f_B are summed.  A sum equal
+    to e with e * e == e certifies every pair orthogonal (see the module
+    docstring); otherwise the pairs are tested as follows, then the sum.
 
     f_B = j^B * pi^B, and no two f_B are multiplied out on L.  pi^C is
     surjective, so g -> g o pi^C is injective on value tables, and X * pi^C
     has the terms of X, moved to distinct tables, with the same
-    coefficients: right composition by pi^C is injective on formal sums
-    over any ring.  Hence f_B * f_C = (j^B * (pi^B * j^C)) * pi^C is zero
-    iff j^B * (pi^B * j^C) is, and f_B * f_B = f_B iff
+    coefficients: right composition by pi^C is injective on formal sums.
+    Hence f_B * f_C = (j^B * (pi^B * j^C)) * pi^C is zero iff
+    j^B * (pi^B * j^C) is, and f_B * f_B = f_B iff
     j^B * (pi^B * j^B) = j^B; both products act on index-chain tables.
     Whether pi^B * j^C is zero is decided by `vanishing_products(j^C)`
     reading pi^B's table, with no formal product; only when it is not
@@ -283,17 +286,17 @@ def check_f_family(ws: Workspace):
     f_B out pairwise on L, which the tests keep as the oracle, so the
     reports are the same.
     """
-    L, ring = ws.L, ws.ring
+    L = ws.L
     sides = []
     for B in sorted(L.chain_family("B"), key=len):
-        j, pi = j_upper(L, B, ring), pi_of_chain(L, B)
-        sides.append((B, j, embed(pi, ring), pi.values))
+        j, pi = j_upper(L, B), pi_of_chain(L, B)
+        sides.append((B, j, embed(pi), pi.values))
     for B, j, pi, _ in sides:
         if j * (pi * j) != j:
             return ws.report("f_family", "fail",
                              counterexample={"chain": B.labels(), "kind": "not idempotent"})
-    total = FormalSum.total(ring, L, L, (j * pi for _, j, pi, _ in sides))
-    if ring.kind == "mod" or total != ws.e or ws.e_squared != ws.e:
+    total = FormalSum.total(ZZ, L, L, (j * pi for _, j, pi, _ in sides))
+    if total != ws.e or ws.e_squared != ws.e:
         pair = _nonorthogonal_pair(sides)
         if pair is not None:
             return ws.report("f_family", "fail",
@@ -349,7 +352,7 @@ def check_mobius_lemmas(ws: Workspace):
 
 def check_crapo_restriction(ws: Workspace):
     L = ws.L
-    filtered = idempotent_direct(L, ws.ring, crapo_filter=True)
+    filtered = idempotent_direct(L, crapo_filter=True)
     unfiltered = ws.e
     if filtered != unfiltered:
         return ws.report("crapo", "fail",
@@ -485,12 +488,15 @@ def check_ideal_closure(ws: Workspace):
 
 
 def check_ring_functoriality(ws: Workspace, moduli=(2, 3, 5)):
-    """Reducing the integer result mod m equals computing mod m directly."""
+    """Reducing the integer result into Z/m, and into the workspace ring
+    if it is neither Z nor one of these, equals computing there directly."""
     over_z = idempotent_direct(ws.L, ZZ)
-    for m in moduli:
-        ring = Ring("mod", m)
+    rings = [(Ring("mod", m), {"modulus": m}) for m in moduli]
+    if ws.ring != ZZ and ws.ring.modulus not in moduli:
+        rings.append((ws.ring, {"ring": str(ws.ring)}))
+    for ring, witness in rings:
         if over_z.map_ring(ring) != idempotent_direct(ws.L, ring):
-            return ws.report("ring_functoriality", "fail", counterexample={"modulus": m})
+            return ws.report("ring_functoriality", "fail", counterexample=witness)
     return ws.report("ring_functoriality", "pass", counts={"moduli": list(moduli)})
 
 

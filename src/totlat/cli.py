@@ -176,7 +176,10 @@ def build_parser():
                        help="lattice file or generator descriptor; "
                             "omit to run the default corpus")
     p_ver.add_argument("--checks", help="comma-separated check names")
-    p_ver.add_argument("--ring", default="int")
+    p_ver.add_argument("--ring", default="int",
+                       help="int | mod:m | rat; identities are decided over the integers, which "
+                            "implies the ring; it sets the term counts and ring_functoriality's "
+                            "extra ring")
     p_ver.add_argument("--seed", type=integer, default=None)
     p_ver.add_argument("--sample-count", type=positive_int, default=500)
     p_ver.add_argument("--format", choices=("text", "json"), default="text")

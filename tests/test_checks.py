@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -63,6 +64,39 @@ def test_run_suite_builds_e_once_per_lattice(monkeypatch):
         ("int", False), ("int", True),
         ("int", False), ("mod:2", False), ("mod:3", False), ("mod:5", False),
     ])
+
+
+@pytest.mark.parametrize("ring", ["rat", "mod:7"])
+def test_ring_functoriality_also_checks_the_run_ring(monkeypatch, ring):
+    # the other checks decide over Z, so e as built over a ring outside
+    # Z, mod:2, mod:3 and mod:5 is checked here alone: corrupted only
+    # over that ring, it fails ring_functoriality under that ring only
+    L, corrupt = generate("pentagon"), Ring.parse(ring)
+    passing = {"check": "ring_functoriality", "lattice": "pentagon", "status": "pass",
+               "counts": {"moduli": [2, 3, 5]}}
+    assert run_suite(corpus=["pentagon"], ring=corrupt,
+                     checks=["ring_functoriality"])[0].to_dict() == passing
+    real = checks.idempotent_direct
+    calls = []
+
+    def corrupted(L, ring=ZZ, crapo_filter=False):
+        calls.append(str(ring))
+        e = real(L, ring, crapo_filter)
+        return e + identity_sum(L, ring) if ring == corrupt else e
+
+    monkeypatch.setattr(checks, "idempotent_direct", corrupted)
+    for other in ("int", "rat", "mod:2", "mod:3", "mod:5", "mod:7"):
+        calls.clear()
+        reports = run_suite(corpus=["pentagon"], ring=Ring.parse(other))
+        extra = [] if other in ("int", "mod:2", "mod:3", "mod:5") else [other]
+        assert sorted(calls) == sorted(["int"] * 3 + ["mod:2", "mod:3", "mod:5"] + extra)
+        *rest, last = reports
+        assert {r.status for r in rest} == {"pass"}
+        if other == ring:
+            assert last.to_dict() == {"check": "ring_functoriality", "lattice": "pentagon",
+                                      "status": "fail", "counterexample": {"ring": ring}}
+        else:
+            assert last.to_dict() == passing
 
 
 def test_run_suite_order_deterministic():
@@ -189,24 +223,52 @@ def test_individual_checks_pass(spec):
         assert r.status == "pass", (spec, r.name, r.counterexample)
 
 
+# -- reports under every ring -----------------------------------------------
+
+RINGS = ["int", "rat", "mod:2", "mod:3"]
+
+
+def workspace(L, spec, e=None, ring="int"):
+    """A workspace on L under `ring`, e replaced by the sum e over Z when
+    given; the oracles below read it under int."""
+    ws = Workspace(L, Ring.parse(ring), descriptor=spec)
+    if e is not None:
+        ws.e = e
+    return ws
+
+
+def report_under(check, L, spec, ring, e=None):
+    """check's report under `ring` as a dict, on `workspace(L, spec, e, ring)`.
+
+    Every check decides over Z, so a failing report is byte-identical
+    under every ring: this is asserted against the report under int, or
+    under rat when `ring` is int.
+    """
+    report = check(workspace(L, spec, e, ring)).to_dict()
+    if report["status"] == "fail":
+        other = check(workspace(L, spec, e, "rat" if ring == "int" else "int")).to_dict()
+        assert json.dumps(other) == json.dumps(report)
+    return report
+
+
 # -- f_family against multiplying every pair f_B, f_C out on L ----------------
 
 
-def family_member(L, B, ring):
-    """f_B = j^B * pi^B on L, from the j^B and pi^B the check reads."""
-    return checks.j_upper(L, B, ring) * embed(checks.pi_of_chain(L, B), ring)
+def family_member(L, B):
+    """f_B = j^B * pi^B on L over Z, from the j^B and pi^B the check reads."""
+    return checks.j_upper(L, B) * embed(checks.pi_of_chain(L, B))
 
 
 def f_family_oracle(ws):
-    """check_f_family's report, from the L-level products of the f_B.
+    """check_f_family's report, from the L-level products of the f_B over Z.
 
     Each f_B = j^B * pi^B is built on L and every product f_B * f_C is
     multiplied out in full.  j^B and pi^B come from `checks.j_upper` and
     `checks.pi_of_chain`, so a test that corrupts the sections or the
     surjections the check uses corrupts the oracle's too.
     """
-    L, ring = ws.L, ws.ring
-    fs = [(B, family_member(L, B, ring)) for B in sorted(L.chain_family("B"), key=len)]
+    L = ws.L
+    fs = [(B, family_member(L, B)) for B in sorted(L.chain_family("B"), key=len)]
     for B, f in fs:
         if f * f != f:
             return ws.report("f_family", "fail",
@@ -219,7 +281,7 @@ def f_family_oracle(ws):
                     counterexample={"chains": [B.labels(), C.labels()],
                                     "kind": "not orthogonal"},
                 )
-    total = FormalSum.total(ring, L, L, (f for _, f in fs))
+    total = FormalSum.total(ZZ, L, L, (f for _, f in fs))
     if total != ws.e:
         return ws.report("f_family", "fail",
                          counterexample={"kind": "sum differs from direct idempotent",
@@ -234,9 +296,9 @@ F_FAMILY_SPECS = list(checks.DEFAULT_CORPUS) + [
 @pytest.mark.parametrize("ring", ["int", "mod:2", "rat"])
 @pytest.mark.parametrize("spec", F_FAMILY_SPECS)
 def test_f_family_matches_l_level_oracle(spec, ring):
-    ws = Workspace(generate(spec), Ring.parse(ring), descriptor=spec)
-    report = check_f_family(ws).to_dict()
-    assert report == f_family_oracle(ws).to_dict()
+    L = generate(spec)
+    report = report_under(check_f_family, L, spec, ring)
+    assert report == f_family_oracle(workspace(L, spec)).to_dict()
     assert report["status"] == "pass"
 
 
@@ -256,25 +318,25 @@ def dropped_first_term(s):
 @pytest.mark.parametrize("mutate", [doubled_first_term, dropped_first_term])
 @pytest.mark.parametrize("spec", ["chain:2", "pentagon", "divisor:12", "boolean:3"])
 def test_f_family_mutated_section_fails_like_the_oracle(monkeypatch, spec, mutate):
-    # corrupt j^B for one chain at a time; the check and the oracle must
-    # both fail, with the same counterexample
+    # corrupt j^B over Z for one chain at a time; the check, under every
+    # ring, and the oracle must both fail, with the same counterexample
     L = generate(spec)
     real = checks.j_upper
-    for ring in (ZZ, Ring("rat")):
-        kinds = set()
-        for chosen in L.chain_family("B"):
+    kinds = set()
+    for chosen in L.chain_family("B"):
 
-            def corrupted(L, B, ring=ZZ):
-                s = real(L, B, ring)
-                return mutate(s) if tuple(B) == tuple(chosen) else s
+        def corrupted(L, B):
+            s = real(L, B)
+            return mutate(s) if tuple(B) == tuple(chosen) else s
 
-            monkeypatch.setattr(checks, "j_upper", corrupted)
-            ws = Workspace(L, ring, descriptor=spec)
-            report = check_f_family(ws).to_dict()
+        monkeypatch.setattr(checks, "j_upper", corrupted)
+        expected = f_family_oracle(workspace(L, spec)).to_dict()
+        for ring in RINGS:
+            report = report_under(check_f_family, L, spec, ring)
             assert report["status"] == "fail"
-            assert report == f_family_oracle(ws).to_dict()
-            kinds.add(report["counterexample"]["kind"])
-        assert "not idempotent" in kinds
+            assert report == expected
+        kinds.add(report["counterexample"]["kind"])
+    assert "not idempotent" in kinds
 
 
 @pytest.mark.parametrize("mutated_first", [True, False])
@@ -291,43 +353,40 @@ def test_f_family_one_sided_product_fails_like_the_oracle(monkeypatch, spec, mut
     pairs = [(B, C) for i, B in enumerate(chains) for C in chains[i + 1:]]
     if mutated_first:
         pairs = [(C, B) for B, C in pairs]
-    for ring in (ZZ, Ring("rat")):
-        f = {tuple(B): real(L, B, ring) * embed(pi_of_chain(L, B), ring) for B in chains}
-        endos = [embed(y, ring) for y in enumerate_join_endomorphisms(L)]
-        B, C, y = next((B, C, y) for B, C in pairs for y in endos
-                       if not (f[tuple(B)] * y * f[tuple(C)]).is_zero())
+    f = {tuple(B): family_member(L, B) for B in chains}
+    endos = [embed(y) for y in enumerate_join_endomorphisms(L)]
+    B, C, y = next((B, C, y) for B, C in pairs for y in endos
+                   if not (f[tuple(B)] * y * f[tuple(C)]).is_zero())
 
-        def corrupted(L, D, ring=ZZ):
-            s = real(L, D, ring)
-            return s + f[tuple(B)] * y * s if tuple(D) == tuple(C) else s
+    def corrupted(L, D):
+        s = real(L, D)
+        return s + f[tuple(B)] * y * s if tuple(D) == tuple(C) else s
 
-        monkeypatch.setattr(checks, "j_upper", corrupted)
-        ws = Workspace(L, ring, descriptor=spec)
-        report = check_f_family(ws).to_dict()
-        first, second = (C, B) if mutated_first else (B, C)
-        assert report["counterexample"] == {"chains": [first.labels(), second.labels()],
-                                            "kind": "not orthogonal"}
-        assert report == f_family_oracle(ws).to_dict()
+    monkeypatch.setattr(checks, "j_upper", corrupted)
+    first, second = (C, B) if mutated_first else (B, C)
+    expected = f_family_oracle(workspace(L, spec)).to_dict()
+    assert expected["counterexample"] == {"chains": [first.labels(), second.labels()],
+                                          "kind": "not orthogonal"}
+    for ring in RINGS:
+        assert report_under(check_f_family, L, spec, ring) == expected
 
 
-# The check passes over Z and Q without testing a pair when its
-# certificate holds: every f_B idempotent, sum f_B == e and e * e == e.
-# Each test below breaks one premise and compares with the oracle.
+# The check passes without testing a pair when its certificate holds:
+# every f_B idempotent, sum f_B == e and e * e == e.  Each test below
+# breaks one premise and compares with the oracle.
 
 
 @pytest.mark.parametrize("ring", ["int", "mod:2", "rat"])
 @pytest.mark.parametrize("spec", ["pentagon", "divisor:12", "boolean:3"])
 def test_f_family_with_an_idempotent_e_other_than_the_sum_fails_like_the_oracle(spec, ring):
     # e * e == e holds, sum f_B == e does not
-    L, ring = generate(spec), Ring.parse(ring)
+    L = generate(spec)
     first = min(L.chain_family("B"), key=len)
-    e = idempotent_direct(L, ring)
-    for other in (FormalSum(ring, L, L), identity_sum(L, ring),
-                  e - family_member(L, first, ring)):
-        ws = Workspace(L, ring, descriptor=spec)
-        ws.e = other
+    e = idempotent_direct(L)
+    for other in (FormalSum(ZZ, L, L), identity_sum(L), e - family_member(L, first)):
+        ws = workspace(L, spec, other)
         assert ws.e_squared == ws.e
-        report = check_f_family(ws).to_dict()
+        report = report_under(check_f_family, L, spec, ring, other)
         assert report["counterexample"]["kind"] == "sum differs from direct idempotent"
         assert report == f_family_oracle(ws).to_dict()
 
@@ -340,27 +399,26 @@ def test_f_family_summing_to_a_non_idempotent_e_fails_like_the_oracle(monkeypatc
     L = generate(spec)
     real_j, real_e = checks.j_upper, checks.idempotent_direct
     chains = sorted(L.chain_family("B"), key=len)
-    for ring in (ZZ, Ring("rat"), Ring("mod", 3)):
-        f = {tuple(B): family_member(L, B, ring) for B in chains}
-        endos = [embed(y, ring) for y in enumerate_join_endomorphisms(L)]
-        B, C, y = next((B, C, y) for B in chains for C in chains if B != C for y in endos
-                       if not (f[tuple(B)] * y * f[tuple(C)]).is_zero())
-        z = f[tuple(B)] * y * f[tuple(C)]
+    f = {tuple(B): family_member(L, B) for B in chains}
+    endos = [embed(y) for y in enumerate_join_endomorphisms(L)]
+    B, C, y = next((B, C, y) for B in chains for C in chains if B != C for y in endos
+                   if not (f[tuple(B)] * y * f[tuple(C)]).is_zero())
+    z = f[tuple(B)] * y * f[tuple(C)]
 
-        def corrupted_j(L, D, ring=ZZ):
-            s = real_j(L, D, ring)
-            return s + f[tuple(B)] * y * s if tuple(D) == tuple(C) else s
+    def corrupted_j(L, D):
+        s = real_j(L, D)
+        return s + f[tuple(B)] * y * s if tuple(D) == tuple(C) else s
 
-        monkeypatch.setattr(checks, "j_upper", corrupted_j)
-        monkeypatch.setattr(checks, "idempotent_direct",
-                            lambda L, ring=ZZ, crapo_filter=False: real_e(L, ring) + z)
-        ws = Workspace(L, ring, descriptor=spec)
-        assert FormalSum.total(ring, L, L, (family_member(L, D, ring) for D in chains)) == ws.e
-        assert ws.e_squared != ws.e
-        report = check_f_family(ws).to_dict()
-        assert report["counterexample"]["kind"] == "not orthogonal"
-        assert report == f_family_oracle(ws).to_dict()
-        monkeypatch.undo()
+    monkeypatch.setattr(checks, "j_upper", corrupted_j)
+    monkeypatch.setattr(checks, "idempotent_direct",
+                        lambda L, ring=ZZ, crapo_filter=False: real_e(L, ring) + z)
+    ws = workspace(L, spec)
+    assert FormalSum.total(ZZ, L, L, (family_member(L, D) for D in chains)) == ws.e
+    assert ws.e_squared != ws.e
+    expected = f_family_oracle(ws).to_dict()
+    assert expected["counterexample"]["kind"] == "not orthogonal"
+    for ring in RINGS:
+        assert report_under(check_f_family, L, spec, ring) == expected
 
 
 @pytest.mark.parametrize("ring", ["int", "mod:2", "mod:3", "rat"])
@@ -368,31 +426,30 @@ def test_f_family_summing_to_a_non_idempotent_e_fails_like_the_oracle(monkeypatc
 def test_f_family_with_a_repeated_member_fails_like_the_oracle(monkeypatch, spec, ring):
     # C takes B's sections and surjection, so f_C = f_B and f_B * f_C =
     # f_B; e is replaced by the new sum, r + 2 f_B with r = e - f_B - f_C.
-    # Modulo 2 that is the idempotent r, so there every premise but
-    # characteristic 0 holds: only testing the pairs finds the witness.
-    L, ring = generate(spec), Ring.parse(ring)
+    # Modulo 2 that is the idempotent r, but over Z its square is
+    # r + 4 f_B, so under every ring the pairs are tested for the witness.
+    L = generate(spec)
     chains = sorted(L.chain_family("B"), key=len)
     B, C = chains[0], chains[1]
     real_j, real_pi = checks.j_upper, checks.pi_of_chain
-    e = idempotent_direct(L, ring)
-    e = e - family_member(L, C, ring) + family_member(L, B, ring)
-    monkeypatch.setattr(checks, "j_upper", lambda L, D, ring=ZZ:
-                        real_j(L, B if tuple(D) == tuple(C) else D, ring))
+    e = idempotent_direct(L) - family_member(L, C) + family_member(L, B)
+    monkeypatch.setattr(checks, "j_upper", lambda L, D:
+                        real_j(L, B if tuple(D) == tuple(C) else D))
     monkeypatch.setattr(checks, "pi_of_chain", lambda L, D:
                         real_pi(L, B if tuple(D) == tuple(C) else D))
-    ws = Workspace(L, ring, descriptor=spec)
-    ws.e = e
-    assert FormalSum.total(ring, L, L, (family_member(L, D, ring) for D in chains)) == e
-    assert (ws.e_squared == e) == (ring.modulus == 2)
-    report = check_f_family(ws).to_dict()
+    ws = workspace(L, spec, e)
+    assert FormalSum.total(ZZ, L, L, (family_member(L, D) for D in chains)) == e
+    assert ws.e_squared != e
+    assert ws.e_squared.map_ring(Ring("mod", 2)) == e.map_ring(Ring("mod", 2))
+    report = report_under(check_f_family, L, spec, ring, e)
     assert report["counterexample"] == {"chains": [B.labels(), C.labels()],
                                         "kind": "not orthogonal"}
     assert report == f_family_oracle(ws).to_dict()
 
 
-def test_f_family_tests_pairs_only_modulo_m(monkeypatch):
-    # on the passing corpus the certificate holds over Z and Q, so no
-    # pi^B * j^C is tested; modulo 2 every pair is
+def test_f_family_tests_pairs_only_when_the_certificate_fails(monkeypatch):
+    # on the passing corpus the certificate holds under every ring, so no
+    # pi^B * j^C is tested; with a repeated member (as above) pairs are
     real = checks.vanishing_products
     calls = []
 
@@ -406,11 +463,22 @@ def test_f_family_tests_pairs_only_modulo_m(monkeypatch):
         return counted_vanishes
 
     monkeypatch.setattr(checks, "vanishing_products", counted)
-    for ring in ("int", "rat", "mod:2"):
-        calls.clear()
+    for ring in RINGS:
         reports = run_suite(ring=Ring.parse(ring), checks=["f_family"])
         assert {r.status for r in reports} == {"pass"}
-        assert bool(calls) == (ring == "mod:2"), ring
+        assert not calls, ring
+    L = generate("pentagon")
+    B, C = sorted(L.chain_family("B"), key=len)[:2]
+    e = idempotent_direct(L) - family_member(L, C) + family_member(L, B)
+    real_j, real_pi = checks.j_upper, checks.pi_of_chain
+    monkeypatch.setattr(checks, "j_upper", lambda L, D:
+                        real_j(L, B if tuple(D) == tuple(C) else D))
+    monkeypatch.setattr(checks, "pi_of_chain", lambda L, D:
+                        real_pi(L, B if tuple(D) == tuple(C) else D))
+    for ring in RINGS:
+        calls.clear()
+        assert report_under(check_f_family, L, "pentagon", ring, e)["status"] == "fail"
+        assert calls, ring
 
 
 # -- central and identity_on_tot against embedded products ---------------
@@ -422,7 +490,7 @@ def central_oracle(ws):
     count = 0
     for phi in enumerate_join_endomorphisms(ws.L):
         count += 1
-        s = embed(phi, ws.ring)
+        s = embed(phi)
         if e * s != s * e:
             return ws.report("central", "fail", counterexample={"phi": phi.table_labels()},
                              counts={"examined": count, "mode": "exhaustive"})
@@ -435,7 +503,7 @@ def identity_on_tot_oracle(ws):
     count = 0
     for psi in enumerate_join_endomorphisms(ws.L, tot_only=True):
         count += 1
-        s = embed(psi, ws.ring)
+        s = embed(psi)
         if e * s != s or s * e != s:
             return ws.report("identity_on_tot", "fail",
                              counterexample={"psi": psi.table_labels()},
@@ -469,33 +537,27 @@ MULTI_TERM_SPECS = [spec for spec in checks.DEFAULT_CORPUS
 @pytest.mark.parametrize("ring", ["int", "mod:2", "mod:3", "rat"])
 @pytest.mark.parametrize("spec", MULTI_TERM_SPECS)
 def test_central_and_identity_on_tot_on_a_mutated_e_match_the_oracles(spec, ring, mutate):
-    # one term of e at a time is corrupted; both checks must report what
-    # the embedded products report, pass or fail.  Modulo 2 a flipped
-    # sign changes nothing and a doubled term drops out.
-    L, ring = generate(spec), Ring.parse(ring)
-    e = idempotent_direct(L, ring)
+    # one term of e over Z at a time is corrupted; both checks must
+    # report what the embedded products over Z report, pass or fail,
+    # under every ring: modulo 2 a flipped sign still fails
+    L = generate(spec)
+    e = idempotent_direct(L)
     statuses = []
     for table in sorted(e.terms):
-        ws = Workspace(L, ring, descriptor=spec)
-        ws.e = mutate(e, table)
-        if ws.e == e:
-            continue
+        mutant = mutate(e, table)
         for check, oracle in ((check_central, central_oracle),
                               (check_identity_on_tot, identity_on_tot_oracle)):
-            report = check(ws).to_dict()
-            assert report == oracle(ws).to_dict()
+            report = report_under(check, L, spec, ring, mutant)
+            assert report == oracle(workspace(L, spec, mutant)).to_dict()
             statuses.append(report["status"])
-    if mutate is flipped_term and ring.modulus == 2:
-        assert statuses == []
-    else:
-        assert "fail" in statuses
+    assert "fail" in statuses
 
 
 # -- idempotent and decomposition against their full products -------------
 
 
 def idempotent_oracle(ws):
-    """check_idempotent's report, with e * e multiplied out afresh."""
+    """check_idempotent's report over Z, with e * e multiplied out afresh."""
     e = ws.e
     square = e * e
     if square == e:
@@ -510,7 +572,7 @@ def idempotent_oracle(ws):
 def decomposition_oracle(ws):
     """check_decomposition's report, from the four products it asserts."""
     e = ws.e
-    one = identity_sum(ws.L, ws.ring)
+    one = identity_sum(ws.L)
     rest = one - e
     if (rest * rest == rest and (e * rest).is_zero() and (rest * e).is_zero()
             and e + rest == one):
@@ -522,25 +584,43 @@ def decomposition_oracle(ws):
 @pytest.mark.parametrize("mutate", [flipped_term, dropped_term, doubled_term])
 @pytest.mark.parametrize("ring", ["int", "mod:2", "mod:3", "rat"])
 def test_decomposition_and_idempotent_on_a_mutated_e_match_the_oracles(ring, mutate):
-    # one term of e at a time is corrupted, each in a fresh workspace.
-    # Modulo 2 a flipped term changes nothing, and e without any one of
-    # its terms is still idempotent on every lattice here.
-    ring = Ring.parse(ring)
+    # one term of e over Z at a time is corrupted, each in a fresh
+    # workspace; a passing idempotent report counts the terms the mutant
+    # keeps in the ring
     statuses = []
     for spec in MULTI_TERM_SPECS:
         L = generate(spec)
-        e = idempotent_direct(L, ring)
+        e = idempotent_direct(L)
         for table in sorted(e.terms):
-            ws = Workspace(L, ring, descriptor=spec)
-            ws.e = mutate(e, table)
-            if ws.e == e:
-                continue
+            mutant = mutate(e, table)
             for check, oracle in ((check_decomposition, decomposition_oracle),
                                   (check_idempotent, idempotent_oracle)):
-                report = check(ws).to_dict()
-                assert report == oracle(ws).to_dict()
+                report = report_under(check, L, spec, ring, mutant)
+                expected = oracle(workspace(L, spec, mutant)).to_dict()
+                if report["status"] == "pass" and "counts" in report:
+                    expected["counts"]["terms"] = len(mutant.map_ring(Ring.parse(ring)).terms)
+                assert report == expected
                 statuses.append(report["status"])
-    assert ("fail" in statuses) == (ring.modulus != 2)
+    assert "fail" in statuses
+
+
+@pytest.mark.parametrize("spec", ["partition:3", "diamond:5"])
+def test_a_mutant_that_vanishes_mod_2_fails_over_mod_2_as_over_int(spec):
+    # doubling a term of even coefficient leaves e modulo 2 unchanged, so
+    # a decision modulo 2 would pass; decided over Z, every check that
+    # reads e reports under mod:2 exactly what it reports under int
+    L = generate(spec)
+    e = idempotent_direct(L)
+    table = next(t for t, c in sorted(e.terms.items()) if c % 2 == 0)
+    mutant = doubled_term(e, table)
+    assert mutant.map_ring(Ring("mod", 2)) == e.map_ring(Ring("mod", 2))
+    statuses = set()
+    for check in (check_idempotent, check_central, check_identity_on_tot,
+                  check_f_family, check_decomposition):
+        report = report_under(check, L, spec, "mod:2", mutant)
+        assert report == report_under(check, L, spec, "int", mutant)
+        statuses.add(report["status"])
+    assert "fail" in statuses
 
 
 # -- ideal_closure against composing JoinMaps pairwise ----------------------
