@@ -23,7 +23,7 @@ from totlat.checks import (
 from totlat.algebra import ZZ, FormalSum, Ring, embed, idempotent_direct, identity_sum
 from totlat.errors import UnknownCheck
 from totlat.lattices import boolean_lattice, chain_lattice, generate
-from totlat.morphisms import JoinMap, compose, enumerate_join_endomorphisms, pi_of_chain
+from totlat.morphisms import JoinMap, compose, enumerate_join_endomorphisms
 from totlat.posets import Poset
 
 
