@@ -266,26 +266,38 @@ def sums_to_compose(L):
     return sums
 
 
-def assert_map_products_match_embedded_products(L, maps):
+def assert_map_products_match_embedded_products(L, maps, ring=ZZ):
+    """The Z-level predicates agree with the Z-level products, and what
+    they decide holds over `ring`: an identity that holds over Z holds
+    in its image, and over int and rat only those identities hold."""
     outcomes, folded = set(), set()
     for x in sums_to_compose(L):
         folded.add(_signed_tables(x) is None)
         commutes, fixes = map_products(x)
+        x_r = x.map_ring(ring)
         for phi in maps:
             s = embed(phi)
             left, right = x * s, s * x
             outcome = (commutes(phi.values), fixes(phi.values))
             assert outcome == (left == right, left == s == right)
+            s_r = embed(phi, ring)
+            left_r, right_r = x_r * s_r, s_r * x_r
+            over_r = (left_r == right_r, left_r == s_r == right_r)
+            if ring.kind == "mod":
+                assert all(r or not z for z, r in zip(outcome, over_r))
+            else:
+                assert over_r == outcome
             outcomes.add(outcome)
     assert folded == {False, True}
     return outcomes
 
 
+@pytest.mark.parametrize("ring", ["int", "mod:2", "mod:3", "rat"])
 @pytest.mark.parametrize("spec", SMALL_CORPUS + ["diamond:5"])
-def test_map_products_match_products_with_embedded_maps(spec):
+def test_map_products_match_products_with_embedded_maps(spec, ring):
     L = generate(spec)
     outcomes = assert_map_products_match_embedded_products(
-        L, list(enumerate_join_endomorphisms(L)))
+        L, list(enumerate_join_endomorphisms(L)), Ring.parse(ring))
     if L.n > 1:
         assert outcomes >= {(True, True), (True, False), (False, False)}
 
@@ -347,10 +359,14 @@ def test_products_with_maps_refuse_a_sum_not_over_the_integers(ring):
             predicates(e)
 
 
+@pytest.mark.parametrize("ring", ["int", "mod:2", "mod:3", "rat"])
 @pytest.mark.parametrize("spec", SMALL_CORPUS + ["diamond:5", "diamond:255"])
-def test_vanishing_products_match_products_with_embedded_maps(spec):
+def test_vanishing_products_match_products_with_embedded_maps(spec, ring):
     # pi^B * j^C, as the f_family check tests it; j^C is also doubled,
-    # which repeats too many tables and takes the accumulating path
+    # which repeats too many tables and takes the accumulating path.  A
+    # product that vanishes over Z vanishes over `ring`; over int and rat
+    # only those do (2 j^C vanishes mod 2 whatever pi^B is)
+    ring = Ring.parse(ring)
     L = generate(spec)
     chains = sorted(L.chain_family("B"), key=len)[:12]
     pis = [pi_of_chain(L, B) for B in chains]
@@ -363,6 +379,8 @@ def test_vanishing_products_match_products_with_embedded_maps(spec):
             for pi in pis:
                 outcome = vanishes(pi.values)
                 assert outcome == (embed(pi) * k).is_zero()
+                over_r = (embed(pi, ring) * k.map_ring(ring)).is_zero()
+                assert over_r or not outcome if ring.kind == "mod" else over_r == outcome
                 outcomes.add(outcome)
     assert outcomes == {True, False} if len(chains) > 1 else {False}
     assert folded == {True, False}
