@@ -3,10 +3,10 @@ constructions.
 
 A formal sum holds its ring, source and target lattices once and keys
 each term by the map's value table, so a product composes tables directly.
-`map_products` and `vanishing_products` test the products of one sum over
-Z with many single maps: on at most 256 elements they hold the tables as
-`bytes`, and each composite is one `bytes.translate` call; above that
-they fall back to tuples read through `itemgetter`.  An equality of two
+`map_products` tests the products of one sum over Z with many single
+maps: on at most 256 elements it holds the tables as `bytes`, and each
+composite is one `bytes.translate` call; above that it falls back to
+tuples read through `itemgetter`.  An equality of two
 such products is decided by sorting the composites, each repeated |c|
 times on the side of its sign, and comparing two lists; with
 coefficients too large to repeat, the composites are folded term by term.
@@ -427,36 +427,6 @@ def map_products(s: FormalSum):
                 == sorted([fixed, *map(apply, neg_in, args)]))
 
     return commutes, fixes
-
-
-def vanishing_products(s: FormalSum):
-    """The predicate vanishes(p): whether [p] * s is zero, for a sum s
-    over Z and a map p out of its target, given as its value table.
-
-    Decided as in `map_products`, from the tables p o f of the terms of
-    s.  Raises SignatureMismatch if s is not over Z.
-    """
-    if s.ring != ZZ:
-        raise SignatureMismatch(f"products with maps are decided over int, not {s.ring}")
-    _, _, inner, at = _composition(s.target.n)
-    signed = _signed_tables(s)
-    if signed is None:
-        coeffs, inners = list(s.terms.values()), list(map(inner, s.terms))
-
-        def vanishes(p):
-            _, apply, args = at(p)
-            return _cancels(zip(map(apply, inners, args), coeffs))
-
-        return vanishes
-
-    positive, negative = (list(map(inner, side)) for side in signed)
-
-    def vanishes(p):
-        _, apply, args = at(p)
-        return (sorted(map(apply, positive, args))
-                == sorted(map(apply, negative, args)))
-
-    return vanishes
 
 
 def identity_sum(L: Lattice, ring: Ring = ZZ) -> FormalSum:

@@ -16,7 +16,7 @@ capped at MAX_ELEMENTS elements, the size of boolean:10.  Chain families:
   kind "B": chains whose greatest member is the top element,
   kind "Z": chains containing both ends.
 
-`chain_family(kind, n)` filters to chains of size n+1 ("length n").
+A chain of n+1 members has length n.
 `chain_counts(kind)` counts each family by length without building a
 chain, by a dynamic program down the strict order.
 
@@ -125,20 +125,18 @@ class Lattice(Poset):
 
     # -- chains -----------------------------------------------------------
 
-    def chain_family(self, kind, n=None):
+    def chain_family(self, kind):
         """Nonempty chains filtered by which ends they must contain.
 
         Lexicographic on the member indices, as `Poset.chains()` orders
-        them.  Returns a fresh list, restricted to length n when n is given.
+        them.  Returns a fresh list.
         """
         if kind not in ("A", "B", "Z"):
             raise ValueError(f"unknown chain family kind {kind!r}")
         family = self._families.get(kind)
         if family is None:
             family = self._families[kind] = self._enumerate_family(kind)
-        if n is None:
-            return list(family)
-        return [c for c in family if len(c) == n + 1]
+        return list(family)
 
     def _enumerate_family(self, kind):
         """Pre-order walk up the strict order, smaller indices first."""
@@ -162,8 +160,8 @@ class Lattice(Poset):
     def chain_counts(self, kind):
         """The number of chains of a family, by length 0..max_chain_length.
 
-        Equal to `[len(self.chain_family(kind, n)) for n in ...]`, but no
-        chain is built: `from_x[x][k]` counts the chains x < ... of k steps
+        The chains of `chain_family(kind)` counted by length, but no chain
+        is built: `from_x[x][k]` counts the chains x < ... of k steps
         and `to_top[x][k]` those that end at the top, each the sum of the
         same rows of the elements above x, shifted one step.  A's counts
         are the bottom's `from_x`, Z's its `to_top`, B's the column sums of
@@ -281,7 +279,7 @@ def _set_partitions(items):
 def partition_lattice(n):
     """Set partitions of {1..n} by refinement; bottom is the discrete partition."""
     if not (1 <= n <= PARTITION_HARD_CAP):
-        raise UnsupportedSpec(f"partition({n}) exceeds the size cap {PARTITION_HARD_CAP}")
+        raise UnsupportedSpec(f"partition lattice needs 1 <= n <= {PARTITION_HARD_CAP}")
     parts = [
         tuple(sorted(tuple(sorted(b)) for b in p))
         for p in _set_partitions(list(range(1, n + 1)))

@@ -197,14 +197,9 @@ class Poset:
 
     # -- chains -----------------------------------------------------------
 
-    def chains(self, size=None, must_contain=None):
-        """All chains, as Chain objects, in deterministic lexicographic order.
-
-        `size` filters on member count; the empty chain is included when
-        size is None or 0.  `must_contain` restricts to chains containing
-        every listed element.
-        """
-        required = frozenset(must_contain or ())
+    def chains(self):
+        """All chains, the empty one first, as Chain objects, in
+        deterministic lexicographic order."""
         results = []
 
         def extend(current):
@@ -223,11 +218,7 @@ class Poset:
                 current.pop()
 
         extend([])
-        return [
-            Chain(members, self)
-            for members in sorted(set(results))
-            if (size is None or len(members) == size) and required.issubset(members)
-        ]
+        return [Chain(members, self) for members in sorted(set(results))]
 
     def dual(self):
         """The order-reversed poset over the same elements, of the same class."""

@@ -222,10 +222,9 @@ def test_pi_needs_top():
 def test_pi_opposite_recovers_chain():
     for spec in ("boolean:2", "pentagon", "divisor:12"):
         L = generate(spec)
-        for n in range(L.max_chain_length + 1):
-            for B in L.chain_family("B", n):
-                op = opposite_morphism(pi_of_chain(L, B))
-                assert tuple(op.values) == B.members
+        for B in L.chain_family("B"):
+            op = opposite_morphism(pi_of_chain(L, B))
+            assert tuple(op.values) == B.members
 
 
 ORACLE_SPECS = list(DEFAULT_CORPUS) + ["divisor:60", "diamond:5", "partition:4"]
