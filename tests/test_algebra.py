@@ -355,6 +355,30 @@ def test_products_with_maps_refuse_a_sum_not_over_the_integers(ring):
         map_products(e)
 
 
+@pytest.mark.parametrize("ring", ["int", "mod:2", "mod:3", "rat"])
+@pytest.mark.parametrize("spec", SMALL_CORPUS + ["diamond:5", "diamond:255"])
+def test_index_pair_products_decide_f_products(spec, ring):
+    # f_B * f_C vanishes iff j^B * (pi^B * j^C) does, the index-level
+    # product that the f_family witness search multiplies out; both are
+    # decided over Z.  pi^B * j^C is also taken with j^C doubled: a
+    # product that vanishes over Z vanishes over `ring`; over int and rat
+    # only those do (2 j^C vanishes mod 2 whatever pi^B is)
+    ring = Ring.parse(ring)
+    L = generate(spec)
+    chains = sorted(L.chain_family("B"), key=len)[:12]
+    sides = [(f_of_chain(L, B), j_upper(L, B), pi_of_chain(L, B)) for B in chains]
+    outcomes = set()
+    for (f, j, pi), (g, k, _) in itertools.product(sides, repeat=2):
+        outcome = (j * (embed(pi) * k)).is_zero()
+        assert outcome == (f * g).is_zero()
+        outcomes.add(outcome)
+        for m in (k, k.scale(2)):
+            over_z = (embed(pi) * m).is_zero()
+            over_r = (embed(pi, ring) * m.map_ring(ring)).is_zero()
+            assert over_r or not over_z if ring.kind == "mod" else over_r == over_z
+    assert outcomes == ({True, False} if len(chains) > 1 else {False})
+
+
 def test_sorted_terms_deterministic():
     L = boolean_lattice(2)
     e = idempotent_direct(L)
