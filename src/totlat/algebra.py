@@ -31,13 +31,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
 from .errors import (
-    BadSetting,
     ChainNotInA,
     ChainNotInB,
     FeasibilityLimit,
@@ -49,28 +47,9 @@ from .lattices import Lattice, chain_lattice
 from .morphisms import JoinMap, alpha_of_chain, identity_map, pi_of_chain
 from .posets import Poset, bit_indices
 
-# the largest chain poset the brute-force Moebius oracle builds unless
-# TOTLAT_CHAIN_POSET_LIMIT says otherwise; building its order tests
-# size**2 pairs, so time grows as the square
+# the largest chain poset the brute-force Moebius oracle builds; building
+# its order tests size**2 pairs, so time grows as the square
 CHAIN_POSET_LIMIT = 2000
-
-
-def limit_from_env(variable, default):
-    """The nonnegative integer in an environment variable, or `default` if unset.
-
-    Read when the limit is used, not at import, so that a malformed value
-    raises BadSetting, which the CLI reports with exit status 2.
-    """
-    text = os.environ.get(variable)
-    if text is None:
-        return default
-    if not (text.isascii() and text.isdigit()):
-        raise BadSetting(f"{variable} must be a nonnegative integer, not {text!r}")
-    return int(text)
-
-
-def chain_poset_limit():
-    return limit_from_env("TOTLAT_CHAIN_POSET_LIMIT", CHAIN_POSET_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -458,24 +437,21 @@ def mu_chain_infinity(L: Lattice, A) -> int:
     return (-1) ** (n + 1) * product
 
 
-def mu_chain_infinity_oracle(L: Lattice, A, limit=None) -> int:
+def mu_chain_infinity_oracle(L: Lattice, A) -> int:
     """Same value by brute force: build the poset of chains strictly
     containing A, adjoin a top, and count chains Hall-style.
 
     Never takes the product shortcut, so it is independent of
-    `mu_chain_infinity`.  Raises FeasibilityLimit above `limit` chains,
-    by default `chain_poset_limit()`; the chains are counted before any
-    is built.
+    `mu_chain_infinity`.  Raises FeasibilityLimit above CHAIN_POSET_LIMIT
+    chains; the chains are counted before any is built.
     """
     members = tuple(A)
     if not members or members[0] != L.bottom:
         raise ChainNotInA("chain must contain the bottom element")
-    if limit is None:
-        limit = chain_poset_limit()
     count = _chains_through(L, members) - 1
-    if count > limit:
+    if count > CHAIN_POSET_LIMIT:
         raise FeasibilityLimit(
-            f"chain poset has {count} elements, above the limit {limit}"
+            f"chain poset has {count} elements, above the limit {CHAIN_POSET_LIMIT}"
         )
     # a chain is the mask of its members; the adjoined top has every bit
     # of L and one more, so it lies above every chain and below none

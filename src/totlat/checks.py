@@ -52,11 +52,11 @@ composite with a chain-image map a fails only as p o a, whose image is
 p(image of a).
 
 Feasibility gates keep the default suite fast: exhaustive endomorphism
-sweeps require at most `assignment_limit()` candidate assignments, n ** k
-for n elements and k join-irreducibles; beyond that, centrality degrades
-to seeded sampling and other enumeration-based checks are skipped.  The
-chain-poset oracle of the Moebius check is capped by `chain_poset_limit()`.
-Both limits are read from the environment when a check needs them.
+sweeps require at most MAX_ASSIGNMENTS candidate assignments, n ** k for
+n elements and k join-irreducibles; beyond that, centrality degrades to
+seeded sampling and other enumeration-based checks are skipped.  The
+Moebius check skips the chain-poset oracle on each chain whose chain
+poset has more than `algebra.CHAIN_POSET_LIMIT` elements.
 """
 
 from __future__ import annotations
@@ -71,13 +71,11 @@ from .algebra import (
     FormalSum,
     Ring,
     ZZ,
-    chain_poset_limit,
     embed,
     has_noncomplemented_step,
     idempotent_direct,
     idempotent_original,
     j_upper,
-    limit_from_env,
     map_products,
     mu_chain_infinity,
     mu_chain_infinity_oracle,
@@ -93,13 +91,8 @@ from .morphisms import (
 )
 from .serialize import load_lattice
 
-# the exhaustive-sweep gate unless TOTLAT_MAX_ASSIGNMENTS says otherwise
+# the exhaustive-sweep gate on candidate assignments
 MAX_ASSIGNMENTS = 10**7
-
-
-def assignment_limit():
-    return limit_from_env("TOTLAT_MAX_ASSIGNMENTS", MAX_ASSIGNMENTS)
-
 
 DEFAULT_CORPUS = (
     "chain:0",
@@ -175,7 +168,7 @@ class Workspace:
     def enumerable(self):
         """True iff an exhaustive endomorphism sweep is within the gate."""
         L = self.L
-        return L.n ** len(L.join_irreducibles()) <= assignment_limit()
+        return L.n ** len(L.join_irreducibles()) <= MAX_ASSIGNMENTS
 
     def ring_terms(self, s: FormalSum):
         """The number of terms of the sum s over Z left in the workspace ring."""
@@ -319,11 +312,10 @@ def check_mobius_lemmas(ws: Workspace):
     L = ws.L
     count = 0
     limited = False
-    limit = chain_poset_limit()
     for A in L.chain_family("A"):
         fast = mu_chain_infinity(L, A)
         try:
-            slow = mu_chain_infinity_oracle(L, A, limit=limit)
+            slow = mu_chain_infinity_oracle(L, A)
         except FeasibilityLimit:
             limited = True
             continue

@@ -14,11 +14,10 @@ file or a generator descriptor ("boolean:3", "divisor:12",
 
 A lattice has at most 1,024 elements; `divisor:M` takes M <= 10^12.
 
-Environment: TOTLAT_MAX_ASSIGNMENTS (default 1e7) caps exhaustive
-endomorphism sweeps in `verify`; TOTLAT_CHAIN_POSET_LIMIT (default 2000)
-caps the chain-poset Moebius oracle, in `verify` and in `mobius --chain`.
-Each must be a nonnegative integer; every subcommand reads both first, and
-a malformed value is an error (exit status 2).
+Two constants bound the exhaustive work: `checks.MAX_ASSIGNMENTS` (10^7
+candidate assignments) gates the endomorphism sweeps of `verify`, and
+`algebra.CHAIN_POSET_LIMIT` (2000 chains) the chain-poset Moebius oracle,
+in `verify` and in `mobius --chain`.
 
 Lattice files are read, and all output is written, in UTF-8 whatever the
 locale's encoding.
@@ -38,13 +37,12 @@ import sys
 
 from .algebra import (
     Ring,
-    chain_poset_limit,
     idempotent_direct,
     idempotent_original,
     mu_chain_infinity,
     mu_chain_infinity_oracle,
 )
-from .checks import DEFAULT_CORPUS, assignment_limit, run_suite
+from .checks import DEFAULT_CORPUS, run_suite
 from .errors import FeasibilityLimit, TotlatError
 from .posets import Chain
 from .serialize import formal_sum_json_chunks, formal_sum_to_text, load_lattice
@@ -64,14 +62,9 @@ def cmd_info(args):
 
 
 def cmd_idempotent(args):
-    if args.crapo and args.method != "direct":
-        raise TotlatError("--crapo applies only to --method direct")
     L = load_lattice(args.input)
-    ring = Ring.parse(args.ring)
-    if args.method == "direct":
-        e = idempotent_direct(L, ring, crapo_filter=args.crapo)
-    else:
-        e = idempotent_original(L, ring)
+    build = idempotent_direct if args.method == "direct" else idempotent_original
+    e = build(L, Ring.parse(args.ring))
     if args.format == "json":
         # written term by term, so the document is never held whole
         sys.stdout.writelines(formal_sum_json_chunks(e))
@@ -158,8 +151,6 @@ def build_parser():
     p_idem = sub.add_parser("idempotent", help="compute the total-order idempotent")
     p_idem.add_argument("input")
     p_idem.add_argument("--method", choices=("direct", "original"), default="direct")
-    p_idem.add_argument("--crapo", action="store_true",
-                        help="skip chains with a non-complemented step interval")
     p_idem.add_argument("--ring", default="int", help="int | mod:m | rat")
     p_idem.add_argument("--format", choices=("text", "json"), default="text")
     p_idem.set_defaults(func=cmd_idempotent)
@@ -203,9 +194,6 @@ def main(argv=None):
             # text here so that a closed pipe is handled below
             sys.stdout.flush()
             raise
-        # a malformed limit fails every subcommand, not only those using it
-        assignment_limit()
-        chain_poset_limit()
         status = args.func(args)
         sys.stdout.flush()
         return status

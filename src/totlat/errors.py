@@ -80,10 +80,6 @@ class FeasibilityLimit(TotlatError):
     """An exhaustive enumeration would exceed the configured size bound."""
 
 
-class BadSetting(TotlatError):
-    """An environment variable holds a malformed limit."""
-
-
 class ParseError(TotlatError):
     """Malformed lattice file or serialized formal sum."""
 

@@ -33,7 +33,7 @@ import os
 from fractions import Fraction
 
 from .algebra import FormalSum, Ring
-from .errors import ParseError
+from .errors import ParseError, UnsupportedRing
 from .lattices import MAX_ELEMENTS, Lattice, generate
 from .morphisms import alpha_of_chain, image_chain, make_join_map
 
@@ -97,12 +97,18 @@ def _coeff_to_json(ring: Ring, c):
 
 
 def _coeff_from_json(ring: Ring, v):
-    if ring.kind != "rat":
+    # only what _coeff_to_json writes: a JSON float or boolean would be
+    # rounded or read as 0 or 1, so it is refused
+    if type(v) is int:
         return ring.coerce(v)
-    try:
-        return Fraction(str(v))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"coefficient {v!r} is not a rational number") from None
+    if ring.kind != "rat":
+        raise UnsupportedRing(f"coefficient {v!r} is not an integer")
+    if type(v) is str:
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(f"coefficient {v!r} is not a rational number")
 
 
 def formal_sum_to_document(s: FormalSum) -> dict:
@@ -121,9 +127,10 @@ def formal_sum_from_document(doc: dict, source: Lattice, target: Lattice) -> For
     """Rebuild a formal sum, validating each table as a join-morphism.
 
     Every malformed document raises a TotlatError: ParseError for its
-    structure or a table key that names no source element, UnsupportedRing
-    for its ring or an inexact coefficient, UnknownLabel or NotJoinMorphism
-    for a table.
+    structure, a table key that names no source element, a table value
+    that is not a string or a coefficient that is not a rational number,
+    UnsupportedRing for its ring or a non-integer coefficient over int or
+    mod:m, UnknownLabel or NotJoinMorphism for a table.
     """
     try:
         ring = Ring.parse(str(doc["ring"]))
@@ -134,10 +141,10 @@ def formal_sum_from_document(doc: dict, source: Lattice, target: Lattice) -> For
         terms = []
         for term in doc["terms"]:
             table = term["table"]
-            values = tuple(
-                target.index_of(table[source.names[x]])
-                for x in range(source.n)
-            )
+            labels = [table[name] for name in source.names]
+            if not all(type(label) is str for label in labels):
+                raise ParseError(f"table values must be labels: {labels!r}")
+            values = tuple(target.index_of(label) for label in labels)
             extra = set(table) - set(source.names)
             if extra:
                 raise ParseError(

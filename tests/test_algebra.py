@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import totlat.algebra as algebra
 from totlat.algebra import (
     FormalSum,
     Ring,
@@ -432,15 +433,17 @@ def test_mu_oracle_agreement_everywhere():
 
 
 @pytest.mark.parametrize("spec", list(DEFAULT_CORPUS) + ["divisor:60", "diamond:5"])
-def test_oracle_limit_counts_the_chain_poset_exactly(spec):
+def test_oracle_limit_counts_the_chain_poset_exactly(monkeypatch, spec):
     L = generate(spec)
     masks = [sum(1 << m for m in c) for c in L.chain_family("A")]
     for A in L.chain_family("A"):
         base = sum(1 << m for m in A)
         count = sum(mask != base and mask & base == base for mask in masks)
-        assert mu_chain_infinity_oracle(L, A, limit=count) == mu_chain_infinity(L, A)
+        monkeypatch.setattr(algebra, "CHAIN_POSET_LIMIT", count)
+        assert mu_chain_infinity_oracle(L, A) == mu_chain_infinity(L, A)
+        monkeypatch.setattr(algebra, "CHAIN_POSET_LIMIT", count - 1)
         with pytest.raises(FeasibilityLimit, match=f"has {count} elements"):
-            mu_chain_infinity_oracle(L, A, limit=count - 1)
+            mu_chain_infinity_oracle(L, A)
 
 
 def test_oracle_refuses_a_long_chain_without_building_it():
