@@ -33,7 +33,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .errors import (
     ChainNotInA,
@@ -44,7 +43,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .lattices import Lattice, chain_lattice
-from .morphisms import JoinMap, alpha_of_chain, identity_map, pi_of_chain
+from .morphisms import JoinMap, identity_map, pi_of_chain, retraction_table, table_getter
 from .posets import Poset, bit_indices
 
 # the largest chain poset the brute-force Moebius oracle builds; building
@@ -136,18 +135,6 @@ def _accumulate(modulus, acc, terms, coerce=None):
             del acc[table]
 
 
-def _table_getter(f):
-    """The function g -> g o f on value tables, as one C-level call.
-
-    On a one-element source `itemgetter` returns the entry, not a tuple,
-    so there the entry is wrapped.
-    """
-    get = itemgetter(*f)
-    if len(f) == 1:
-        return lambda g: (get(g),)
-    return get
-
-
 class FormalSum:
     """Finite linear combination of join-morphisms with a shared signature.
 
@@ -221,7 +208,7 @@ class FormalSum:
     def __mul__(self, other):
         """Composition product: (self * other) means self after other.
 
-        Each inner table f becomes one getter (`_table_getter`), which
+        Each inner table f becomes one getter (`table_getter`), which
         reads the composite table g o f off an outer table g.
         """
         if not isinstance(other, FormalSum):
@@ -230,7 +217,7 @@ class FormalSum:
             raise SignatureMismatch("formal sums over different rings")
         if other.target != self.source:
             raise SourceTargetMismatch("inner target differs from outer source")
-        inner = [(_table_getter(f), cf) for f, cf in other.terms.items()]
+        inner = [(table_getter(f), cf) for f, cf in other.terms.items()]
         acc = {}
         _accumulate(self.ring.modulus, acc, (
             (get(g), cg * cf)
@@ -284,13 +271,13 @@ def _composition(n):
     `bytes` and each composite one `bytes.translate` call: outer(g) is
     `_translation(g)`, so g o p is `p.translate(outer(g))` and p o f is
     `f.translate(_translation(p))`.  Above 256 elements a table is a
-    tuple, read through `_table_getter`.  Nothing is built per lattice,
+    tuple, read through `table_getter`.  Nothing is built per lattice,
     and no closure per map: a sweep makes one `at` call for a few dozen
     composites, and binding two closures there cost a third of the time
     of `map_products`' test.
     """
     if n > 256:
-        return tuple, tuple, _table_getter, _tuples_at
+        return tuple, tuple, table_getter, _tuples_at
     return bytes, _translation, bytes, _bytes_at
 
 
@@ -305,7 +292,7 @@ def _bytes_at(p):
 
 
 def _tuples_at(p):
-    return _table_getter(p), _apply, itertools.repeat(p)
+    return table_getter(p), _apply, itertools.repeat(p)
 
 
 def _apply(get, table):
@@ -515,17 +502,46 @@ def _chains_through(L: Lattice, members):
 def idempotent_direct(L: Lattice, ring: Ring = ZZ, crapo_filter=False) -> FormalSum:
     """Minus the sum over bottom-to-top chains B of mu(B, infinity) * alpha_B.
 
-    With `crapo_filter`, chains with a non-complemented step interval are
-    skipped; their Moebius value is zero, so the result is unchanged.
+    Built in one depth-first walk up the strict order from the bottom.
+    -mu(B, infinity) is the product of -mu(x, y) over the steps x < y of B,
+    so each stack entry carries a chain, the sum of its members'
+    `L.outside_digits()` and that product so far; reaching the top, it
+    gives alpha_B's table (`retraction_table`) and its coefficient.  A
+    step with mu(x, y) = 0 is never taken, which cuts every chain through
+    it; each element's steps are found once per call.  The chains come in
+    the order of `L.chain_family("Z")`, less those with a zero step.
+    Distinct chains have distinct retractions, and every coefficient is a
+    nonzero integer, so the terms are kept as they come, over Z, and
+    mapped into `ring` once.
+
+    With `crapo_filter`, steps whose interval is not complemented are not
+    taken either; by Crapo's complementation theorem their Moebius value
+    is zero, so the result is unchanged.
     """
-    terms = []
-    for B in L.chain_family("Z"):
-        if crapo_filter and has_noncomplemented_step(L, B):
+    digits, top = L.outside_digits(), L.top
+    steps = [None] * L.n
+    terms = {}
+    stack = [((L.bottom,), digits[L.bottom], 1)]
+    while stack:
+        members, total, c = stack.pop()
+        x = members[-1]
+        if x == top:
+            terms[retraction_table(L, members, total)] = c
             continue
-        mu = mu_chain_infinity(L, B)
-        if mu:
-            terms.append((alpha_of_chain(L, B).values, -mu))
-    return FormalSum(ring, L, L, terms)
+        if steps[x] is None:
+            # reversed, so the stack pops the smallest y first; found in
+            # ascending order, which the generators number along the order,
+            # so each mu(x, y) finds those below y memoized and the
+            # recursion stays shallow on a long chain
+            steps[x] = [
+                (y, -mu, digits[y])
+                for y in L._above[x]
+                if (mu := L.mobius(x, y))
+                and (not crapo_filter or L.is_complemented_interval(x, y))
+            ][::-1]
+        stack.extend((members + (y,), total + d, c * m) for y, m, d in steps[x])
+    e = FormalSum._of(ZZ, L, L, terms)
+    return e if ring == ZZ else e.map_ring(ring)
 
 
 def has_noncomplemented_step(L: Lattice, B) -> bool:
@@ -588,7 +604,7 @@ def f_of_chain(L: Lattice, B) -> FormalSum:
     """
     members = tuple(B)
     sections = _sections(L, members)
-    through_pi = _table_getter(pi_of_chain(L, members).values)
+    through_pi = table_getter(pi_of_chain(L, members).values)
     return FormalSum._of(ZZ, L, L, {through_pi(table): c for table, c in sections})
 
 

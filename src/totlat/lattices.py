@@ -22,8 +22,9 @@ chain, by a dynamic program down the strict order.
 
 Each Lattice computes its derived structure once: the join table, the
 comparability masks and the strict upper sets on construction, each chain
-family, the chain counts (and with them `max_chain_length`) and the
-opposite lattice on first use.
+family, the chain counts (and with them `max_chain_length`), the outside
+digits off which `morphisms` reads chain retractions, and the opposite
+lattice on first use.
 `Poset.chains()` does not share this code; it stays the slow oracle that
 the chain families and their counts are tested against.
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 
 from .errors import EmptyLattice, NotALattice, NotComparable, UnsupportedSpec
 from .posets import Chain, Poset, bit_indices
@@ -40,6 +42,8 @@ from .posets import Chain, Poset, bit_indices
 PARTITION_HARD_CAP = 6
 # the most elements a generated or loaded lattice may have: boolean:10
 MAX_ELEMENTS = 1024
+# the characters "0" and "1" to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 # the largest M that divisor:M accepts; trial division runs up to sqrt(M)
 DIVISOR_HARD_CAP = 10**12
 
@@ -52,7 +56,8 @@ class Lattice(Poset):
     instance: the join table, the comparability mask and the strict upper
     set of each element, the element of each principal down-set mask,
     every chain family (one depth-first enumeration per kind), the chain
-    counts and the opposite lattice, whose own opposite is this instance.
+    counts, the outside digits of each element and the opposite lattice,
+    whose own opposite is this instance.
     """
 
     def __init__(self, names, up):
@@ -87,6 +92,7 @@ class Lattice(Poset):
         self._by_down = by_down
         self._families = {}
         self._counts = None
+        self._outside = None
         self._opposite = None
 
     # -- basic structure --------------------------------------------------
@@ -191,6 +197,32 @@ class Lattice(Poset):
                 "Z": to_top[self.bottom],
             }
         return list(self._counts[kind])
+
+    def outside_digits(self):
+        """Per element b, an int with a 2-byte digit 1 at each t not <= b.
+
+        Digit t is the two bytes at 2t of `to_bytes(2 * n, sys.byteorder)`,
+        read as `memoryview.cast("H")` reads them.  Over the members of a
+        chain that ends at the top, the sum of their digits holds at t the
+        number of members whose down-set misses t, which is the index of
+        the least member above t.  No digit carries: a chain has at most n
+        members, and n <= MAX_ELEMENTS < 2**16.  Each int is built from the
+        binary text of the outside mask, by byte operations.
+        """
+        if self._outside is None:
+            n = self.n
+            full = (1 << n) - 1
+            # the byte of a 2-byte digit that holds the values below 256
+            low = 0 if sys.byteorder == "little" else 1
+            slots = bytearray(2 * n)
+            digits = []
+            for d in self.down:
+                # bit t of the mask is character t of the reversed text
+                text = format(full & ~d, f"0{n}b")[::-1]
+                slots[low::2] = text.encode().translate(_BIT_BYTES)
+                digits.append(int.from_bytes(slots, sys.byteorder))
+            self._outside = tuple(digits)
+        return self._outside
 
     def interval_elements(self, x, y):
         """The elements z with x <= z <= y, ascending; empty unless x <= y."""

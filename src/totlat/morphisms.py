@@ -14,12 +14,15 @@ down-set (`opposite_morphism`).  The pairwise scan and the `join_all` form
 they replace are kept in the tests as their oracles.
 
 Also provided: the surjection onto a chain's index total order and the
-retraction onto the chain, both read off the members' down-set masks by
-one shared pass up the chain; and exhaustive
-enumeration of the join-endomorphism monoid via join-irreducibles.  The
-sections of the index order that the family construction picks from a
-chain's step intervals are built, with their weights, in
-`algebra.j_upper`; they increase by construction and are not validated.
+retraction onto the chain, both read off one sum of the members'
+`Lattice.outside_digits()`, whose digit at t is t's index in the chain
+(`_first_cover_marks`); `algebra.idempotent_direct` carries that sum up
+each chain it walks and reads the retraction's table off it the same
+way.  The module also enumerates the join-endomorphism monoid
+exhaustively via join-irreducibles.  The sections of the index order
+that the family construction picks from a chain's step intervals are
+built, with their weights, in `algebra.j_upper`; they increase by
+construction and are not validated.
 
 The enumerator and the sampler test assignments of values to the
 join-irreducibles against one schedule of tests, built once per call by
@@ -41,7 +44,9 @@ schedule and stops at the first position that fails.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import ChainNotInB, ChainNotInZ, NotJoinMorphism, SourceTargetMismatch
 from .lattices import Lattice, chain_lattice
@@ -168,12 +173,12 @@ def alpha_of_chain(L: Lattice, B) -> JoinMap:
 
     Idempotent, pointwise >= identity, image exactly B.  The least member
     above t is the member at t's index under `pi_of_chain`, read off the
-    same pass up B.
+    same sum of outside digits.
     """
     members = tuple(B)
     if not members or members[0] != L.bottom or members[-1] != L.top:
         raise ChainNotInZ("chain must contain both bottom and top")
-    return JoinMap(L, L, _first_cover_marks(L, members, members))
+    return JoinMap(L, L, retraction_table(L, members, _digit_sum(L, members)))
 
 
 def pi_of_chain(L: Lattice, B) -> JoinMap:
@@ -184,27 +189,44 @@ def pi_of_chain(L: Lattice, B) -> JoinMap:
     members = tuple(B)
     if not members or members[-1] != L.top:
         raise ChainNotInB("chain must contain the top element")
-    values = _first_cover_marks(L, members, range(len(members)))
+    values = tuple(_first_cover_marks(L, _digit_sum(L, members)))
     return JoinMap(L, chain_lattice(len(members) - 1), values)
 
 
-def _first_cover_marks(L: Lattice, members, marks):
-    """The table giving each element the mark of the first member above it.
+def retraction_table(L: Lattice, members, total):
+    """The table of alpha_B for B = members, a bottom-to-top chain.
 
-    One pass up `members`, a chain that ends at the top: each member writes
-    its mark into the slots of its down-set that no earlier member covers.
+    `total` is the sum of the members' `L.outside_digits()`, which the
+    walk of `algebra.idempotent_direct` carries up the chain as it goes.
     """
-    down = L.down
-    values = [0] * L.n
-    placed = 0
-    for mark, b in zip(marks, members):
-        fresh = down[b] & ~placed
-        placed |= fresh
-        while fresh:
-            low = fresh & -fresh
-            values[low.bit_length() - 1] = mark
-            fresh ^= low
-    return tuple(values)
+    return table_getter(_first_cover_marks(L, total))(members)
+
+
+def _digit_sum(L: Lattice, members):
+    return sum(map(L.outside_digits().__getitem__, members))
+
+
+def _first_cover_marks(L: Lattice, total):
+    """Each element's index in a chain B that ends at the top, from `total`.
+
+    `total` is the sum of B's members' `L.outside_digits()`, so its digit
+    at t counts the members whose down-set misses t: the index of the
+    least member above t.  The digits are read back as one array of
+    2-byte integers, without a step per element in Python.
+    """
+    return memoryview(total.to_bytes(2 * L.n, sys.byteorder)).cast("H")
+
+
+def table_getter(f):
+    """The function g -> g o f on value tables, as one C-level call.
+
+    On a one-element source `itemgetter` returns the entry, not a tuple,
+    so there the entry is wrapped.
+    """
+    get = itemgetter(*f)
+    if len(f) == 1:
+        return lambda g: (get(g),)
+    return get
 
 
 def enumerate_join_endomorphisms(L: Lattice, tot_only=False):

@@ -19,11 +19,12 @@ canonical (value-table) order.  parse(serialize(s)) == s.
 
 A document is byte for byte `json.dumps(formal_sum_to_document(s), indent=2,
 ensure_ascii=False)`, but it is written one term at a time:
-`formal_sum_json_chunks` encodes each source and target label once per
-document and yields the header and then one finished string per term, so a
-writer never holds the whole document.  `formal_sum_to_document` stays the
-plain-`json` form: the input of `formal_sum_from_document` and the oracle the
-chunked writer is tested against.
+`formal_sum_json_chunks` encodes each source and target label and each
+distinct coefficient once per document and yields the header and then one
+finished string per term, so a writer never holds the whole document.
+`formal_sum_to_document` stays the plain-`json` form: the input of
+`formal_sum_from_document` and the oracle the chunked writer is tested
+against.
 """
 
 from __future__ import annotations
@@ -187,11 +188,14 @@ def formal_sum_json_chunks(s: FormalSum):
         + "\n      }\n    }"
     )
     values = [encode(name) for name in s.target.names]
+    # a document holds few distinct coefficients, each encoded once
+    coeffs = {}
     separator = ""
     for table, c in sorted(s.terms.items()):
-        yield template % (
-            separator, encode(_coeff_to_json(s.ring, c)), *map(values.__getitem__, table)
-        )
+        coeff = coeffs.get(c)
+        if coeff is None:
+            coeff = coeffs[c] = encode(_coeff_to_json(s.ring, c))
+        yield template % (separator, coeff, *map(values.__getitem__, table))
         separator = ","
     yield "\n  ]\n}"
 

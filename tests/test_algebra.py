@@ -477,17 +477,36 @@ def test_direct_diamond_terms():
     assert e.terms == expected
 
 
-def test_direct_coefficients_are_chain_mobius_values():
-    for spec in SMALL_CORPUS:
-        L = generate(spec)
-        e = idempotent_direct(L)
-        seen = {}
-        for B in L.chain_family("Z"):
-            alpha = alpha_of_chain(L, B).values
-            assert alpha not in seen, "retraction maps must be pairwise distinct"
-            seen[alpha] = -mu_chain_infinity(L, B)
-        expected = {a: c for a, c in seen.items() if c != 0}
-        assert e.terms == expected
+def least_member_above(L, members):
+    """The table of the retraction onto `members`, read naively."""
+    return tuple(next(b for b in members if L.leq(t, b)) for t in range(L.n))
+
+
+@pytest.mark.parametrize("ring", ["int", "rat", "mod:2", "mod:3"])
+@pytest.mark.parametrize("crapo_filter", [False, True])
+@pytest.mark.parametrize(
+    "spec", list(DEFAULT_CORPUS) + ["divisor:60", "diamond:5", "partition:4", "boolean:4"])
+def test_direct_coefficients_are_chain_mobius_values(spec, crapo_filter, ring):
+    # the pruned walk against the sum over every chain of the Z family,
+    # each retraction read naively and weighted by the product formula
+    L = generate(spec)
+    seen = {}
+    for B in L.chain_family("Z"):
+        alpha = least_member_above(L, B.members)
+        assert alpha_of_chain(L, B).values == alpha
+        assert alpha not in seen, "retraction maps must be pairwise distinct"
+        seen[alpha] = -mu_chain_infinity(L, B)
+    ring = Ring.parse(ring)
+    e = idempotent_direct(L, ring, crapo_filter=crapo_filter)
+    assert e == FormalSum(ring, L, L, seen)
+
+
+def test_direct_walk_on_a_long_chain_takes_only_the_covers():
+    # on chain:60 only the 60 cover steps have nonzero mu, each -1, so the
+    # one chain left is the whole order, with coefficient +1; the chain
+    # family Z has 2**59 members
+    L = generate("chain:60")
+    assert idempotent_direct(L) == identity_sum(L)
 
 
 def test_direct_idempotent_and_fixes_alphas():

@@ -328,6 +328,36 @@ def test_chain_maps_match_min_definitions(spec):
         assert alpha_of_chain(L, B).values == tuple(least_above)
 
 
+# chains of boolean:9, by label: the full one, the two ends, one with
+# gaps, and two that miss the bottom
+BOOLEAN9_CHAINS = [
+    ["0", "a", "ab", "abc", "abcd", "abcde", "abcdef", "abcdefg", "abcdefgh", "abcdefghi"],
+    ["0", "abcdefghi"],
+    ["0", "i", "bi", "bgi", "abcdefghi"],
+    ["e", "ace", "abcdefghi"],
+    ["abcdefghi"],
+]
+
+
+@pytest.mark.parametrize("spec", ["chain:300", "boolean:9"])
+def test_chain_maps_past_one_byte(spec):
+    # indices up to 300 on chain:300, and 512 elements on boolean:9: each
+    # index is a 2-byte digit of a sum of outside digits
+    L = generate(spec)
+    if spec == "chain:300":
+        chains = [tuple(range(L.n))]
+    else:
+        chains = [z_chain(L, *labels) for labels in BOOLEAN9_CHAINS]
+    for members in chains:
+        # the index of each element's least member above it, naively
+        naive = [next(p for p, b in enumerate(members) if L.leq(t, b)) for t in range(L.n)]
+        pi = pi_of_chain(L, members)
+        assert pi.values == tuple(naive)
+        assert pi.target == chain_lattice(len(members) - 1)
+        if members[0] == L.bottom:
+            assert alpha_of_chain(L, members).values == tuple(members[p] for p in naive)
+
+
 @pytest.mark.parametrize("spec", list(DEFAULT_CORPUS) + ["divisor:60", "boolean:5"])
 def test_alpha_reads_members_at_pi_indices(spec):
     L = generate(spec)
