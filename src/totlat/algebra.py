@@ -23,14 +23,26 @@ The headline objects:
                           idempotents f_B built from interval-pick families.
 
 Both produce the same element; the equivalence is the main cross-check.
-The family sum adds the f_B over Z and is mapped into the requested ring
-once; modulo m the mapping drops the terms that vanish.
+The family sum lists no chain.  It is built over Z, one partial sum S(b)
+per element b, by the recursion
+
+  S(b) = [bottom on down(b)]
+         - sum over b' < b and a in [b', b] of
+           mu(b', a) * ([a on down(b) - down(b')] joined to S(b')),
+
+where S(b) holds the terms of the f_B over the chains that end at b,
+restricted to the down-set of b: each such term is one unrolled path of
+the recursion, and since joining a fixed block is injective and linear,
+the terms of S(b') cancel before they are extended.  S(top) is the sum
+of the f_B; it is mapped into the requested ring once, and modulo m the
+mapping drops the terms that vanish.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,22 +174,6 @@ class FormalSum:
         s = cls.__new__(cls)
         s.ring, s.source, s.target, s.terms = ring, source, target, terms
         return s
-
-    @classmethod
-    def total(cls, ring, source, target, sums):
-        """The sum of an iterable of formal sums, added up in one pass.
-
-        Each summand is consumed as it comes and folded into one running
-        dict, so neither the partial sums nor the raw terms are kept.
-        """
-        acc: dict[tuple[int, ...], object] = {}
-        for s in sums:
-            if s.ring != ring or s.source != source or s.target != target:
-                raise SignatureMismatch("formal sums have different signatures")
-            _accumulate(ring.modulus, acc, s.terms.items())
-        # a copy: the running dict keeps room for every key it ever held,
-        # and most cancel in the family construction
-        return cls._of(ring, source, target, dict(acc))
 
     def _require_same_signature(self, other):
         if (
@@ -529,10 +525,7 @@ def idempotent_direct(L: Lattice, ring: Ring = ZZ, crapo_filter=False) -> Formal
             terms[retraction_table(L, members, total)] = c
             continue
         if steps[x] is None:
-            # reversed, so the stack pops the smallest y first; found in
-            # ascending order, which the generators number along the order,
-            # so each mu(x, y) finds those below y memoized and the
-            # recursion stays shallow on a long chain
+            # reversed, so the stack pops the smallest y first
             steps[x] = [
                 (y, -mu, digits[y])
                 for y in L._above[x]
@@ -609,12 +602,46 @@ def f_of_chain(L: Lattice, B) -> FormalSum:
 
 
 def idempotent_original(L: Lattice, ring: Ring = ZZ) -> FormalSum:
-    """Sum of f_B over all top-ended chains B of every length.
+    """The sum of f_B over all top-ended chains B, by a recursion over the
+    elements, built over Z and mapped into `ring` once.
 
-    The f_B are summed over Z and the sum is mapped into `ring` once; Z -> R
-    is a ring map and commutes with the sums and products that build e.
+    A term of f_B, B = {b_0 < ... < b_n = top}, sends x to a_{pi^B(x)}:
+    the bottom on the down-set of b_0, and the pick a_p on that of b_p
+    less that of b_{p-1}, with coefficient (-1)^n prod_p mu(b_{p-1}, a_p).
+    Let S(b) be the sum of these terms, restricted to the down-set of b,
+    over the chains that end at b and their picks.  The chain {b} gives
+    the constant bottom, and a longer one is a chain that ends at some
+    b' < b followed by a pick a in [b', b], so
+
+        S(b) = [bottom on down(b)]
+               - sum over b' < b and a in [b', b] of
+                 mu(b', a) * ([a on down(b) - down(b')] joined to S(b')),
+
+    and the sum of the f_B is S(top).  Joining a fixed block is linear and
+    injective, so the terms of S(b') cancel before it is extended; S(b)
+    is the family idempotent of the interval [bottom, b].  No chain is
+    listed.  A table is keyed by an int with one 2-byte digit per element,
+    the digit at t holding the value at t; `inside[b]` has digit 1 at each
+    t <= b, so joining the block adds a * (inside[b] - inside[b']).  The
+    elements are visited by the size of their down-sets, a linear
+    extension; the picks are read off the support of `L.mobius_row(b')`;
+    and only the keys of S(top) are decoded into tables.
     """
-    e = FormalSum.total(ZZ, L, L, (
-        f_of_chain(L, B) for B in sorted(L.chain_family("B"), key=len)
-    ))
+    n, down = L.n, L.down
+    inside = [sum(1 << 16 * t for t in bit_indices(d)) for d in down]
+    sums = [None] * n
+    for b in sorted(range(n), key=lambda v: down[v].bit_count()):
+        acc = {L.bottom * inside[b]: 1}
+        for lo in bit_indices(down[b] & ~(1 << b)):
+            values, support = L.mobius_row(lo)
+            block = inside[b] - inside[lo]
+            picks = [(a * block, -values[a]) for a in bit_indices(support & down[b])]
+            _accumulate(None, acc, ((key + shift, c * m)
+                                    for key, c in sums[lo].items() for shift, m in picks))
+        sums[b] = acc
+    width = 2 * n
+    e = FormalSum._of(ZZ, L, L, {
+        tuple(memoryview(key.to_bytes(width, sys.byteorder)).cast("H")): c
+        for key, c in sums[L.top].items()
+    })
     return e if ring == ZZ else e.map_ring(ring)

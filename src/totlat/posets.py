@@ -4,8 +4,9 @@ Elements are dense integer indices 0..n-1; labels are display-only.
 `Poset(names, up)` takes the up-set masks; `Poset.from_covers(names,
 covers)` closes a list of cover pairs into them.
 Two independent Moebius computations are provided: the defining recursion
-(`mobius`) and Philip Hall's alternating chain count (`mobius_hall`), which
-serves as the oracle for everything downstream.
+(`mobius`, one row mu(x, .) at a time over its nonzero support) and Philip
+Hall's alternating chain count (`mobius_hall`), which serves as the oracle
+for everything downstream.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ class Poset:
     Bit j of `up[i]` is set iff i <= j; `down`, computed once, is the
     transpose: bit i of `down[j]` is set iff i <= j.  Every query, the
     covers, the Moebius recursion and the dual read these masks; no other
-    form of the order is kept.  The Moebius memo table is filled lazily.
+    form of the order is kept.  The Moebius values are filled lazily, one
+    whole row mu(x, .) at a time, and memoized by x.
     """
 
     def __init__(self, names, up):
@@ -73,7 +75,7 @@ class Poset:
         self.down = tuple(down)
         self._index = {name: i for i, name in enumerate(self.names)}
         self._covers = None
-        self._mobius_memo = {}
+        self._mobius_rows = {}
 
     def _check_order_axioms(self):
         up = self.up
@@ -158,19 +160,36 @@ class Poset:
     # -- Moebius functions ------------------------------------------------
 
     def mobius(self, x, y):
-        """Moebius value mu(x, y) by the defining recursion, memoized."""
+        """Moebius value mu(x, y) by the defining recursion, read off row x."""
         if not self.leq(x, y):
             raise NotComparable(f"{self.names[x]} is not <= {self.names[y]}")
-        memo = self._mobius_memo
-        if (x, y) not in memo:
-            if x == y:
-                memo[(x, y)] = 1
-            else:
-                memo[(x, y)] = -sum(
-                    self.mobius(x, z)
-                    for z in bit_indices(self.up[x] & self.down[y] & ~(1 << y))
-                )
-        return memo[(x, y)]
+        return self.mobius_row(x)[0].get(y, 0)
+
+    def mobius_row(self, x):
+        """(values, support): the nonzero mu(x, y), keyed by y, and the mask
+        of those y.
+
+        The row is filled on first use by the defining recursion, each y
+        above x visited in a linear extension (by the size of its down-set,
+        which grows strictly along the order):
+        mu(x, y) = -sum of mu(x, z) over the z in [x, y) found nonzero so
+        far, that is over the bits of `support & down[y]`.  A vanishing
+        value adds nothing to any later sum, so only the support is read,
+        and a long chain costs two terms per entry, not its whole interval.
+        The pair returned is the memo itself, for callers to read only.
+        """
+        row = self._mobius_rows.get(x)
+        if row is None:
+            down = self.down
+            values, support = {x: 1}, 1 << x
+            above = bit_indices(self.up[x] & ~(1 << x))
+            for y in sorted(above, key=lambda v: down[v].bit_count()):
+                mu = -sum(values[z] for z in bit_indices(support & down[y]))
+                if mu:
+                    values[y] = mu
+                    support |= 1 << y
+            row = self._mobius_rows[x] = (values, support)
+        return row
 
     def mobius_hall(self, x, y):
         """mu(x, y) as the alternating count of chains x = z_0 < ... < z_i = y.

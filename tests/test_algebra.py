@@ -132,23 +132,6 @@ def test_sum_cancelling_term_by_term_stores_no_terms():
     assert s.terms == {a: 5}
 
 
-def test_total_of_sums():
-    L = boolean_lattice(2)
-    x = identity_sum(L)
-    y = idempotent_direct(L)
-    assert FormalSum.total(ZZ, L, L, []) == FormalSum(ZZ, L, L)
-    assert FormalSum.total(ZZ, L, L, iter([x, y, -x])) == y
-    assert FormalSum.total(ZZ, L, L, [x, -x]).terms == {}
-
-
-def test_total_signature_mismatch():
-    L = boolean_lattice(2)
-    with pytest.raises(SignatureMismatch):
-        FormalSum.total(ZZ, L, L, [identity_sum(L, Ring("rat"))])
-    with pytest.raises(SignatureMismatch):
-        FormalSum.total(ZZ, L, L, [identity_sum(chain_lattice(2))])
-
-
 def test_sum_characteristic_two():
     L = boolean_lattice(2)
     ring = Ring("mod", 2)
@@ -648,8 +631,8 @@ def test_f_of_chain_matches_ring_level_product(spec, ring):
 def test_original_matches_ring_level_sum(spec, ring):
     L = generate(spec)
     R = Ring.parse(ring)
-    oracle = FormalSum.total(R, L, L, (
-        ring_level_f(L, B, R) for B in sorted(L.chain_family("B"), key=len)))
+    oracle = sum((ring_level_f(L, B, R) for B in sorted(L.chain_family("B"), key=len)),
+                 FormalSum(R, L, L))
     e = idempotent_original(L, R)
     assert e == oracle
     # the terms that vanish modulo 2 and 3 are dropped
@@ -672,10 +655,25 @@ def test_original_equals_direct():
         assert idempotent_original(L) == idempotent_direct(L), spec
 
 
+def lattice_or_opposite(spec):
+    """generate(spec), or the opposite of generate(rest) for "opposite:rest".
+
+    Every generator numbers its elements along the order; the opposite
+    keeps the numbers and reverses the order, so there the index order is
+    no linear extension.
+    """
+    if spec.startswith("opposite:"):
+        return generate(spec[len("opposite:"):]).opposite()
+    return generate(spec)
+
+
 @pytest.mark.parametrize("ring", ["int", "mod:2", "mod:3", "rat"])
-@pytest.mark.parametrize("spec", DEFAULT_CORPUS + ("divisor:60",))
+@pytest.mark.parametrize("spec", DEFAULT_CORPUS + (
+    "divisor:60", "diamond:5", "partition:4", "boolean:4", "divisor:240",
+    "product:boolean:3,chain:2", "opposite:pentagon", "opposite:divisor:60",
+    "opposite:partition:4", "opposite:boolean:3"))
 def test_original_equals_left_fold(spec, ring):
-    L = generate(spec)
+    L = lattice_or_opposite(spec)
     ring = Ring.parse(ring)
     fs = [
         f_of_chain(L, B).map_ring(ring)
@@ -686,8 +684,18 @@ def test_original_equals_left_fold(spec, ring):
     assert fold == idempotent_direct(L, ring)
 
 
-def test_original_one_element():
-    L = chain_lattice(0)
+@pytest.mark.parametrize("spec", [
+    "boolean:5", "boolean:6", "partition:5", "divisor:360", "divisor:2520",
+    "opposite:partition:5", "opposite:divisor:360"])
+def test_original_equals_direct_on_larger_lattices(spec):
+    L = lattice_or_opposite(spec)
+    assert idempotent_original(L) == idempotent_direct(L)
+
+
+@pytest.mark.parametrize("spec", ["chain:0", "chain:14", "chain:60", "opposite:chain:60"])
+def test_original_on_a_chain_is_the_identity(spec):
+    # chain:14 has 2**14 top-ended chains, whose f_B all cancel but one
+    L = lattice_or_opposite(spec)
     assert idempotent_original(L) == identity_sum(L)
 
 

@@ -7,7 +7,9 @@ from totlat.errors import (
     TotlatError,
     UnknownLabel,
 )
-from totlat.posets import Chain, Poset
+from totlat.checks import DEFAULT_CORPUS
+from totlat.lattices import generate
+from totlat.posets import Chain, Poset, bit_indices
 
 DIAMOND = (["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
 M3 = (
@@ -111,6 +113,23 @@ def test_mobius_delta_sum():
                     s = sum(p.mobius(x, z) for z in range(p.n)
                             if p.leq(x, z) and p.leq(z, y))
                     assert s == (1 if x == y else 0)
+
+
+@pytest.mark.parametrize("spec", list(DEFAULT_CORPUS) + [
+    "divisor:60", "diamond:5", "partition:4", "boolean:4", "chain:40"])
+@pytest.mark.parametrize("opposite", [False, True])
+def test_mobius_rows_match_hall_on_every_comparable_pair(spec, opposite):
+    # the opposite keeps the element numbers and reverses the order, so
+    # there the rows cannot be filled in index order
+    L = generate(spec)
+    if opposite:
+        L = L.opposite()
+    for x in range(L.n):
+        values, support = L.mobius_row(x)
+        assert support == sum(1 << y for y in values)
+        for y in bit_indices(L.up[x]):
+            assert L.mobius(x, y) == L.mobius_hall(x, y), (spec, x, y)
+            assert (y in values) == (L.mobius(x, y) != 0)
 
 
 def test_chains_two_element():
