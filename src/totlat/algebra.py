@@ -43,6 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -174,6 +175,22 @@ class FormalSum:
         s = cls.__new__(cls)
         s.ring, s.source, s.target, s.terms = ring, source, target, terms
         return s
+
+    @classmethod
+    def total(cls, ring, source, target, sums):
+        """The sum of an iterable of formal sums, added up in one pass.
+
+        Each summand is consumed as it comes and folded into one running
+        dict, so neither the partial sums nor the raw terms are kept.
+        """
+        acc: dict[tuple[int, ...], object] = {}
+        for s in sums:
+            if s.ring != ring or s.source != source or s.target != target:
+                raise SignatureMismatch("formal sums have different signatures")
+            _accumulate(ring.modulus, acc, s.terms.items())
+        # a copy: the running dict keeps room for every key it ever held,
+        # and most cancel in f_family's sum of the f_B
+        return cls._of(ring, source, target, dict(acc))
 
     def _require_same_signature(self, other):
         if (
@@ -620,15 +637,17 @@ def idempotent_original(L: Lattice, ring: Ring = ZZ) -> FormalSum:
     and the sum of the f_B is S(top).  Joining a fixed block is linear and
     injective, so the terms of S(b') cancel before it is extended; S(b)
     is the family idempotent of the interval [bottom, b].  No chain is
-    listed.  A table is keyed by an int with one 2-byte digit per element,
-    the digit at t holding the value at t; `inside[b]` has digit 1 at each
-    t <= b, so joining the block adds a * (inside[b] - inside[b']).  The
+    listed.  A table is keyed by an int whose bytes, in the machine's
+    byte order, are the table as an array of 2-byte values, one digit per
+    element; `inside[b]` has digit 1 at each t <= b and is built the same
+    way, so joining the block adds a * (inside[b] - inside[b']).  The
     elements are visited by the size of their down-sets, a linear
     extension; the picks are read off the support of `L.mobius_row(b')`;
     and only the keys of S(top) are decoded into tables.
     """
     n, down = L.n, L.down
-    inside = [sum(1 << 16 * t for t in bit_indices(d)) for d in down]
+    inside = [int.from_bytes(array("H", [d >> t & 1 for t in range(n)]), sys.byteorder)
+              for d in down]
     sums = [None] * n
     for b in sorted(range(n), key=lambda v: down[v].bit_count()):
         acc = {L.bottom * inside[b]: 1}

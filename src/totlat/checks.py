@@ -16,13 +16,11 @@ identity over Z fails, even if its image modulo m holds.
 
 A Workspace holds one lattice under verification with the ring, the name
 its reports carry and the sampling options.  It computes the direct
-idempotent `e` over Z once, on first use, for every check that needs it,
-and likewise the family construction's sum `family`, which
-`formula_equivalence` compares with e and `f_family` reads as the sum of
-the f_B; the checks that compare other constructions (the filtered direct
-sum, the sums modulo m) still build their side independently.  The
-join-endomorphisms are not kept: each check streams them from the
-enumerator.  Held as JoinMaps, they raised the peak RSS of
+idempotent `e` over Z once, on first use, for every check that needs it;
+the checks that compare constructions (the family construction, the
+filtered direct sum, the sums modulo m) still build their side
+independently.  The join-endomorphisms are not kept: each check streams
+them from the enumerator.  Held as JoinMaps, they raised the peak RSS of
 the `sweep` benchmark by 11.7 % when tried; the enumeration that each
 check repeats instead is a small part of the sweep.
 
@@ -42,10 +40,9 @@ an idempotent is its rank, so rank(sum p_i) = sum rank(p_i); the images
 of the p_i then form a direct sum equal to the image of their sum, and
 p_i p_j = 0 for i != j.  The algebra of maps on L over Q contains the
 one over Z, so the check passes, after testing each f_B for idempotence,
-as soon as sum f_B == e and e * e == e; sum f_B is `Workspace.family`,
-which the tests compare with the f_B added one by one.  Only when the
-certificate fails are the pairs tested, to name the first non-orthogonal
-pair; the pairwise L-level loop is kept in the tests as the oracle.
+as soon as sum f_B == e and e * e == e.  Only when the certificate
+fails are the pairs tested, to name the first non-orthogonal pair; the
+pairwise L-level loop is kept in the tests as the oracle.
 
 e * e is multiplied out once per Workspace; `idempotent`, `f_family` and
 `decomposition` read it.  `decomposition` needs nothing else: in any
@@ -146,8 +143,8 @@ class CheckReport:
 
 
 class Workspace:
-    """One lattice under verification and what its checks share; `e`,
-    `family` and `e_squared` are over Z, where every check decides."""
+    """One lattice under verification and what its checks share; `e` and
+    `e_squared` are over Z, where every check decides."""
 
     def __init__(self, L: Lattice, ring: Ring = ZZ, descriptor="?", seed=None,
                  sample_count=500):
@@ -161,11 +158,6 @@ class Workspace:
     def e(self) -> FormalSum:
         """The direct idempotent over Z."""
         return idempotent_direct(self.L)
-
-    @cached_property
-    def family(self) -> FormalSum:
-        """The sum of the f_B over Z, by the family construction."""
-        return idempotent_original(self.L)
 
     @cached_property
     def e_squared(self) -> FormalSum:
@@ -250,7 +242,7 @@ def check_central(ws: Workspace):
 
 def check_formula_equivalence(ws: Workspace):
     direct = ws.e
-    original = ws.family
+    original = idempotent_original(ws.L)
     if direct == original:
         return ws.report("formula_equivalence", "pass",
                          counts={"terms": ws.ring_terms(direct)})
@@ -266,11 +258,9 @@ def check_formula_equivalence(ws: Workspace):
 def check_f_family(ws: Workspace):
     """Each f_B idempotent, all pairs orthogonal, and their sum is e.
 
-    After the per-chain idempotence test the sum of the f_B is read from
-    `ws.family`, the family construction, which `formula_equivalence`
-    shares.  A sum equal to e with e * e == e certifies every pair
-    orthogonal (see the module docstring); otherwise the pairs are tested
-    as follows, then the sum.
+    After the per-chain idempotence test the f_B are summed.  A sum equal
+    to e with e * e == e certifies every pair orthogonal (see the module
+    docstring); otherwise the pairs are tested as follows, then the sum.
 
     f_B = j^B * pi^B, and no two f_B are multiplied out on L.  pi^C is
     surjective, so g -> g o pi^C is injective on value tables, and X * pi^C
@@ -290,7 +280,7 @@ def check_f_family(ws: Workspace):
         if j * (pi * j) != j:
             return ws.report("f_family", "fail",
                              counterexample={"chain": B.labels(), "kind": "not idempotent"})
-    total = ws.family
+    total = FormalSum.total(ZZ, L, L, (j * pi for _, j, pi in sides))
     if total != ws.e or ws.e_squared != ws.e:
         pair = _nonorthogonal_pair(sides)
         if pair is not None:

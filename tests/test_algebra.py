@@ -132,6 +132,23 @@ def test_sum_cancelling_term_by_term_stores_no_terms():
     assert s.terms == {a: 5}
 
 
+def test_total_of_sums():
+    L = boolean_lattice(2)
+    x = identity_sum(L)
+    y = idempotent_direct(L)
+    assert FormalSum.total(ZZ, L, L, []) == FormalSum(ZZ, L, L)
+    assert FormalSum.total(ZZ, L, L, iter([x, y, -x])) == y
+    assert FormalSum.total(ZZ, L, L, [x, -x]).terms == {}
+
+
+def test_total_signature_mismatch():
+    L = boolean_lattice(2)
+    with pytest.raises(SignatureMismatch):
+        FormalSum.total(ZZ, L, L, [identity_sum(L, Ring("rat"))])
+    with pytest.raises(SignatureMismatch):
+        FormalSum.total(ZZ, L, L, [identity_sum(chain_lattice(2))])
+
+
 def test_sum_characteristic_two():
     L = boolean_lattice(2)
     ring = Ring("mod", 2)
@@ -631,8 +648,8 @@ def test_f_of_chain_matches_ring_level_product(spec, ring):
 def test_original_matches_ring_level_sum(spec, ring):
     L = generate(spec)
     R = Ring.parse(ring)
-    oracle = sum((ring_level_f(L, B, R) for B in sorted(L.chain_family("B"), key=len)),
-                 FormalSum(R, L, L))
+    oracle = FormalSum.total(R, L, L, (
+        ring_level_f(L, B, R) for B in sorted(L.chain_family("B"), key=len)))
     e = idempotent_original(L, R)
     assert e == oracle
     # the terms that vanish modulo 2 and 3 are dropped
@@ -649,12 +666,6 @@ def test_f_of_chain_idempotent():
             assert f * f == f
 
 
-def test_original_equals_direct():
-    for spec in SMALL_CORPUS + ["boolean:3", "product:boolean:2,chain:1"]:
-        L = generate(spec)
-        assert idempotent_original(L) == idempotent_direct(L), spec
-
-
 def lattice_or_opposite(spec):
     """generate(spec), or the opposite of generate(rest) for "opposite:rest".
 
@@ -665,6 +676,14 @@ def lattice_or_opposite(spec):
     if spec.startswith("opposite:"):
         return generate(spec[len("opposite:"):]).opposite()
     return generate(spec)
+
+
+@pytest.mark.parametrize("spec", SMALL_CORPUS + [
+    "boolean:3", "product:boolean:2,chain:1", "boolean:5", "boolean:6", "partition:5",
+    "divisor:360", "divisor:2520", "opposite:partition:5", "opposite:divisor:360"])
+def test_original_equals_direct(spec):
+    L = lattice_or_opposite(spec)
+    assert idempotent_original(L) == idempotent_direct(L)
 
 
 @pytest.mark.parametrize("ring", ["int", "mod:2", "mod:3", "rat"])
@@ -682,14 +701,6 @@ def test_original_equals_left_fold(spec, ring):
     fold = functools.reduce(operator.add, fs)
     assert idempotent_original(L, ring) == fold
     assert fold == idempotent_direct(L, ring)
-
-
-@pytest.mark.parametrize("spec", [
-    "boolean:5", "boolean:6", "partition:5", "divisor:360", "divisor:2520",
-    "opposite:partition:5", "opposite:divisor:360"])
-def test_original_equals_direct_on_larger_lattices(spec):
-    L = lattice_or_opposite(spec)
-    assert idempotent_original(L) == idempotent_direct(L)
 
 
 @pytest.mark.parametrize("spec", ["chain:0", "chain:14", "chain:60", "opposite:chain:60"])

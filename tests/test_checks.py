@@ -68,6 +68,7 @@ def test_run_suite_builds_e_once_per_lattice(monkeypatch):
 
 
 def test_run_suite_builds_the_family_sum_once_per_lattice(monkeypatch):
+    # formula_equivalence builds it; f_family adds its own j^B * pi^B
     calls = []
     real = checks.idempotent_original
 
@@ -274,18 +275,6 @@ def family_member(L, B):
     return checks.j_upper(L, B) * embed(checks.pi_of_chain(L, B))
 
 
-def family_sum(L):
-    """The f_B over Z added one by one, from the j^B and pi^B the check reads.
-
-    `check_f_family` reads the sum of the f_B from the family construction
-    (`Workspace.family`), not from its j^B and pi^B, so a test that
-    corrupts those also puts this sum in place of `checks.idempotent_original`:
-    the family is then corrupted wherever the check reads it.
-    """
-    return sum((family_member(L, B) for B in sorted(L.chain_family("B"), key=len)),
-               FormalSum(ZZ, L, L))
-
-
 def f_family_oracle(ws):
     """check_f_family's report, from the L-level products of the f_B over Z.
 
@@ -308,7 +297,7 @@ def f_family_oracle(ws):
                     counterexample={"chains": [B.labels(), C.labels()],
                                     "kind": "not orthogonal"},
                 )
-    total = sum((f for _, f in fs), FormalSum(ZZ, L, L))
+    total = FormalSum.total(ZZ, L, L, (f for _, f in fs))
     if total != ws.e:
         return ws.report("f_family", "fail",
                          counterexample={"kind": "sum differs from direct idempotent",
@@ -357,7 +346,6 @@ def test_f_family_mutated_section_fails_like_the_oracle(monkeypatch, spec, mutat
             return mutate(s) if tuple(B) == tuple(chosen) else s
 
         monkeypatch.setattr(checks, "j_upper", corrupted)
-        monkeypatch.setattr(checks, "idempotent_original", family_sum)
         expected = f_family_oracle(workspace(L, spec)).to_dict()
         for ring in RINGS:
             report = report_under(check_f_family, L, spec, ring)
@@ -391,7 +379,6 @@ def test_f_family_one_sided_product_fails_like_the_oracle(monkeypatch, spec, mut
         return s + f[tuple(B)] * y * s if tuple(D) == tuple(C) else s
 
     monkeypatch.setattr(checks, "j_upper", corrupted)
-    monkeypatch.setattr(checks, "idempotent_original", family_sum)
     first, second = (C, B) if mutated_first else (B, C)
     expected = f_family_oracle(workspace(L, spec)).to_dict()
     assert expected["counterexample"] == {"chains": [first.labels(), second.labels()],
@@ -439,11 +426,10 @@ def test_f_family_summing_to_a_non_idempotent_e_fails_like_the_oracle(monkeypatc
         return s + f[tuple(B)] * y * s if tuple(D) == tuple(C) else s
 
     monkeypatch.setattr(checks, "j_upper", corrupted_j)
-    monkeypatch.setattr(checks, "idempotent_original", family_sum)
     monkeypatch.setattr(checks, "idempotent_direct",
                         lambda L, ring=ZZ, crapo_filter=False: real_e(L, ring) + z)
     ws = workspace(L, spec)
-    assert ws.family == ws.e
+    assert FormalSum.total(ZZ, L, L, (family_member(L, D) for D in chains)) == ws.e
     assert ws.e_squared != ws.e
     expected = f_family_oracle(ws).to_dict()
     assert expected["counterexample"]["kind"] == "not orthogonal"
@@ -467,9 +453,8 @@ def test_f_family_with_a_repeated_member_fails_like_the_oracle(monkeypatch, spec
                         real_j(L, B if tuple(D) == tuple(C) else D))
     monkeypatch.setattr(checks, "pi_of_chain", lambda L, D:
                         real_pi(L, B if tuple(D) == tuple(C) else D))
-    monkeypatch.setattr(checks, "idempotent_original", family_sum)
     ws = workspace(L, spec, e)
-    assert ws.family == e
+    assert FormalSum.total(ZZ, L, L, (family_member(L, D) for D in chains)) == e
     assert ws.e_squared != e
     assert ws.e_squared.map_ring(Ring("mod", 2)) == e.map_ring(Ring("mod", 2))
     report = report_under(check_f_family, L, spec, ring, e)
@@ -480,19 +465,13 @@ def test_f_family_with_a_repeated_member_fails_like_the_oracle(monkeypatch, spec
 
 @pytest.mark.parametrize("mutate", [doubled_first_term, dropped_first_term])
 @pytest.mark.parametrize("spec", ["pentagon", "divisor:12", "boolean:3"])
-def test_a_corrupted_family_sum_fails_f_family_and_formula_equivalence(
-        monkeypatch, spec, mutate):
-    # only the family construction is corrupted: every f_B is idempotent
-    # and the pairs are orthogonal, so f_family names the wrong sum
+def test_a_corrupted_family_sum_fails_formula_equivalence(monkeypatch, spec, mutate):
     L = generate(spec)
     real = checks.idempotent_original
     monkeypatch.setattr(checks, "idempotent_original",
                         lambda L, ring=ZZ: mutate(real(L, ring)))
     wrong = checks._sum_as_witness(mutate(real(L)))
     for ring in RINGS:
-        report = report_under(check_f_family, L, spec, ring)
-        assert report["counterexample"] == {"kind": "sum differs from direct idempotent",
-                                            "sum": wrong}
         report = report_under(check_formula_equivalence, L, spec, ring)
         assert report["status"] == "fail"
         assert report["counterexample"]["original"] == wrong
@@ -531,7 +510,6 @@ def test_f_family_tests_pairs_only_when_the_certificate_fails(monkeypatch):
                         real_j(L, B if tuple(D) == tuple(C) else D))
     monkeypatch.setattr(checks, "pi_of_chain", lambda L, D:
                         real_pi(L, B if tuple(D) == tuple(C) else D))
-    monkeypatch.setattr(checks, "idempotent_original", family_sum)
     for ring in RINGS:
         calls.clear()
         assert report_under(check_f_family, L, "pentagon", ring, e)["status"] == "fail"
