@@ -44,7 +44,6 @@ import itertools
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -64,20 +63,34 @@ from .posets import Poset, bit_indices
 CHAIN_POSET_LIMIT = 2000
 
 
-@dataclass(frozen=True)
 class Ring:
-    """Exact coefficient ring: integers, integers mod m, or rationals."""
+    """Exact coefficient ring: integers, integers mod m, or rationals.
 
-    kind: str  # "int" | "mod" | "rat"
-    modulus: int | None = None
+    Equal, and hashed, on (kind, modulus).  Not to be mutated.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ("int", "mod", "rat"):
-            raise UnsupportedRing(f"unknown ring kind {self.kind!r}")
-        if self.kind == "mod" and (self.modulus is None or self.modulus < 2):
+    __slots__ = ("kind", "modulus")
+
+    def __init__(self, kind, modulus=None):
+        if kind not in ("int", "mod", "rat"):
+            raise UnsupportedRing(f"unknown ring kind {kind!r}")
+        if kind == "mod" and (modulus is None or modulus < 2):
             raise UnsupportedRing("modulus must be >= 2")
-        if self.kind != "mod" and self.modulus is not None:
+        if kind != "mod" and modulus is not None:
             raise UnsupportedRing("modulus only makes sense for kind 'mod'")
+        self.kind = kind  # "int" | "mod" | "rat"
+        self.modulus = modulus
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash((self.kind, self.modulus))
+
+    def __repr__(self):
+        return f"Ring(kind={self.kind!r}, modulus={self.modulus!r})"
 
     @classmethod
     def parse(cls, text):

@@ -2,7 +2,9 @@
 
 Each check takes one Workspace and returns a CheckReport.  All equalities
 are exact; a failing report carries a structured counterexample that can be
-re-verified independently of the check that produced it.
+re-verified independently of the check that produced it.  A CheckReport is
+a plain class with `__slots__`, not a dataclass (see `posets`), and each
+report gets a `counts` dict of its own.
 
 Every identity is decided once, over Z: the sums compared (e, the f_B,
 j^B, pi^B, single maps) have integer coefficients, e over a ring R is the
@@ -64,7 +66,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .algebra import (
@@ -113,16 +114,23 @@ DEFAULT_CORPUS = (
 SKIPPED_ABOVE_GATE = "endomorphism enumeration above the feasibility gate"
 
 
-@dataclass
 class CheckReport:
-    name: str
-    lattice: str
-    status: str  # "pass" | "fail" | "skipped"
-    counterexample: dict | None = None
-    counts: dict = field(default_factory=dict)
-    note: str | None = None
-    seed: int | None = None
-    elapsed: float = 0.0
+    """The outcome of one check on one lattice; `to_dict` is what is printed."""
+
+    __slots__ = ("name", "lattice", "status", "counterexample", "counts",
+                 "note", "seed", "elapsed")
+
+    def __init__(self, name, lattice, status, counterexample=None, counts=None,
+                 note=None, seed=None, elapsed=0.0):
+        self.name = name
+        self.lattice = lattice
+        self.status = status  # "pass" | "fail" | "skipped"
+        self.counterexample = counterexample
+        # a fresh dict per report: checks fill their counts in place
+        self.counts = {} if counts is None else counts
+        self.note = note
+        self.seed = seed
+        self.elapsed = elapsed
 
     def to_dict(self):
         # elapsed is left out so that reports are byte-reproducible

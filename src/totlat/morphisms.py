@@ -4,7 +4,10 @@ A join-morphism preserves all joins including the empty one (bottom goes
 to bottom).  For finite lattices, checking the empty join plus all binary
 joins suffices, by induction on finite joins; `make_join_map` checks
 exactly that, and tests cross-validate against full subset checking on
-tiny lattices.
+tiny lattices.  A `JoinMap` is built without validation; the enumerator,
+`compose` and the retractions build theirs that way.  It is a plain class
+with `__slots__`, not a frozen dataclass, so that building one costs three
+attribute stores.
 
 The per-map tests of the exhaustive sweeps run on bitmasks: a table has a
 chain image iff the mask of its values lies inside the comparability mask
@@ -45,7 +48,6 @@ schedule and stops at the first position that fails.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import ChainNotInB, ChainNotInZ, NotJoinMorphism, SourceTargetMismatch
@@ -53,13 +55,29 @@ from .lattices import Lattice, chain_lattice
 from .posets import Chain
 
 
-@dataclass(frozen=True)
 class JoinMap:
-    """A join-morphism stored as a total value table (source index -> target index)."""
+    """A join-morphism stored as a total value table (source index -> target index).
 
-    source: Lattice = field(repr=False)
-    target: Lattice = field(repr=False)
-    values: tuple[int, ...]
+    Equal when the values, source and target are; hashed on the values.
+    Not to be mutated: `values` is the hash key.
+    """
+
+    __slots__ = ("source", "target", "values")
+
+    def __init__(self, source: Lattice, target: Lattice, values: tuple[int, ...]):
+        self.source = source
+        self.target = target
+        self.values = values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # the values first: a tuple of ints is the cheapest to compare
+        return (
+            self.values == other.values
+            and self.source == other.source
+            and self.target == other.target
+        )
 
     def __hash__(self):
         return hash(self.values)

@@ -7,33 +7,45 @@ Two independent Moebius computations are provided: the defining recursion
 (`mobius`, one row mu(x, .) at a time over its nonzero support) and Philip
 Hall's alternating chain count (`mobius_hall`), which serves as the oracle
 for everything downstream.
+
+`Chain`, `morphisms.JoinMap`, `algebra.Ring` and `checks.CheckReport` are
+plain classes with `__slots__`, the first three with their own `__eq__`
+and `__hash__`, not dataclasses: importing `dataclasses` loads `inspect`,
+which cost every command-line call 7.3 ms CPU and 1 MiB of peak RSS
+before it started (Python 3.11.7, 2-vCPU Xeon VM).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import CycleDetected, DuplicateLabel, NotAChain, NotComparable, UnknownLabel
 
 
-@dataclass(frozen=True)
 class Chain:
     """A totally ordered subset, stored strictly increasing in the ambient order.
 
     A chain with k members has "length" k-1 in the usual indexing of
-    chain families.
+    chain families.  Construction raises NotAChain unless each member is
+    strictly below the next.  Two chains are equal, and hash alike, when
+    their members are; the ambient poset is not compared.  Not to be
+    mutated: `members` is the hash key.
     """
 
-    members: tuple[int, ...]
-    ambient: "Poset" = field(compare=False, repr=False)
+    __slots__ = ("members", "ambient")
 
-    def __post_init__(self):
-        for a, b in zip(self.members, self.members[1:]):
-            if not (a != b and self.ambient.leq(a, b)):
+    def __init__(self, members, ambient):
+        for a, b in zip(members, members[1:]):
+            if not (a != b and ambient.leq(a, b)):
                 raise NotAChain(
                     f"members not strictly increasing at "
-                    f"({self.ambient.names[a]}, {self.ambient.names[b]})"
+                    f"({ambient.names[a]}, {ambient.names[b]})"
                 )
+        self.members = members
+        self.ambient = ambient
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.members == other.members
 
     def __hash__(self):
         return hash(self.members)

@@ -70,6 +70,20 @@ def test_ring_parse():
         Ring.parse("mod:x")
 
 
+def test_ring_equality_hash_and_repr():
+    assert Ring.parse("mod:3") == Ring("mod", 3)
+    assert hash(Ring.parse("mod:3")) == hash(Ring("mod", 3)) == hash(("mod", 3))
+    assert repr(Ring("mod", 3)) == "Ring(kind='mod', modulus=3)"
+    assert repr(ZZ) == "Ring(kind='int', modulus=None)"
+    assert Ring("mod", 3) != Ring("mod", 5) and Ring("rat") != ZZ
+    assert Ring("int") != ("int", None)
+    assert len({Ring("int"), ZZ, Ring.parse("int"), Ring("rat")}) == 2
+    for kind, modulus in (("float", None), ("mod", None), ("mod", 1), ("mod", -3),
+                          ("int", 3), ("rat", 2)):
+        with pytest.raises(UnsupportedRing):
+            Ring(kind, modulus)
+
+
 @pytest.mark.parametrize("text", ["mod:1_1", "mod:\u0663", "mod:+5", "mod: 3"])
 def test_ring_parse_takes_ascii_digits_only(text):
     # int() would read these as 11, 3, 5 and 3

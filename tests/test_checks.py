@@ -223,6 +223,22 @@ def test_report_to_dict_shapes():
     assert d == {"check": "x", "lattice": "chain:1", "status": "pass"}
 
 
+def test_reports_do_not_share_counts():
+    a = CheckReport(name="x", lattice="chain:1", status="pass")
+    b = CheckReport("y", "chain:2", "fail")
+    a.counts["maps"] = 3
+    assert b.counts == {} and a.counts is not b.counts
+    assert (a.counterexample, a.note, a.seed, a.elapsed) == (None, None, None, 0.0)
+    assert a.to_dict() == {"check": "x", "lattice": "chain:1", "status": "pass",
+                           "counts": {"maps": 3}}
+    full = CheckReport("z", "pentagon", "fail", counterexample={"pair": [1, 2]},
+                       counts={"k": 1}, note="n", seed=7, elapsed=2.0)
+    assert json.dumps(full.to_dict()) == (
+        '{"check": "z", "lattice": "pentagon", "status": "fail", '
+        '"counterexample": {"pair": [1, 2]}, "counts": {"k": 1}, "note": "n", "seed": 7}'
+    )
+
+
 @pytest.mark.parametrize("spec", ["chain:2", "pentagon", "divisor:12"])
 def test_individual_checks_pass(spec):
     L = generate(spec)

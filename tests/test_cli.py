@@ -387,16 +387,30 @@ def test_cmd_mobius_chain_not_increasing(capsys):
     assert err == "error: members not strictly increasing at (b, a)\n"
 
 
+def src_env():
+    """This environment, with the tested totlat first on PYTHONPATH."""
+    src = str(Path(totlat.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def cli_process(*argv):
     """Start `python -m totlat.cli argv` with buffered, piped stdout and stderr."""
-    src = str(Path(totlat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = src_env()
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.Popen(
         [sys.executable, "-m", "totlat.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
+
+
+def test_cli_calls_load_neither_openssl_nor_inspect():
+    # a fresh interpreter: this one has loaded hashlib and inspect already
+    script = Path(__file__).with_name("lean_cli_imports.py")
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("5 calls loaded none of hashlib, _hashlib, inspect, dataclasses;")
 
 
 def assert_ends_quietly_on_closed_stdout(*argv):

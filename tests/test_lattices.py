@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -18,6 +19,7 @@ from totlat.lattices import (
     pentagon_lattice,
 )
 from totlat.posets import Poset
+from totlat.serialize import load_lattice
 
 CORPUS = [
     "chain:0", "chain:3", "boolean:2", "boolean:3", "diamond:3",
@@ -165,6 +167,22 @@ def test_partition_cap():
     for n in (-1, 0, 7):
         with pytest.raises(UnsupportedSpec, match=r"^partition lattice needs 1 <= n <= 6$"):
             partition_lattice(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_partition_order_is_block_refinement(n):
+    L = partition_lattice(n)
+    # labels are blocks of digits joined by "|"
+    blocks = [[set(b) for b in name.split("|")] for name in L.names]
+    assert len(set(L.names)) == L.n == [1, 2, 5, 15, 52, 203][n - 1]
+    assert all(sorted(set().union(*p)) == [str(i) for i in range(1, n + 1)] for p in blocks)
+
+    def refines(p, q):  # every block of p inside a block of q
+        return all(any(bp <= bq for bq in q) for bp in p)
+
+    assert list(L.up) == [
+        sum(1 << j for j, q in enumerate(blocks) if refines(p, q)) for p in blocks
+    ]
 
 
 def test_generate_unknown():
@@ -334,3 +352,39 @@ def test_divisor_lattice_by_trial_division():
             if a < b and b % a == 0
             and not any(a < c < b and c % a == 0 and b % c == 0 for c in divs)
         )
+
+
+def fingerprint_oracle(L):
+    text = ";".join(L.names) + "|" + ";".join(
+        f"{a}<{b}" for a, b in sorted(L.cover_labels())
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "spec", DEFAULT_CORPUS + ("divisor:60", "partition:5", "boolean:6")
+)
+def test_fingerprint_is_hashlib_sha256_of_the_cover_text(spec):
+    L = generate(spec)
+    assert L.fingerprint() == fingerprint_oracle(L)
+    assert L.opposite().fingerprint() == fingerprint_oracle(L.opposite())
+
+
+def test_fingerprint_of_a_file_with_non_ascii_labels(tmp_path):
+    path = tmp_path / "labels.lat"
+    path.write_text(
+        "elements: 0 \u00e9 \u03b1 \u00d72 1\ncovers:\n0 \u00e9\n0 \u03b1\n"
+        "\u00e9 \u00d72\n\u03b1 \u00d72\n\u00d72 1\n",
+        encoding="utf-8",
+    )
+    L = load_lattice(str(path))
+    assert L.fingerprint() == fingerprint_oracle(L)
+    assert L.opposite().fingerprint() == fingerprint_oracle(L.opposite())
+
+
+def test_fingerprint_values_are_pinned():
+    # the same on every Python: the digest does not depend on which module computes it
+    assert generate("pentagon").fingerprint() == "5389e7279f3e2b2c"
+    assert generate("pentagon").opposite().fingerprint() == "8c51559ea567f428"
+    assert generate("partition:5").fingerprint() == "5e116ab34a67e5e0"
+    assert generate("product:boolean:2,chain:1").fingerprint() == "ea6ab1a4078c3dd6"

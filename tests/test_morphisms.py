@@ -579,3 +579,18 @@ def test_kernel_sampling_matches_method_calls(spec, relabel_seed):
     for seed in range(5):
         drawn = sample_join_endomorphisms(L, 10, random.Random(seed))
         assert [phi.values for phi in drawn] == _method_call_sample(L, 10, random.Random(seed))
+
+
+def test_join_map_equality_hash_and_repr():
+    L = boolean_lattice(1)
+    f = JoinMap(L, L, (0, 1))
+    assert f == identity_map(L) and hash(f) == hash((0, 1))
+    assert f == JoinMap(boolean_lattice(1), boolean_lattice(1), (0, 1))
+    assert f != JoinMap(L, L, (0, 0))
+    assert repr(f) == "JoinMap(0:0,a:a)"
+    # the same table between other lattices is another map, with the same hash
+    C = chain_lattice(1)
+    assert f != JoinMap(C, C, (0, 1)) and hash(JoinMap(C, C, (0, 1))) == hash(f)
+    assert f != JoinMap(L, C, (0, 1)) and f != JoinMap(C, L, (0, 1))
+    assert f != (0, 1) and f.__eq__((0, 1)) is NotImplemented
+    assert len({f, identity_map(L), JoinMap(L, L, (0, 0))}) == 2

@@ -3,6 +3,7 @@ import pytest
 from totlat.errors import (
     CycleDetected,
     DuplicateLabel,
+    NotAChain,
     NotComparable,
     TotlatError,
     UnknownLabel,
@@ -172,3 +173,19 @@ def test_chain_validates_members():
     p = diamond()
     with pytest.raises(ValueError):
         Chain((p.index_of("a"), p.index_of("b")), p)
+    with pytest.raises(NotAChain, match=r"^members not strictly increasing at \(a, a\)$"):
+        Chain((p.index_of("a"), p.index_of("a")), p)
+    with pytest.raises(NotAChain, match=r"at \(1, 0\)$"):
+        Chain((p.index_of("1"), p.index_of("0")), p)
+
+
+def test_chain_equality_and_hash_read_the_members_only():
+    p, q = diamond(), Poset.from_covers(*M3)
+    a = Chain((0, 1, 3), p)
+    assert a == Chain((0, 1, 3), p) and hash(a) == hash((0, 1, 3))
+    # the ambient poset is not compared
+    assert Chain((0, 1), p) == Chain((0, 1), q)
+    assert Chain((0, 1), p) != Chain((0, 2), p)
+    assert a != (0, 1, 3) and a.__eq__((0, 1, 3)) is NotImplemented
+    assert len({a, Chain((0, 1, 3), p), Chain((0, 2, 3), p)}) == 2
+    assert repr(a) == "Chain(0,a,1)" and len(a) == 3 and list(a) == [0, 1, 3]
