@@ -3,11 +3,12 @@ constructions.
 
 A formal sum holds its ring, source and target lattices once and keys
 each term by the map's value table, so a product composes tables directly.
+A table is of its target's `table_type`: `bytes` on at most 256 elements
+and a tuple above.  Between byte tables each composite is one
+`bytes.translate` call; otherwise tables are read through `itemgetter`.
 `map_products` tests the products of one sum over Z with many single
-maps: on at most 256 elements it holds the tables as `bytes`, and each
-composite is one `bytes.translate` call; above that it falls back to
-tuples read through `itemgetter`.  An equality of two
-such products is decided by sorting the composites, each repeated |c|
+maps, with the tables of the sum prepared once.  An equality of two such
+products is decided by sorting the composites, each repeated |c|
 times on the side of its sign, and comparing two lists; with
 coefficients too large to repeat, the composites are folded term by term.
 Coefficients live in an exact commutative ring (integers, integers mod m,
@@ -55,7 +56,16 @@ from .errors import (
     UnsupportedRing,
 )
 from .lattices import Lattice, chain_lattice
-from .morphisms import JoinMap, identity_map, pi_of_chain, retraction_table, table_getter
+from .morphisms import (
+    JoinMap,
+    as_table,
+    compose_tables,
+    identity_map,
+    pi_of_chain,
+    retraction_table,
+    table_getter,
+    translation,
+)
 from .posets import Poset, bit_indices
 
 # the largest chain poset the brute-force Moebius oracle builds; building
@@ -165,11 +175,13 @@ class FormalSum:
     """Finite linear combination of join-morphisms with a shared signature.
 
     The sum holds its ring, source and target once; each term is keyed by
-    its value table, a tuple of target indices, one per source element,
-    which also gives the canonical serialization order.  Normalized: zero
-    coefficients are dropped on construction, so equality is plain
-    term-by-term comparison.  The coefficients given to the constructor
-    are coerced into the ring; sums built from sums are not coerced again.
+    its value table, one target index per source element, of the target's
+    `table_type`, which also gives the canonical serialization order.
+    Normalized: zero coefficients are dropped on construction, so
+    equality is plain term-by-term comparison.  The constructor stores
+    the tables it is given through `as_table` and coerces the
+    coefficients into the ring; sums built from sums are neither
+    converted nor coerced again.
     """
 
     __slots__ = ("ring", "source", "target", "terms")
@@ -178,9 +190,10 @@ class FormalSum:
         self.ring = ring
         self.source = source
         self.target = target
-        self.terms: dict[tuple[int, ...], object] = {}
+        self.terms: dict[bytes | tuple[int, ...], object] = {}
+        pairs = terms.items() if isinstance(terms, dict) else terms
         _accumulate(ring.modulus, self.terms,
-                    terms.items() if isinstance(terms, dict) else terms, ring.coerce)
+                    ((as_table(target, table), c) for table, c in pairs), ring.coerce)
 
     @classmethod
     def _of(cls, ring, source, target, terms):
@@ -196,7 +209,7 @@ class FormalSum:
         Each summand is consumed as it comes and folded into one running
         dict, so neither the partial sums nor the raw terms are kept.
         """
-        acc: dict[tuple[int, ...], object] = {}
+        acc: dict[bytes | tuple[int, ...], object] = {}
         for s in sums:
             if s.ring != ring or s.source != source or s.target != target:
                 raise SignatureMismatch("formal sums have different signatures")
@@ -234,8 +247,11 @@ class FormalSum:
     def __mul__(self, other):
         """Composition product: (self * other) means self after other.
 
-        Each inner table f becomes one getter (`table_getter`), which
-        reads the composite table g o f off an outer table g.
+        Each composite g o f is made as `compose_tables` makes it.  With
+        byte tables on both sides, each outer table g is padded once
+        (`translation`) and each inner table f reads it through its
+        `translate`; otherwise each inner table f becomes one getter
+        (`table_getter`), which reads g o f off g.
         """
         if not isinstance(other, FormalSum):
             return NotImplemented
@@ -243,13 +259,17 @@ class FormalSum:
             raise SignatureMismatch("formal sums over different rings")
         if other.target != self.source:
             raise SourceTargetMismatch("inner target differs from outer source")
-        inner = [(table_getter(f), cf) for f, cf in other.terms.items()]
+        table = self.target.table_type
+        if self.source.table_type is bytes and table is bytes:
+            inner = [(f.translate, cf) for f, cf in other.terms.items()]
+            outer = ((translation(g), cg) for g, cg in self.terms.items())
+            pairs = ((read(g), cg * cf) for g, cg in outer for read, cf in inner)
+        else:
+            inner = [(table_getter(f), cf) for f, cf in other.terms.items()]
+            pairs = ((table(read(g)), cg * cf)
+                     for g, cg in self.terms.items() for read, cf in inner)
         acc = {}
-        _accumulate(self.ring.modulus, acc, (
-            (get(g), cg * cf)
-            for g, cg in self.terms.items()
-            for get, cf in inner
-        ))
+        _accumulate(self.ring.modulus, acc, pairs)
         return FormalSum._of(self.ring, other.source, self.target, acc)
 
     def __eq__(self, other):
@@ -276,45 +296,39 @@ class FormalSum:
 
     def map_ring(self, ring: Ring):
         """Reinterpret the coefficients in another ring (e.g. reduce mod m)."""
-        return FormalSum(
-            ring, self.source, self.target, list(self.terms.items())
-        )
+        acc = {}
+        _accumulate(ring.modulus, acc, self.terms.items(), ring.coerce)
+        return FormalSum._of(ring, self.source, self.target, acc)
 
     def __repr__(self):
         bits = " + ".join(f"{c}*{jm!r}" for jm, c in self.sorted_terms())
         return f"FormalSum({bits or '0'})"
 
 
-def _composition(n):
-    """(key, outer, inner, at) for the value tables of maps on an n-element lattice.
+def _composition(L: Lattice):
+    """(outer, inner, at) for the value tables of endomorphisms of L.
 
     A table t of a sum is prepared once, as outer(t) to be read through
-    maps and as inner(t) to have maps read through it.  For a map p,
-    at(p) gives (after, apply, args): after(outer(g)) is the table of
+    maps and as inner(t) to have maps read through it.  For a map's table
+    p, at(p) gives (after, apply, args): after(outer(g)) is the table of
     g o p, and args repeats one argument without end, so that
-    map(apply, inners, args) gives the tables p o f; each is encoded as
-    key(table) would encode it.  On at most 256 elements a table is
-    `bytes` and each composite one `bytes.translate` call: outer(g) is
-    `_translation(g)`, so g o p is `p.translate(outer(g))` and p o f is
-    `f.translate(_translation(p))`.  Above 256 elements a table is a
-    tuple, read through `table_getter`.  Nothing is built per lattice,
-    and no closure per map: a sweep makes one `at` call for a few dozen
-    composites, and binding two closures there cost a third of the time
-    of `map_products`' test.
+    map(apply, inners, args) gives the tables p o f.  On at most 256
+    elements a table is `bytes` and each composite one `bytes.translate`
+    call: outer(g) is `translation(g)`, so g o p is
+    `p.translate(outer(g))` and p o f is `f.translate(translation(p))`.
+    Above 256 elements a table is a tuple, read through `table_getter`.
+    `bytes` and `tuple` leave a table of their own type as it is.
+    Nothing is built per lattice, and no closure per map: a sweep makes
+    one `at` call for a few dozen composites, and binding two closures
+    there cost a third of the time of `map_products`' test.
     """
-    if n > 256:
-        return tuple, tuple, table_getter, _tuples_at
-    return bytes, _translation, bytes, _bytes_at
-
-
-def _translation(table):
-    """A table of at most 256 entries as the 256 bytes `bytes.translate` reads."""
-    return bytes(table).ljust(256, b"\0")
+    if L.table_type is tuple:
+        return tuple, table_getter, _tuples_at
+    return translation, bytes, _bytes_at
 
 
 def _bytes_at(p):
-    p = bytes(p)
-    return p.translate, bytes.translate, itertools.repeat(_translation(p))
+    return p.translate, bytes.translate, itertools.repeat(translation(p))
 
 
 def _tuples_at(p):
@@ -366,8 +380,9 @@ def _cancels(*terms):
 
 def map_products(s: FormalSum):
     """(commutes, fixes) for an endomorphism sum s over Z and maps p,
-    given as value tables: commutes(p) tells whether s * [p] == [p] * s,
-    and fixes(p) whether s * [p] == [p] == [p] * s.
+    given as value tables of the type `as_table` gives them: commutes(p)
+    tells whether s * [p] == [p] * s, and fixes(p) whether
+    s * [p] == [p] == [p] * s.
 
     [p] is the endomorphism p as a sum with coefficient 1, so s * [p]
     has the coefficients of s on the tables g o p and [p] * s on the
@@ -382,7 +397,7 @@ def map_products(s: FormalSum):
     """
     if s.ring != ZZ:
         raise SignatureMismatch(f"products with maps are decided over int, not {s.ring}")
-    key, outer, inner, at = _composition(s.source.n)
+    outer, inner, at = _composition(s.source)
     signed = _signed_tables(s)
     if signed is None:
         coeffs = list(s.terms.values())
@@ -396,7 +411,7 @@ def map_products(s: FormalSum):
 
         def fixes(p):
             after, apply, args = at(p)
-            minus_p = ((key(p), -1),)
+            minus_p = ((p, -1),)
             return (_cancels(zip(map(after, outers), coeffs), minus_p)
                     and _cancels(zip(map(apply, inners, args), coeffs), minus_p))
 
@@ -413,10 +428,9 @@ def map_products(s: FormalSum):
 
     def fixes(p):
         after, apply, args = at(p)
-        fixed = key(p)
-        return (sorted(map(after, pos_out)) == sorted([fixed, *map(after, neg_out)])
+        return (sorted(map(after, pos_out)) == sorted([p, *map(after, neg_out)])
                 and sorted(map(apply, pos_in, args))
-                == sorted([fixed, *map(apply, neg_in, args)]))
+                == sorted([p, *map(apply, neg_in, args)]))
 
     return commutes, fixes
 
@@ -597,7 +611,7 @@ def _sections(L: Lattice, members):
     sign = (-1) ** (len(members) - 1)
     head = (L.bottom,)
     return zip(
-        (head + picks for picks in itertools.product(*weights)),
+        (as_table(L, head + picks) for picks in itertools.product(*weights)),
         (sign * math.prod(mus)
          for mus in itertools.product(*(step.values() for step in weights))),
     )
@@ -627,8 +641,8 @@ def f_of_chain(L: Lattice, B) -> FormalSum:
     """
     members = tuple(B)
     sections = _sections(L, members)
-    through_pi = table_getter(pi_of_chain(L, members).values)
-    return FormalSum._of(ZZ, L, L, {through_pi(table): c for table, c in sections})
+    pi = pi_of_chain(L, members).values
+    return FormalSum._of(ZZ, L, L, {compose_tables(table, pi, L): c for table, c in sections})
 
 
 def idempotent_original(L: Lattice, ring: Ring = ZZ) -> FormalSum:
@@ -651,15 +665,18 @@ def idempotent_original(L: Lattice, ring: Ring = ZZ) -> FormalSum:
     injective, so the terms of S(b') cancel before it is extended; S(b)
     is the family idempotent of the interval [bottom, b].  No chain is
     listed.  A table is keyed by an int whose bytes, in the machine's
-    byte order, are the table as an array of 2-byte values, one digit per
-    element; `inside[b]` has digit 1 at each t <= b and is built the same
-    way, so joining the block adds a * (inside[b] - inside[b']).  The
-    elements are visited by the size of their down-sets, a linear
-    extension; the picks are read off the support of `L.mobius_row(b')`;
-    and only the keys of S(top) are decoded into tables.
+    byte order, are the table as an array of values, one digit per
+    element, of one byte on at most 256 elements and of two bytes above;
+    `inside[b]` has digit 1 at each t <= b and is built the same way, so
+    joining the block adds a * (inside[b] - inside[b']).  The elements
+    are visited by the size of their down-sets, a linear extension; the
+    picks are read off the support of `L.mobius_row(b')`; and only the
+    keys of S(top) are decoded into tables.  With 1-byte digits the bytes
+    of a key are its table.
     """
     n, down = L.n, L.down
-    inside = [int.from_bytes(array("H", [d >> t & 1 for t in range(n)]), sys.byteorder)
+    digits = "B" if L.table_type is bytes else "H"
+    inside = [int.from_bytes(array(digits, [d >> t & 1 for t in range(n)]), sys.byteorder)
               for d in down]
     sums = [None] * n
     for b in sorted(range(n), key=lambda v: down[v].bit_count()):
@@ -671,9 +688,10 @@ def idempotent_original(L: Lattice, ring: Ring = ZZ) -> FormalSum:
             _accumulate(None, acc, ((key + shift, c * m)
                                     for key, c in sums[lo].items() for shift, m in picks))
         sums[b] = acc
-    width = 2 * n
-    e = FormalSum._of(ZZ, L, L, {
-        tuple(memoryview(key.to_bytes(width, sys.byteorder)).cast("H")): c
-        for key, c in sums[L.top].items()
-    })
+    if L.table_type is bytes:
+        tables = (key.to_bytes(n, sys.byteorder) for key in sums[L.top])
+    else:
+        tables = (tuple(memoryview(key.to_bytes(2 * n, sys.byteorder)).cast("H"))
+                  for key in sums[L.top])
+    e = FormalSum._of(ZZ, L, L, dict(zip(tables, sums[L.top].values())))
     return e if ring == ZZ else e.map_ring(ring)

@@ -20,6 +20,11 @@ A chain of n+1 members has length n.
 `chain_counts(kind)` counts each family by length without building a
 chain, by a dynamic program down the strict order.
 
+A map into a lattice is stored as a value table, one target index per
+source element, of the type the lattice's `table_type` names: `bytes` on
+at most 256 elements, where every index fits in a byte, and a tuple of
+ints above.
+
 Each Lattice computes its derived structure once: the join table, the
 comparability masks and the strict upper sets on construction, each chain
 family, the chain counts (and with them `max_chain_length`), the outside
@@ -90,6 +95,7 @@ class Lattice(Poset):
         # elements is a chain iff its mask lies inside each member's
         self._comparable = tuple(u | d for u, d in zip(up, down))
         self._by_down = by_down
+        self.table_type = bytes if n <= 256 else tuple
         self._families = {}
         self._counts = None
         self._outside = None
@@ -199,27 +205,31 @@ class Lattice(Poset):
         return list(self._counts[kind])
 
     def outside_digits(self):
-        """Per element b, an int with a 2-byte digit 1 at each t not <= b.
+        """Per element b, an int with a digit 1 at each t not <= b.
 
-        Digit t is the two bytes at 2t of `to_bytes(2 * n, sys.byteorder)`,
-        read as `memoryview.cast("H")` reads them.  Over the members of a
-        chain that ends at the top, the sum of their digits holds at t the
-        number of members whose down-set misses t, which is the index of
-        the least member above t.  No digit carries: a chain has at most n
-        members, and n <= MAX_ELEMENTS < 2**16.  Each int is built from the
-        binary text of the outside mask, by byte operations.
+        A digit is one byte where value tables are `bytes` and two bytes
+        above: digit t is the bytes at `width * t` of `to_bytes(width * n,
+        sys.byteorder)`, read as a byte or as `memoryview.cast("H")` reads
+        them.  Over the members of a chain that ends at the top, the sum
+        of their digits holds at t the number of members whose down-set
+        misses t, which is the index of the least member above t.  No
+        digit carries: the top misses no t, so the count is below the
+        number of members, which is at most n <= MAX_ELEMENTS < 2**16.
+        Each int is built from the binary text of the outside mask, by
+        byte operations.
         """
         if self._outside is None:
             n = self.n
             full = (1 << n) - 1
-            # the byte of a 2-byte digit that holds the values below 256
-            low = 0 if sys.byteorder == "little" else 1
-            slots = bytearray(2 * n)
+            width = 1 if self.table_type is bytes else 2
+            # the byte of a digit that holds the values below 256
+            low = 0 if sys.byteorder == "little" else width - 1
+            slots = bytearray(width * n)
             digits = []
             for d in self.down:
                 # bit t of the mask is character t of the reversed text
                 text = format(full & ~d, f"0{n}b")[::-1]
-                slots[low::2] = text.encode().translate(_BIT_BYTES)
+                slots[low::width] = text.encode().translate(_BIT_BYTES)
                 digits.append(int.from_bytes(slots, sys.byteorder))
             self._outside = tuple(digits)
         return self._outside

@@ -9,6 +9,14 @@ tiny lattices.  A `JoinMap` is built without validation; the enumerator,
 with `__slots__`, not a frozen dataclass, so that building one costs three
 attribute stores.
 
+A value table lists, per source element, the index of its image in the
+target.  Its type is the target's `table_type` (`as_table`): `bytes` when
+the target has at most 256 elements, so that every value fits in a byte,
+and a tuple of ints above that.  Byte tables of equal length sort as the
+tuples of their values do, a composite of two of them is one
+`bytes.translate` call (`compose_tables`), and a `bytes` object keeps its
+hash once computed.
+
 The per-map tests of the exhaustive sweeps run on bitmasks: a table has a
 chain image iff the mask of its values lies inside the comparability mask
 of each value (`has_chain_image`), and the opposite of a map is read off
@@ -19,7 +27,9 @@ they replace are kept in the tests as their oracles.
 Also provided: the surjection onto a chain's index total order and the
 retraction onto the chain, both read off one sum of the members'
 `Lattice.outside_digits()`, whose digit at t is t's index in the chain
-(`_first_cover_marks`); `algebra.idempotent_direct` carries that sum up
+(`_first_cover_marks`): on at most 256 elements the sum's bytes are the
+surjection's table, and the retraction's is that table translated
+through the members.  `algebra.idempotent_direct` carries that sum up
 each chain it walks and reads the retraction's table off it the same
 way.  The module also enumerates the join-endomorphism monoid
 exhaustively via join-irreducibles.  The sections of the index order
@@ -58,21 +68,23 @@ from .posets import Chain
 class JoinMap:
     """A join-morphism stored as a total value table (source index -> target index).
 
-    Equal when the values, source and target are; hashed on the values.
-    Not to be mutated: `values` is the hash key.
+    The table is stored as `as_table(target, values)`, so any sequence of
+    target indices may be given.  Equal when the values, source and
+    target are; hashed on the values.  Not to be mutated: `values` is the
+    hash key.
     """
 
     __slots__ = ("source", "target", "values")
 
-    def __init__(self, source: Lattice, target: Lattice, values: tuple[int, ...]):
+    def __init__(self, source: Lattice, target: Lattice, values):
         self.source = source
         self.target = target
-        self.values = values
+        self.values = as_table(target, values)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # the values first: a tuple of ints is the cheapest to compare
+        # the values first: a value table is the cheapest to compare
         return (
             self.values == other.values
             and self.source == other.source
@@ -100,12 +112,19 @@ def make_join_map(source: Lattice, target: Lattice, table) -> JoinMap:
     """Validate a value table as a join-morphism.
 
     `table` is a sequence of target indices, one per source element.
-    Raises NotJoinMorphism with the first violating pair (bottom violations
-    are reported as the pair (bottom, bottom)).
+    Raises ValueError if it is not total on the source or holds a value
+    that indexes no target element, and NotJoinMorphism with the first
+    violating pair (bottom violations are reported as the pair (bottom,
+    bottom)).
     """
-    values = tuple(table)
+    values = list(table)
     if len(values) != source.n:
         raise ValueError("table is not total on the source lattice")
+    for x, v in enumerate(values):
+        if not 0 <= v < target.n:
+            raise ValueError(
+                f"table value {v!r} at {source.names[x]} is not an element of the target"
+            )
     if values[source.bottom] != target.bottom:
         raise NotJoinMorphism(source.names[source.bottom], source.names[source.bottom])
     for x in range(source.n):
@@ -115,15 +134,44 @@ def make_join_map(source: Lattice, target: Lattice, table) -> JoinMap:
     return JoinMap(source, target, values)
 
 
+def as_table(target: Lattice, values):
+    """The value table of a map into `target` with these values.
+
+    Of the target's `table_type`: `bytes` if the target has at most 256
+    elements, else a tuple; a table already of that type is returned as
+    it is.
+    """
+    table = target.table_type
+    return values if values.__class__ is table else table(values)
+
+
+def compose_tables(g, f, target: Lattice):
+    """The table of g o f, for a table f and a table g into `target`.
+
+    If both are `bytes`, each value of f indexes g, which then has at
+    most 256 entries, so the composite is f translated through g padded
+    to 256 bytes.  Otherwise g is read at each value of f
+    (`table_getter`) and the result stored as `as_table` stores it.
+    """
+    if f.__class__ is bytes and g.__class__ is bytes:
+        return f.translate(translation(g))
+    return as_table(target, table_getter(f)(g))
+
+
+def translation(table):
+    """A byte table of at most 256 entries as the 256 bytes `bytes.translate` reads."""
+    return table.ljust(256, b"\0")
+
+
 def identity_map(L: Lattice) -> JoinMap:
-    return JoinMap(L, L, tuple(range(L.n)))
+    return JoinMap(L, L, range(L.n))
 
 
 def compose(g: JoinMap, f: JoinMap) -> JoinMap:
     """g after f.  Composites of join-morphisms need no re-validation."""
     if f.target != g.source:
         raise SourceTargetMismatch("f.target differs from g.source")
-    return JoinMap(f.source, g.target, tuple(g.values[v] for v in f.values))
+    return JoinMap(f.source, g.target, compose_tables(g.values, f.values, g.target))
 
 
 def opposite_morphism(phi: JoinMap) -> JoinMap:
@@ -150,7 +198,7 @@ def opposite_morphism(phi: JoinMap) -> JoinMap:
             if below & bit:
                 union |= f
         values.append(by_down[union])
-    return JoinMap(T.opposite(), S.opposite(), tuple(values))
+    return JoinMap(T.opposite(), S.opposite(), values)
 
 
 def has_chain_image(L: Lattice, values) -> bool:
@@ -207,8 +255,8 @@ def pi_of_chain(L: Lattice, B) -> JoinMap:
     members = tuple(B)
     if not members or members[-1] != L.top:
         raise ChainNotInB("chain must contain the top element")
-    values = tuple(_first_cover_marks(L, _digit_sum(L, members)))
-    return JoinMap(L, chain_lattice(len(members) - 1), values)
+    marks = _first_cover_marks(L, _digit_sum(L, members))
+    return JoinMap(L, chain_lattice(len(members) - 1), marks)
 
 
 def retraction_table(L: Lattice, members, total):
@@ -216,8 +264,14 @@ def retraction_table(L: Lattice, members, total):
 
     `total` is the sum of the members' `L.outside_digits()`, which the
     walk of `algebra.idempotent_direct` carries up the chain as it goes.
+    The table is the members, as a table of the index chain into L, read
+    at each element's mark: `compose_tables` of the two, with the types
+    known.
     """
-    return table_getter(_first_cover_marks(L, total))(members)
+    marks = _first_cover_marks(L, total)
+    if L.table_type is bytes:
+        return marks.translate(translation(bytes(members)))
+    return table_getter(marks)(members)
 
 
 def _digit_sum(L: Lattice, members):
@@ -229,10 +283,14 @@ def _first_cover_marks(L: Lattice, total):
 
     `total` is the sum of B's members' `L.outside_digits()`, so its digit
     at t counts the members whose down-set misses t: the index of the
-    least member above t.  The digits are read back as one array of
-    2-byte integers, without a step per element in Python.
+    least member above t.  On at most 256 elements the digits are bytes,
+    and the int's bytes are the marks; above that they are read back as
+    an array of 2-byte integers.  Neither takes a step per element in
+    Python.
     """
-    return memoryview(total.to_bytes(2 * L.n, sys.byteorder)).cast("H")
+    if L.table_type is bytes:
+        return total.to_bytes(L.n, sys.byteorder)
+    return tuple(memoryview(total.to_bytes(2 * L.n, sys.byteorder)).cast("H"))
 
 
 def table_getter(f):
@@ -271,6 +329,7 @@ def enumerate_join_endomorphisms(L: Lattice, tot_only=False):
     schedule = _kernel(L)
     n, join, bottom = L.n, L._join, L.bottom
     ext = [bottom] * n
+    table = L.table_type
     assigned = [0] * len(schedule)
     last = len(schedule) - 1
     full = (1 << n) - 1
@@ -306,10 +365,10 @@ def enumerate_join_endomorphisms(L: Lattice, tot_only=False):
                     if depth < last:
                         yield from search(depth + 1, allowed & narrow[v])
                     else:
-                        yield tuple(ext)
+                        yield table(ext)
 
     # with no irreducibles L is one point, and the empty assignment its map
-    for values in search(0, full) if schedule else [tuple(ext)]:
+    for values in search(0, full) if schedule else [table(ext)]:
         yield JoinMap(L, L, values)
 
 
@@ -374,7 +433,7 @@ def _extend_assignment(L: Lattice, schedule, assignment):
         for x, y, xy in pairs:
             if ext[xy] != join[ext[x]][ext[y]]:
                 return None
-    return tuple(ext)
+    return as_table(L, ext)
 
 
 def sample_join_endomorphisms(L: Lattice, count, rng):

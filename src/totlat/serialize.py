@@ -191,7 +191,11 @@ def formal_sum_json_chunks(s: FormalSum):
     # a document holds few distinct coefficients, each encoded once
     coeffs = {}
     separator = ""
-    for table, c in sorted(s.terms.items()):
+    # the tables alone are sorted and each coefficient looked up as it is
+    # written, so no list of (table, coefficient) pairs is built
+    terms = s.terms
+    for table in sorted(terms):
+        c = terms[table]
         coeff = coeffs.get(c)
         if coeff is None:
             coeff = coeffs[c] = encode(_coeff_to_json(s.ring, c))

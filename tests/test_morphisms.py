@@ -58,6 +58,17 @@ def test_collapsing_top_fails():
         make_join_map(L, L, table)
 
 
+@pytest.mark.parametrize("n, bad", [(2, 5), (2, -1), (2, 300), (300, 301), (300, -1)])
+def test_values_outside_the_target_are_refused(n, bad):
+    # above the top, below index 0 (which Python would read from the end)
+    # and past one byte, on byte tables (chain:2) and on tuple tables
+    # (chain:300, 301 elements); the last element gets the bad value
+    L = chain_lattice(n)
+    table = [*range(n), bad]
+    with pytest.raises(ValueError, match=f"^table value {bad} at {n} is not an element"):
+        make_join_map(L, L, table)
+
+
 def test_compose_identity():
     L = boolean_lattice(2)
     for phi in enumerate_join_endomorphisms(L):
@@ -94,7 +105,7 @@ def test_compose_associative():
 def test_opposite_of_identity():
     L = boolean_lattice(2)
     op = opposite_morphism(identity_map(L))
-    assert op.values == tuple(range(L.n))
+    assert op.values == bytes(range(L.n))
     assert op.source == L.opposite()
 
 
@@ -198,7 +209,7 @@ def test_alpha_needs_both_ends():
 def test_pi_identity_on_total_order():
     L = chain_lattice(1)
     pi = pi_of_chain(L, (0, 1))
-    assert pi.values == (0, 1)
+    assert pi.values == bytes((0, 1))
 
 
 def test_pi_diamond_upper_chain():
@@ -316,7 +327,7 @@ def test_chain_maps_match_min_definitions(spec):
         m = B.members
         pi = pi_of_chain(L, B)
         assert pi.target == chain_lattice(len(m) - 1)
-        assert pi.values == tuple(
+        assert pi.values == bytes(
             min(p for p in range(len(m)) if L.leq(t, m[p])) for t in range(L.n)
         )
     for B in L.chain_family("Z"):
@@ -325,7 +336,7 @@ def test_chain_maps_match_min_definitions(spec):
             above = [b for b in B if L.leq(t, b)]
             (least,) = [b for b in above if all(L.leq(b, c) for c in above)]
             least_above.append(least)
-        assert alpha_of_chain(L, B).values == tuple(least_above)
+        assert alpha_of_chain(L, B).values == bytes(least_above)
 
 
 # chains of boolean:9, by label: the full one, the two ends, one with
@@ -352,7 +363,7 @@ def test_chain_maps_past_one_byte(spec):
         # the index of each element's least member above it, naively
         naive = [next(p for p, b in enumerate(members) if L.leq(t, b)) for t in range(L.n)]
         pi = pi_of_chain(L, members)
-        assert pi.values == tuple(naive)
+        assert pi.values == (bytes if len(members) <= 256 else tuple)(naive)
         assert pi.target == chain_lattice(len(members) - 1)
         if members[0] == L.bottom:
             assert alpha_of_chain(L, members).values == tuple(members[p] for p in naive)
@@ -363,7 +374,7 @@ def test_alpha_reads_members_at_pi_indices(spec):
     L = generate(spec)
     for B in L.chain_family("Z"):
         members = B.members
-        expected = tuple(members[p] for p in pi_of_chain(L, B).values)
+        expected = bytes(members[p] for p in pi_of_chain(L, B).values)
         assert alpha_of_chain(L, B).values == expected
 
 
@@ -385,30 +396,30 @@ def test_families_cover_chain():
 
 def test_families_two_point():
     L = chain_lattice(1)
-    assert sorted(sections(L, (0, 1))) == [(0, 0), (0, 1)]
+    assert sorted(sections(L, (0, 1))) == [bytes((0, 0)), bytes((0, 1))]
 
 
 def test_families_singleton():
     L = boolean_lattice(2)
-    assert list(sections(L, (L.top,))) == [(L.bottom,)]
+    assert list(sections(L, (L.top,))) == [bytes((L.bottom,))]
 
 
 def test_j_of_family_inclusion():
     L = boolean_lattice(2)
     B = z_chain(L, "0", "a", "ab")
-    assert (L.bottom,) + B[1:] in sections(L, B)
+    assert bytes((L.bottom,) + B[1:]) in sections(L, B)
 
 
 def test_j_of_family_constant():
     L = chain_lattice(1)
-    assert (0, 0) in sections(L, (0, 1))  # pick a_1 = 0
+    assert bytes((0, 0)) in sections(L, (0, 1))  # pick a_1 = 0
 
 
 def test_j_of_family_point():
     L = boolean_lattice(2)
     j = j_upper(L, (L.top,))
     (table,) = j.terms
-    assert j.source == chain_lattice(0) and table == (L.bottom,)
+    assert j.source == chain_lattice(0) and table == bytes((L.bottom,))
 
 
 def test_enumeration_counts():
@@ -425,7 +436,7 @@ def test_enumeration_matches_brute_force():
     for spec in ("chain:2", "boolean:2", "diamond:3", "pentagon"):
         L = generate(spec)
         brute = {
-            values
+            bytes(values)
             for values in itertools.product(range(L.n), repeat=L.n)
             if is_join_map(L, L, values)
         }
@@ -484,7 +495,7 @@ def _method_call_endomorphism(L, irr, assignment):
     ext = [L.join_all(value_at[j] for j in irr if L.leq(j, t)) for t in range(L.n)]
     if any(ext[j] != v for j, v in zip(irr, assignment)):
         return None
-    return tuple(ext) if is_join_map(L, L, ext) else None
+    return bytes(ext) if is_join_map(L, L, ext) else None
 
 
 def _method_call_enumeration(L):
@@ -584,8 +595,9 @@ def test_kernel_sampling_matches_method_calls(spec, relabel_seed):
 def test_join_map_equality_hash_and_repr():
     L = boolean_lattice(1)
     f = JoinMap(L, L, (0, 1))
-    assert f == identity_map(L) and hash(f) == hash((0, 1))
+    assert f == identity_map(L) and hash(f) == hash(bytes((0, 1)))
     assert f == JoinMap(boolean_lattice(1), boolean_lattice(1), (0, 1))
+    assert f == JoinMap(L, L, b"\0\1") == JoinMap(L, L, [0, 1])
     assert f != JoinMap(L, L, (0, 0))
     assert repr(f) == "JoinMap(0:0,a:a)"
     # the same table between other lattices is another map, with the same hash
