@@ -4,8 +4,9 @@ constructions.
 A formal sum holds its ring, source and target lattices once and keys
 each term by the map's value table, so a product composes tables directly.
 A table is of its target's `table_type`: `bytes` on at most 256 elements
-and a tuple above.  Between byte tables each composite is one
-`bytes.translate` call; otherwise tables are read through `itemgetter`.
+and a tuple above.  Tables are composed only by `morphisms`: products
+prepare them by its `composition`, which makes each composite between
+byte tables one `bytes.translate` call.
 `map_products` tests the products of one sum over Z with many single
 maps, with the tables of the sum prepared once.  An equality of two such
 products is decided by sorting the composites, each repeated |c|
@@ -60,11 +61,10 @@ from .morphisms import (
     JoinMap,
     as_table,
     compose_tables,
+    composition,
     identity_map,
     pi_of_chain,
     retraction_table,
-    table_getter,
-    translation,
 )
 from .posets import Poset, bit_indices
 
@@ -247,11 +247,10 @@ class FormalSum:
     def __mul__(self, other):
         """Composition product: (self * other) means self after other.
 
-        Each composite g o f is made as `compose_tables` makes it.  With
-        byte tables on both sides, each outer table g is padded once
-        (`translation`) and each inner table f reads it through its
-        `translate`; otherwise each inner table f becomes one getter
-        (`table_getter`), which reads g o f off g.
+        Each composite g o f is made as `compose_tables` makes it, by the
+        kit `composition` gives for the signature of g: each outer table
+        g is prepared once, and each inner table f gives one reader of
+        the prepared g.
         """
         if not isinstance(other, FormalSum):
             return NotImplemented
@@ -259,15 +258,10 @@ class FormalSum:
             raise SignatureMismatch("formal sums over different rings")
         if other.target != self.source:
             raise SourceTargetMismatch("inner target differs from outer source")
-        table = self.target.table_type
-        if self.source.table_type is bytes and table is bytes:
-            inner = [(f.translate, cf) for f, cf in other.terms.items()]
-            outer = ((translation(g), cg) for g, cg in self.terms.items())
-            pairs = ((read(g), cg * cf) for g, cg in outer for read, cf in inner)
-        else:
-            inner = [(table_getter(f), cf) for f, cf in other.terms.items()]
-            pairs = ((table(read(g)), cg * cf)
-                     for g, cg in self.terms.items() for read, cf in inner)
+        outer, _, at = composition(self.source, self.target)
+        inner = [(at(f)[0], cf) for f, cf in other.terms.items()]
+        prepared = ((outer(g), cg) for g, cg in self.terms.items())
+        pairs = ((read(g), cg * cf) for g, cg in prepared for read, cf in inner)
         acc = {}
         _accumulate(self.ring.modulus, acc, pairs)
         return FormalSum._of(self.ring, other.source, self.target, acc)
@@ -303,40 +297,6 @@ class FormalSum:
     def __repr__(self):
         bits = " + ".join(f"{c}*{jm!r}" for jm, c in self.sorted_terms())
         return f"FormalSum({bits or '0'})"
-
-
-def _composition(L: Lattice):
-    """(outer, inner, at) for the value tables of endomorphisms of L.
-
-    A table t of a sum is prepared once, as outer(t) to be read through
-    maps and as inner(t) to have maps read through it.  For a map's table
-    p, at(p) gives (after, apply, args): after(outer(g)) is the table of
-    g o p, and args repeats one argument without end, so that
-    map(apply, inners, args) gives the tables p o f.  On at most 256
-    elements a table is `bytes` and each composite one `bytes.translate`
-    call: outer(g) is `translation(g)`, so g o p is
-    `p.translate(outer(g))` and p o f is `f.translate(translation(p))`.
-    Above 256 elements a table is a tuple, read through `table_getter`.
-    `bytes` and `tuple` leave a table of their own type as it is.
-    Nothing is built per lattice, and no closure per map: a sweep makes
-    one `at` call for a few dozen composites, and binding two closures
-    there cost a third of the time of `map_products`' test.
-    """
-    if L.table_type is tuple:
-        return tuple, table_getter, _tuples_at
-    return translation, bytes, _bytes_at
-
-
-def _bytes_at(p):
-    return p.translate, bytes.translate, itertools.repeat(translation(p))
-
-
-def _tuples_at(p):
-    return table_getter(p), _apply, itertools.repeat(p)
-
-
-def _apply(get, table):
-    return get(table)
 
 
 # the most composites per term, on average, that the multiset comparison
@@ -386,18 +346,18 @@ def map_products(s: FormalSum):
 
     [p] is the endomorphism p as a sum with coefficient 1, so s * [p]
     has the coefficients of s on the tables g o p and [p] * s on the
-    tables p o f.  The tables of s are prepared once by `_composition`,
-    so a sweep over many maps pays for each only its composites.  With
-    coefficients of moderate size each equality is decided by
-    `_signed_tables`' multisets: each table of s is prepared on its
-    sign's side, repeated |c| times, and the two sides are sorted and
-    compared, with no per-term step in Python.  Otherwise the difference
+    tables p o f.  The tables of s are prepared once by the kit of
+    `morphisms.composition`, so a sweep over many maps pays for each only
+    its composites.  With coefficients of moderate size each equality is
+    decided by `_signed_tables`' multisets: each table of s is prepared
+    on its sign's side, repeated |c| times, and the two sides are sorted
+    and compared, with no per-term step in Python.  Otherwise the difference
     of the two sides is folded exactly by `_cancels`.  Raises
     SignatureMismatch if s is not over Z.
     """
     if s.ring != ZZ:
         raise SignatureMismatch(f"products with maps are decided over int, not {s.ring}")
-    outer, inner, at = _composition(s.source)
+    outer, inner, at = composition(s.source, s.target)
     signed = _signed_tables(s)
     if signed is None:
         coeffs = list(s.terms.values())

@@ -14,8 +14,10 @@ target.  Its type is the target's `table_type` (`as_table`): `bytes` when
 the target has at most 256 elements, so that every value fits in a byte,
 and a tuple of ints above that.  Byte tables of equal length sort as the
 tuples of their values do, a composite of two of them is one
-`bytes.translate` call (`compose_tables`), and a `bytes` object keeps its
-hash once computed.
+`bytes.translate` call, and a `bytes` object keeps its hash once
+computed.  Tables are composed only here: one at a time by
+`compose_tables`, and many, for the products of `algebra`, by the kit of
+`composition`.
 
 The per-map tests of the exhaustive sweeps run on bitmasks: a table has a
 chain image iff the mask of its values lies inside the comparability mask
@@ -58,6 +60,7 @@ schedule and stops at the first position that fails.
 from __future__ import annotations
 
 import sys
+from itertools import repeat
 from operator import itemgetter
 
 from .errors import ChainNotInB, ChainNotInZ, NotJoinMorphism, SourceTargetMismatch
@@ -163,6 +166,40 @@ def translation(table):
     return table.ljust(256, b"\0")
 
 
+def composition(source: Lattice, target: Lattice):
+    """(outer, inner, at) for the value tables of maps g: source -> target.
+
+    A table t of a sum is prepared once, as outer(t) to be read through
+    maps and as inner(t) to have maps read through it.  For a table p
+    into `source`, at(p) gives (after, apply, args): after(outer(g)) is
+    `compose_tables(g, p, target)`, and for endomorphisms args repeats
+    one argument so that map(apply, inners, args) gives the tables p o f.
+    Between byte tables each composite is one `bytes.translate` call, and
+    no closure is bound per map: a sweep makes one `at` call for a few
+    dozen composites, and binding two closures there cost a third of the
+    time of `algebra.map_products`' test.  Otherwise tables are read
+    through `table_getter` and stored as the target's `table_type`:
+    `pi * j` above 256 elements reads a byte table through tuples.
+    """
+    if source.table_type is bytes and target.table_type is bytes:
+        return translation, bytes, _bytes_at
+    table = target.table_type
+
+    def at(p):
+        get = table_getter(p)
+        return (lambda g: table(get(g))), _apply, repeat(p)
+
+    return table, table_getter, at
+
+
+def _bytes_at(p):
+    return p.translate, bytes.translate, repeat(translation(p))
+
+
+def _apply(get, table):
+    return get(table)
+
+
 def identity_map(L: Lattice) -> JoinMap:
     return JoinMap(L, L, range(L.n))
 
@@ -265,13 +302,9 @@ def retraction_table(L: Lattice, members, total):
     `total` is the sum of the members' `L.outside_digits()`, which the
     walk of `algebra.idempotent_direct` carries up the chain as it goes.
     The table is the members, as a table of the index chain into L, read
-    at each element's mark: `compose_tables` of the two, with the types
-    known.
+    at each element's mark.
     """
-    marks = _first_cover_marks(L, total)
-    if L.table_type is bytes:
-        return marks.translate(translation(bytes(members)))
-    return table_getter(marks)(members)
+    return compose_tables(L.table_type(members), _first_cover_marks(L, total), L)
 
 
 def _digit_sum(L: Lattice, members):

@@ -3,7 +3,8 @@
 `load_lattice` is the one way the CLI and the verification suite get a
 lattice: a path to a lattice file, or else a generator descriptor.
 
-A lattice file is UTF-8 text, read as such whatever the locale's encoding.
+A lattice file is UTF-8 text, read as such whatever the locale's encoding;
+a byte-order mark at its start is dropped.
 Its grammar (blank lines and '#' comments ignored):
 
     elements: <label> <label> ...
@@ -44,7 +45,7 @@ def load_lattice(spec) -> Lattice:
     if not os.path.exists(spec):
         return generate(spec)
     try:
-        with open(spec, encoding="utf-8") as fh:
+        with open(spec, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"{spec}: {exc.strerror}") from None

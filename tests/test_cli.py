@@ -262,6 +262,18 @@ def test_cmd_info_file(tmp_path, capsys):
     assert code == 0 and "elements: 4" in out
 
 
+def test_cmd_info_file_with_byte_order_mark(tmp_path, capsys):
+    # editors that save UTF-8 with a byte-order mark put U+FEFF first
+    plain, marked = tmp_path / "plain.lat", tmp_path / "marked.lat"
+    text = "elements: 0 1\ncovers:\n0 1\n"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(text.encode("utf-8-sig"))
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected = run_cli(capsys, "info", str(plain))
+    assert expected[0] == 0
+    assert run_cli(capsys, "info", str(marked)) == expected
+
+
 def test_cmd_info_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.lat"
     path.write_text("elements: 0 1\ncovers:\n0 1 extra\n")

@@ -3,7 +3,8 @@
 Every constructor of a map or a formal sum is checked for the type of the
 tables it makes, on lattices whose tables are all bytes, and across the
 boundary on boolean:9 (512 elements), where maps into L are tuples and
-maps into an index chain are bytes.
+maps into an index chain are bytes.  The kit of `composition` is checked
+on each of the four pairs of table types a signature can have.
 """
 
 import itertools
@@ -27,6 +28,8 @@ from totlat.lattices import chain_lattice, generate
 from totlat.morphisms import (
     alpha_of_chain,
     compose,
+    compose_tables,
+    composition,
     enumerate_join_endomorphisms,
     identity_map,
     make_join_map,
@@ -117,3 +120,58 @@ def test_tables_across_the_256_boundary():
         (bytes([pi.values[v] for v in t]), c) for t, c in j.terms.items()])
     for table in itertools.islice(j.terms, 5):
         assert_map(make_join_map(j.source, L, table))
+
+
+def assert_kit(source, target, gs, ps):
+    """The kit for maps g: source -> target makes each g o p as
+    `compose_tables` and a list comprehension do, as a table of the
+    target's type."""
+    outer, _, at = composition(source, target)
+    prepared = [outer(g) for g in gs]
+    for p in ps:
+        after = at(p)[0]
+        for g, ready in zip(gs, prepared):
+            composite = after(ready)
+            assert composite == compose_tables(g, p, target)
+            assert list(composite) == [g[v] for v in p]
+            assert type(composite) is target.table_type
+
+
+def assert_endomorphism_kit(L, tables):
+    """For endomorphisms, map(apply, inners, args) gives each p o f."""
+    _, inner, at = composition(L, L)
+    inners = list(map(inner, tables))
+    for p in tables:
+        _, apply, args = at(p)
+        composites = list(map(apply, inners, args))
+        assert composites == [compose_tables(p, f, L) for f in tables]
+        assert [list(t) for t in composites] == [[p[v] for v in f] for f in tables]
+        assert {type(t) for t in composites} == {L.table_type}
+
+
+def test_kit_between_byte_tables():
+    L = generate("divisor:60")
+    tables = [phi.values for phi in itertools.islice(enumerate_join_endomorphisms(L), 40)]
+    tables += idempotent_direct(L).terms
+    assert L.table_type is bytes
+    assert_kit(L, L, tables, tables)
+    assert_endomorphism_kit(L, tables)
+
+
+def test_kit_between_tuple_tables():
+    L = generate("diamond:300")
+    tables = list(idempotent_direct(L).terms)
+    assert L.table_type is tuple and len(tables) > 256
+    assert_kit(L, L, tables, tables[:20])
+    assert_endomorphism_kit(L, tables[:20])
+
+
+def test_kits_between_byte_and_tuple_tables():
+    # on diamond:300 the index chains have byte tables and L tuple ones:
+    # j^B o pi^B reads tuples through bytes, pi^B o j^B bytes through tuples
+    L = generate("diamond:300")
+    for B in L.chain_family("B"):
+        j, pi = j_upper(L, B), pi_of_chain(L, B)
+        assert (j.source.table_type, L.table_type) == (bytes, tuple)
+        assert_kit(j.source, L, list(j.terms), [pi.values])
+        assert_kit(L, pi.target, [pi.values], list(j.terms))
