@@ -14,8 +14,9 @@ times on the side of its sign, and comparing two lists; with
 coefficients too large to repeat, the composites are folded term by term.
 Coefficients live in an exact commutative ring (integers, integers mod m,
 or rationals); no floating point anywhere.  Every coefficient that occurs
-is a Moebius value, so the sums are built over Z: Z -> R is the unique
-ring map, and it commutes with the sums and products that build e.
+is a Moebius value, so both constructions take only the lattice and build
+over Z.  Z -> R is the unique ring map, and it commutes with the sums and
+products that build e, so `FormalSum.map_ring` is the one way into R.
 
 The headline objects:
 
@@ -36,8 +37,7 @@ where S(b) holds the terms of the f_B over the chains that end at b,
 restricted to the down-set of b: each such term is one unrolled path of
 the recursion, and since joining a fixed block is injective and linear,
 the terms of S(b') cancel before they are extended.  S(top) is the sum
-of the f_B; it is mapped into the requested ring once, and modulo m the
-mapping drops the terms that vanish.
+of the f_B.
 """
 
 from __future__ import annotations
@@ -84,7 +84,10 @@ class Ring:
     def __init__(self, kind, modulus=None):
         if kind not in ("int", "mod", "rat"):
             raise UnsupportedRing(f"unknown ring kind {kind!r}")
-        if kind == "mod" and (modulus is None or modulus < 2):
+        if kind == "mod" and type(modulus) is not int:
+            # a float or a string would give coefficients of its own type
+            raise UnsupportedRing(f"modulus must be an int, not {modulus!r}")
+        if kind == "mod" and modulus < 2:
             raise UnsupportedRing("modulus must be >= 2")
         if kind != "mod" and modulus is not None:
             raise UnsupportedRing("modulus only makes sense for kind 'mod'")
@@ -289,7 +292,10 @@ class FormalSum:
         ]
 
     def map_ring(self, ring: Ring):
-        """Reinterpret the coefficients in another ring (e.g. reduce mod m)."""
+        """Reinterpret the coefficients in another ring (e.g. reduce mod m).
+        Sums are not mutated, so in its own ring the sum itself is returned."""
+        if ring == self.ring:
+            return self
         acc = {}
         _accumulate(ring.modulus, acc, self.terms.items(), ring.coerce)
         return FormalSum._of(ring, self.source, self.target, acc)
@@ -499,7 +505,7 @@ def _chains_through(L: Lattice, members):
 # -- the direct construction ----------------------------------------------
 
 
-def idempotent_direct(L: Lattice, ring: Ring = ZZ, crapo_filter=False) -> FormalSum:
+def idempotent_direct(L: Lattice) -> FormalSum:
     """Minus the sum over bottom-to-top chains B of mu(B, infinity) * alpha_B.
 
     Built in one depth-first walk up the strict order from the bottom.
@@ -511,12 +517,7 @@ def idempotent_direct(L: Lattice, ring: Ring = ZZ, crapo_filter=False) -> Formal
     it; each element's steps are found once per call.  The chains come in
     the order of `L.chain_family("Z")`, less those with a zero step.
     Distinct chains have distinct retractions, and every coefficient is a
-    nonzero integer, so the terms are kept as they come, over Z, and
-    mapped into `ring` once.
-
-    With `crapo_filter`, steps whose interval is not complemented are not
-    taken either; by Crapo's complementation theorem their Moebius value
-    is zero, so the result is unchanged.
+    nonzero integer, so the terms are kept as they come, over Z.
     """
     digits, top = L.outside_digits(), L.top
     steps = [None] * L.n
@@ -530,25 +531,10 @@ def idempotent_direct(L: Lattice, ring: Ring = ZZ, crapo_filter=False) -> Formal
             continue
         if steps[x] is None:
             # reversed, so the stack pops the smallest y first
-            steps[x] = [
-                (y, -mu, digits[y])
-                for y in L._above[x]
-                if (mu := L.mobius(x, y))
-                and (not crapo_filter or L.is_complemented_interval(x, y))
-            ][::-1]
+            steps[x] = [(y, -mu, digits[y]) for y in L._above[x]
+                        if (mu := L.mobius(x, y))][::-1]
         stack.extend((members + (y,), total + d, c * m) for y, m, d in steps[x])
-    e = FormalSum._of(ZZ, L, L, terms)
-    return e if ring == ZZ else e.map_ring(ring)
-
-
-def has_noncomplemented_step(L: Lattice, B) -> bool:
-    """True iff some step [b_{i-1}, b_i] of the chain B is not complemented.
-
-    By Crapo's complementation theorem mu(b_{i-1}, b_i) is then zero, and
-    with it mu(B, infinity).
-    """
-    members = tuple(B)
-    return not all(map(L.is_complemented_interval, members, members[1:]))
+    return FormalSum._of(ZZ, L, L, terms)
 
 
 # -- the family construction ----------------------------------------------
@@ -605,9 +591,9 @@ def f_of_chain(L: Lattice, B) -> FormalSum:
     return FormalSum._of(ZZ, L, L, {compose_tables(table, pi, L): c for table, c in sections})
 
 
-def idempotent_original(L: Lattice, ring: Ring = ZZ) -> FormalSum:
+def idempotent_original(L: Lattice) -> FormalSum:
     """The sum of f_B over all top-ended chains B, by a recursion over the
-    elements, built over Z and mapped into `ring` once.
+    elements, over Z.
 
     A term of f_B, B = {b_0 < ... < b_n = top}, sends x to a_{pi^B(x)}:
     the bottom on the down-set of b_0, and the pick a_p on that of b_p
@@ -653,5 +639,4 @@ def idempotent_original(L: Lattice, ring: Ring = ZZ) -> FormalSum:
     else:
         tables = (tuple(memoryview(key.to_bytes(2 * n, sys.byteorder)).cast("H"))
                   for key in sums[L.top])
-    e = FormalSum._of(ZZ, L, L, dict(zip(tables, sums[L.top].values())))
-    return e if ring == ZZ else e.map_ring(ring)
+    return FormalSum._of(ZZ, L, L, dict(zip(tables, sums[L.top].values())))

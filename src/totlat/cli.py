@@ -63,8 +63,9 @@ def cmd_info(args):
 
 def cmd_idempotent(args):
     L = load_lattice(args.input)
+    ring = Ring.parse(args.ring)
     build = idempotent_direct if args.method == "direct" else idempotent_original
-    e = build(L, Ring.parse(args.ring))
+    e = build(L).map_ring(ring)
     if args.format == "json":
         # written term by term, so the document is never held whole
         sys.stdout.writelines(formal_sum_json_chunks(e))

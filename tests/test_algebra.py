@@ -78,7 +78,7 @@ def test_ring_equality_hash_and_repr():
     assert Ring("int") != ("int", None)
     assert len({Ring("int"), ZZ, Ring.parse("int"), Ring("rat")}) == 2
     for kind, modulus in (("float", None), ("mod", None), ("mod", 1), ("mod", -3),
-                          ("int", 3), ("rat", 2)):
+                          ("mod", 2.5), ("mod", 4.0), ("mod", "3"), ("int", 3), ("rat", 2)):
         with pytest.raises(UnsupportedRing):
             Ring(kind, modulus)
 
@@ -126,7 +126,7 @@ def test_sum_cancel():
 def test_sum_plus_negation_stores_no_terms():
     L = generate("pentagon")
     for ring in (ZZ, Ring("mod", 3), Ring("rat")):
-        x = idempotent_direct(L, ring)
+        x = idempotent_direct(L).map_ring(ring)
         assert x.terms
         total = x + (-x)
         assert total.is_zero() and total.terms == {}
@@ -248,7 +248,7 @@ def test_products_match_list_comprehension_oracle(spec, ring):
     # enumerator's search barely prunes on a diamond
     ring = Ring.parse(ring)
     L = generate(spec)
-    e = idempotent_direct(L, ring)
+    e = idempotent_direct(L).map_ring(ring)
     pairs = [(e, e)]
     maps = enumerate_join_endomorphisms(L) if L.table_type is bytes else ()
     for phi in itertools.islice(maps, 50):
@@ -379,7 +379,7 @@ def test_products_with_maps_refuse_a_sum_not_over_the_integers(ring):
     # modulo m the lifted representatives would be compared as integers,
     # and over Q a fractional coefficient cannot be repeated
     L = generate("pentagon")
-    e = idempotent_direct(L, Ring.parse(ring))
+    e = idempotent_direct(L).map_ring(Ring.parse(ring))
     with pytest.raises(SignatureMismatch, match=f"over int, not {ring}"):
         map_products(e)
 
@@ -511,10 +511,9 @@ def least_member_above(L, members):
 
 
 @pytest.mark.parametrize("ring", ["int", "rat", "mod:2", "mod:3"])
-@pytest.mark.parametrize("crapo_filter", [False, True])
 @pytest.mark.parametrize(
     "spec", list(DEFAULT_CORPUS) + ["divisor:60", "diamond:5", "partition:4", "boolean:4"])
-def test_direct_coefficients_are_chain_mobius_values(spec, crapo_filter, ring):
+def test_direct_coefficients_are_chain_mobius_values(spec, ring):
     # the pruned walk against the sum over every chain of the Z family,
     # each retraction read naively and weighted by the product formula
     L = generate(spec)
@@ -525,7 +524,7 @@ def test_direct_coefficients_are_chain_mobius_values(spec, crapo_filter, ring):
         assert alpha not in seen, "retraction maps must be pairwise distinct"
         seen[alpha] = -mu_chain_infinity(L, B)
     ring = Ring.parse(ring)
-    e = idempotent_direct(L, ring, crapo_filter=crapo_filter)
+    e = idempotent_direct(L).map_ring(ring)
     assert e == FormalSum(ring, L, L, seen)
 
 
@@ -545,12 +544,6 @@ def test_direct_idempotent_and_fixes_alphas():
         for B in L.chain_family("Z"):
             a = embed(alpha_of_chain(L, B))
             assert e * a == a
-
-
-def test_crapo_filter_no_op():
-    for spec in SMALL_CORPUS:
-        L = generate(spec)
-        assert idempotent_direct(L, crapo_filter=True) == idempotent_direct(L)
 
 
 # -- the family construction ----------------------------------------------
@@ -678,7 +671,7 @@ def test_original_matches_ring_level_sum(spec, ring):
     R = Ring.parse(ring)
     oracle = FormalSum.total(R, L, L, (
         ring_level_f(L, B, R) for B in sorted(L.chain_family("B"), key=len)))
-    e = idempotent_original(L, R)
+    e = idempotent_original(L).map_ring(R)
     assert e == oracle
     # the terms that vanish modulo 2 and 3 are dropped
     partition4_terms = {"int": 32, "mod:2": 21, "mod:3": 31}
@@ -727,8 +720,8 @@ def test_original_equals_left_fold(spec, ring):
         for B in sorted(L.chain_family("B"), key=len)
     ]
     fold = functools.reduce(operator.add, fs)
-    assert idempotent_original(L, ring) == fold
-    assert fold == idempotent_direct(L, ring)
+    assert idempotent_original(L).map_ring(ring) == fold
+    assert fold == idempotent_direct(L).map_ring(ring)
 
 
 @pytest.mark.parametrize("spec", ["chain:0", "chain:14", "chain:60", "opposite:chain:60"])
@@ -747,15 +740,22 @@ def test_ring_functoriality():
         over_z = idempotent_direct(L)
         for m in (2, 3, 5):
             ring = Ring("mod", m)
-            assert over_z.map_ring(ring) == idempotent_direct(L, ring)
-        assert over_z.map_ring(Ring("rat")) == idempotent_direct(L, Ring("rat"))
+            assert over_z.map_ring(ring) == idempotent_direct(L).map_ring(ring)
+        assert over_z.map_ring(Ring("rat")) == idempotent_direct(L).map_ring(Ring("rat"))
+
+
+def test_map_ring_into_its_own_ring_is_the_sum_itself():
+    L = generate("pentagon")
+    for ring in (ZZ, Ring("mod", 3), Ring("rat")):
+        e = idempotent_direct(L).map_ring(ring)
+        assert e.map_ring(ring) is e
 
 
 def test_idempotent_over_small_characteristic():
     L = generate("divisor:12")
     for m in (2, 3, 5):
         ring = Ring("mod", m)
-        e = idempotent_direct(L, ring)
+        e = idempotent_direct(L).map_ring(ring)
         assert e * e == e
 
 

@@ -22,7 +22,7 @@ from totlat.checks import (
 )
 from totlat.algebra import ZZ, FormalSum, Ring, embed, idempotent_direct, identity_sum
 from totlat.errors import UnknownCheck
-from totlat.lattices import boolean_lattice, chain_lattice, generate
+from totlat.lattices import Lattice, boolean_lattice, chain_lattice, generate
 from totlat.morphisms import JoinMap, compose, enumerate_join_endomorphisms
 from totlat.posets import Poset
 
@@ -49,22 +49,21 @@ def test_run_suite_names_unknown_checks_before_loading():
         run_suite(corpus=["no_such_lattice"], checks=["x", "idempotent", "y"])
 
 
-def test_run_suite_builds_e_once_per_lattice(monkeypatch):
+@pytest.mark.parametrize("ring", ["int", "rat", "mod:2", "mod:7"])
+def test_run_suite_builds_e_once_per_lattice(monkeypatch, ring):
+    # the shared e and ring_functoriality's one rebuild, both over Z, per
+    # lattice under every ring; crapo builds no sum
     calls = []
     real = checks.idempotent_direct
 
-    def counted(L, ring=ZZ, crapo_filter=False):
-        calls.append((str(ring), crapo_filter))
-        return real(L, ring, crapo_filter)
+    def counted(L):
+        calls.append(L.n)
+        return real(L)
 
     monkeypatch.setattr(checks, "idempotent_direct", counted)
-    run_suite(corpus=["boolean:2"])
-    # the shared e, which ring_functoriality also reduces, crapo's filtered
-    # sum, and ring_functoriality's three sums built modulo 2, 3 and 5
-    assert sorted(calls) == sorted([
-        ("int", False), ("int", True),
-        ("mod:2", False), ("mod:3", False), ("mod:5", False),
-    ])
+    reports = run_suite(corpus=["boolean:2", "pentagon"], ring=Ring.parse(ring))
+    assert {r.status for r in reports} == {"pass"}
+    assert calls == [4, 4, 5, 5]
 
 
 def test_run_suite_builds_the_family_sum_once_per_lattice(monkeypatch):
@@ -72,44 +71,37 @@ def test_run_suite_builds_the_family_sum_once_per_lattice(monkeypatch):
     calls = []
     real = checks.idempotent_original
 
-    def counted(L, ring=ZZ):
-        calls.append((L.n, str(ring)))
-        return real(L, ring)
+    def counted(L):
+        calls.append(L.n)
+        return real(L)
 
     monkeypatch.setattr(checks, "idempotent_original", counted)
     reports = run_suite(corpus=["boolean:2", "pentagon"],
                         checks=["formula_equivalence", "f_family"])
     assert {r.status for r in reports} == {"pass"}
-    assert calls == [(4, "int"), (5, "int")]
+    assert calls == [4, 5]
 
 
-@pytest.mark.parametrize("ring", ["rat", "mod:7"])
-def test_ring_functoriality_also_checks_the_run_ring(monkeypatch, ring):
-    # the other checks decide over Z, so e as built over a ring outside
-    # Z, mod:2, mod:3 and mod:5 is checked here alone: corrupted only
-    # over that ring, it fails ring_functoriality under that ring only
-    L, corrupt = generate("pentagon"), Ring.parse(ring)
+def test_ring_functoriality_also_checks_the_run_ring(monkeypatch):
+    # a second build that adds 30 * identity agrees with e modulo 2, 3
+    # and 5, so only the run ring, when it is none of these nor Z, sees it
     passing = {"check": "ring_functoriality", "lattice": "pentagon", "status": "pass",
                "counts": {"moduli": [2, 3, 5]}}
-    assert run_suite(corpus=["pentagon"], ring=corrupt,
-                     checks=["ring_functoriality"])[0].to_dict() == passing
     real = checks.idempotent_direct
-    calls = []
+    builds = []
 
-    def corrupted(L, ring=ZZ, crapo_filter=False):
-        calls.append(str(ring))
-        e = real(L, ring, crapo_filter)
-        return e + identity_sum(L, ring) if ring == corrupt else e
+    def second_build_off(L):
+        builds.append(L.n)
+        e = real(L)
+        return e + identity_sum(L).scale(30) if len(builds) == 2 else e
 
-    monkeypatch.setattr(checks, "idempotent_direct", corrupted)
-    for other in ("int", "rat", "mod:2", "mod:3", "mod:5", "mod:7"):
-        calls.clear()
-        reports = run_suite(corpus=["pentagon"], ring=Ring.parse(other))
-        extra = [] if other in ("int", "mod:2", "mod:3", "mod:5") else [other]
-        assert sorted(calls) == sorted(["int"] * 2 + ["mod:2", "mod:3", "mod:5"] + extra)
-        *rest, last = reports
+    monkeypatch.setattr(checks, "idempotent_direct", second_build_off)
+    for ring in ("int", "rat", "mod:2", "mod:3", "mod:5", "mod:7"):
+        builds.clear()
+        *rest, last = run_suite(corpus=["pentagon"], ring=Ring.parse(ring))
+        assert builds == [5, 5]
         assert {r.status for r in rest} == {"pass"}
-        if other == ring:
+        if ring in ("rat", "mod:7"):
             assert last.to_dict() == {"check": "ring_functoriality", "lattice": "pentagon",
                                       "status": "fail", "counterexample": {"ring": ring}}
         else:
@@ -253,6 +245,27 @@ def test_individual_checks_pass(spec):
     ):
         r = fn(Workspace(L, descriptor=spec))
         assert r.status == "pass", (spec, r.name, r.counterexample)
+
+
+def test_crapo_names_a_noncomplemented_chain_with_nonzero_mu(monkeypatch):
+    # [bottom, top] of boolean:2 has mu = 1; called non-complemented, the
+    # chain {bottom, top} breaks Crapo's theorem, and crapo says so
+    # from its own loop, building no sum
+    L = generate("boolean:2")
+    real = Lattice.is_complemented_interval
+
+    def top_interval_off(self, x, y):
+        return (x, y) != (self.bottom, self.top) and real(self, x, y)
+
+    def no_build(L):
+        raise AssertionError("crapo built a sum")
+
+    monkeypatch.setattr(Lattice, "is_complemented_interval", top_interval_off)
+    monkeypatch.setattr(checks, "idempotent_direct", no_build)
+    report = check_crapo_restriction(Workspace(L, descriptor="boolean:2")).to_dict()
+    assert report == {"check": "crapo", "lattice": "boolean:2", "status": "fail",
+                      "counterexample": {"chain": (L.names[L.bottom], L.names[L.top]),
+                                         "mu": 1}}
 
 
 # -- reports under every ring -----------------------------------------------
@@ -443,7 +456,7 @@ def test_f_family_summing_to_a_non_idempotent_e_fails_like_the_oracle(monkeypatc
 
     monkeypatch.setattr(checks, "j_upper", corrupted_j)
     monkeypatch.setattr(checks, "idempotent_direct",
-                        lambda L, ring=ZZ, crapo_filter=False: real_e(L, ring) + z)
+                        lambda L: real_e(L) + z)
     ws = workspace(L, spec)
     assert FormalSum.total(ZZ, L, L, (family_member(L, D) for D in chains)) == ws.e
     assert ws.e_squared != ws.e
@@ -485,7 +498,7 @@ def test_a_corrupted_family_sum_fails_formula_equivalence(monkeypatch, spec, mut
     L = generate(spec)
     real = checks.idempotent_original
     monkeypatch.setattr(checks, "idempotent_original",
-                        lambda L, ring=ZZ: mutate(real(L, ring)))
+                        lambda L: mutate(real(L)))
     wrong = checks._sum_as_witness(mutate(real(L)))
     for ring in RINGS:
         report = report_under(check_formula_equivalence, L, spec, ring)

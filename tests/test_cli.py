@@ -94,14 +94,14 @@ def test_oversized_lattice_file_is_refused(tmp_path, capsys):
 def test_formal_sum_roundtrip(ring):
     for spec in DEFAULT_CORPUS:
         L = generate(spec)
-        e = idempotent_direct(L, Ring.parse(ring))
+        e = idempotent_direct(L).map_ring(Ring.parse(ring))
         doc = json.loads(json.dumps(formal_sum_to_document(e)))
         assert formal_sum_from_document(doc, L, L) == e
 
 
 def boolean_2_document(ring="int", coeff=1, table=None):
     L = boolean_lattice(2)
-    doc = formal_sum_to_document(idempotent_direct(L, Ring.parse(ring)))
+    doc = formal_sum_to_document(idempotent_direct(L).map_ring(Ring.parse(ring)))
     doc["terms"][0]["coeff"] = coeff
     if table is not None:
         doc["terms"][0]["table"] = table
@@ -202,7 +202,7 @@ def indent_json(s):
 @pytest.mark.parametrize("ring", ["int", "mod:3", "rat"])
 @pytest.mark.parametrize("spec", DEFAULT_CORPUS)
 def test_formal_sum_to_json_matches_indent_encoder(spec, ring, construction):
-    e = construction(generate(spec), Ring.parse(ring))
+    e = construction(generate(spec)).map_ring(Ring.parse(ring))
     assert formal_sum_to_json(e) == indent_json(e)
 
 
@@ -216,7 +216,7 @@ def test_formal_sum_to_json_zero_sum(ring):
 
 @pytest.mark.parametrize("ring", ["int", "rat"])
 def test_formal_sum_to_json_coefficient_above_64_bits(ring):
-    e = idempotent_direct(generate("boolean:2"), Ring.parse(ring)).scale(2**70 + 3)
+    e = idempotent_direct(generate("boolean:2")).map_ring(Ring.parse(ring)).scale(2**70 + 3)
     text = formal_sum_to_json(e)
     assert text == indent_json(e)
     assert str(2**70 + 3) in text
@@ -226,7 +226,7 @@ def test_formal_sum_to_json_escapes_labels(tmp_path, capsys):
     L = parse_lattice_file(ESCAPED_LABELS_FILE)
     assert set(L.names) == {"%s", '"x"', "a\\b", "é", "☃"}
     for ring in ("int", "rat"):
-        e = idempotent_direct(L, Ring.parse(ring))
+        e = idempotent_direct(L).map_ring(Ring.parse(ring))
         text = formal_sum_to_json(e)
         assert text == indent_json(e)
         for encoded in ('"\\"x\\"": ', '"a\\\\b": ', '"%s": ', '"☃"'):

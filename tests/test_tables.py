@@ -75,8 +75,8 @@ def test_maps_hold_their_targets_table_type(spec):
 def test_sums_hold_their_targets_table_type(spec):
     L = generate(spec)
     e = idempotent_direct(L)
-    sums = [e, idempotent_original(L), idempotent_direct(L, Ring("rat")),
-            idempotent_original(L, Ring("mod", 3)), e * e, e.scale(2), e + e,
+    sums = [e, idempotent_original(L), idempotent_direct(L).map_ring(Ring("rat")),
+            idempotent_original(L).map_ring(Ring("mod", 3)), e * e, e.scale(2), e + e,
             FormalSum.total(ZZ, L, L, [e, e]), embed(identity_map(L)) * e]
     doc = json.loads(json.dumps(formal_sum_to_document(e)))
     sums.append(formal_sum_from_document(doc, L, L))
