@@ -512,10 +512,13 @@ def least_member_above(L, members):
 
 @pytest.mark.parametrize("ring", ["int", "rat", "mod:2", "mod:3"])
 @pytest.mark.parametrize(
+    "build", [idempotent_direct, idempotent_original], ids=["direct", "original"])
+@pytest.mark.parametrize(
     "spec", list(DEFAULT_CORPUS) + ["divisor:60", "diamond:5", "partition:4", "boolean:4"])
-def test_direct_coefficients_are_chain_mobius_values(spec, ring):
-    # the pruned walk against the sum over every chain of the Z family,
-    # each retraction read naively and weighted by the product formula
+def test_coefficients_are_chain_mobius_values(spec, build, ring):
+    # the pruned walk and the family sum, each against the sum over every
+    # chain of the Z family, each retraction read naively and weighted by
+    # the product formula
     L = generate(spec)
     seen = {}
     for B in L.chain_family("Z"):
@@ -524,7 +527,7 @@ def test_direct_coefficients_are_chain_mobius_values(spec, ring):
         assert alpha not in seen, "retraction maps must be pairwise distinct"
         seen[alpha] = -mu_chain_infinity(L, B)
     ring = Ring.parse(ring)
-    e = idempotent_direct(L).map_ring(ring)
+    e = build(L).map_ring(ring)
     assert e == FormalSum(ring, L, L, seen)
 
 
