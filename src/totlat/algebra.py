@@ -8,12 +8,14 @@ and a tuple above.  Tables are composed only by `morphisms`: products
 prepare them by its `composition`, which makes each composite between
 byte tables one `bytes.translate` call.
 `map_products` tests the products of one sum over Z with many single
-maps, with the tables of the sum prepared once.  An equality of two such
-products is decided by sorting the composites, each repeated |c|
-times on the side of its sign, and comparing two lists; with
-coefficients too large to repeat, the composites are folded term by term.
+maps.  It factors each map p through its image, s * [p] and [p] * s
+through normal forms that depend only on p's image and only on p's
+ranks there, and decides each map by comparing two interned ints; the
+normal forms are computed once per image and once per ranking.
 Coefficients live in an exact commutative ring (integers, integers mod m,
-or rationals); no floating point anywhere.  Every coefficient that occurs
+or rationals); no floating point anywhere.  Over the rationals an
+integer stays an int, so `fractions` is loaded only for a value that is
+not one.  Every coefficient that occurs
 is a Moebius value, so both constructions take only the lattice and build
 over Z.  Z -> R is the unique ring map, and it commutes with the sums and
 products that build e, so `FormalSum.map_ring` is the one way into R.
@@ -46,7 +48,6 @@ import itertools
 import math
 import sys
 from array import array
-from fractions import Fraction
 
 from .errors import (
     ChainNotInA,
@@ -76,7 +77,9 @@ CHAIN_POSET_LIMIT = 2000
 class Ring:
     """Exact coefficient ring: integers, integers mod m, or rationals.
 
-    Equal, and hashed, on (kind, modulus).  Not to be mutated.
+    A rational is held as an int when it is given as one, and as a
+    Fraction otherwise; the two compare and hash alike when equal.  Equal,
+    and hashed, on (kind, modulus).  Not to be mutated.
     """
 
     __slots__ = ("kind", "modulus")
@@ -130,6 +133,14 @@ class Ring:
             if type(c) is int:
                 return c % self.modulus
             return _exact_integer(c) % self.modulus
+        if type(c) is int:
+            # an int is an exact rational, and stays one under the sums
+            # and products of formal sums
+            return c
+        # loaded only here and where a rational is read or written, so a
+        # call over integer coefficients loads neither fractions nor decimal
+        from fractions import Fraction
+
         if type(c) is Fraction:
             return c
         return Fraction(c)
@@ -143,6 +154,8 @@ ZZ = Ring("int")
 
 def _exact_integer(c):
     """c as an int; a value with a fractional part is refused, not truncated."""
+    from fractions import Fraction
+
     try:
         q = Fraction(c)
     except (TypeError, ValueError, OverflowError):
@@ -305,45 +318,6 @@ class FormalSum:
         return f"FormalSum({bits or '0'})"
 
 
-# the most composites per term, on average, that the multiset comparison
-# of `_signed_tables` makes; past it the exact fold is faster.  Timed per
-# map: at 1 repeat per term the multiset wins by 1.3-1.6x, at 2 the fold
-# by 1.2-2x (diamond:254, diamond:255, divisor:360, partition:5 with e
-# scaled); on e itself the multiset wins on diamond:5 (1.50) and
-# partition:4 (1.47), ties on partition:5 (1.65) and loses 1.8x on
-# partition:6 (1.81)
-MAX_REPEATS_PER_TERM = 1.75
-
-
-def _signed_tables(s: FormalSum):
-    """(positive, negative): each table of the sum s over Z repeated c
-    times if its coefficient c is positive, and -c times if negative.
-
-    None when the |c| add up to more than MAX_REPEATS_PER_TERM times the
-    number of terms: each repeat costs one composite per map and a longer
-    sort, and the exact fold of `_accumulate` then costs less.  Over Z,
-    sum c_i [l_i] = sum c_i [r_i] holds exactly when the multiset of the
-    l_i of positive terms and the r_i of negative ones, each repeated
-    |c_i| times, equals the multiset of the r_i of positive terms and the
-    l_i of negative ones: both say that every table has the same total
-    coefficient on the two sides.
-    """
-    if sum(map(abs, s.terms.values())) > MAX_REPEATS_PER_TERM * len(s.terms):
-        return None
-    positive, negative = [], []
-    for table, c in s.terms.items():
-        (positive if c > 0 else negative).extend([table] * abs(c))
-    return positive, negative
-
-
-def _cancels(*terms):
-    """Whether the (value table, integer coefficient) pairs of the
-    iterables `terms` add up to zero, folded exactly by `_accumulate`."""
-    acc = {}
-    _accumulate(None, acc, itertools.chain(*terms))
-    return not acc
-
-
 def map_products(s: FormalSum):
     """(commutes, fixes) for an endomorphism sum s over Z and maps p,
     given as value tables of the type `as_table` gives them: commutes(p)
@@ -351,52 +325,95 @@ def map_products(s: FormalSum):
     s * [p] == [p] == [p] * s.
 
     [p] is the endomorphism p as a sum with coefficient 1, so s * [p]
-    has the coefficients of s on the tables g o p and [p] * s on the
-    tables p o f.  The tables of s are prepared once by the kit of
-    `morphisms.composition`, so a sweep over many maps pays for each only
-    its composites.  With coefficients of moderate size each equality is
-    decided by `_signed_tables`' multisets: each table of s is prepared
-    on its sign's side, repeated |c| times, and the two sides are sorted
-    and compared, with no per-term step in Python.  Otherwise the difference
-    of the two sides is folded exactly by `_cancels`.  Raises
-    SignatureMismatch if s is not over Z.
+    has the coefficients c_t of s on the tables t o p and [p] * s on the
+    tables p o t.  Let p have image S = {v_0 < ... < v_{m-1}} (ordered by
+    index), rank the map v_i -> i on S, unrank its inverse and r =
+    rank o p, so that p = unrank o r.  r is onto {0..m-1}, so composing
+    on the right with it is injective on formal sums, and unrank is
+    injective, so composing on the left with it is too.  Hence
+
+        s * [p] = Y_S o r,   Y_S = sum c_t [t o unrank],
+        [p] * s = unrank o H_r,   H_r = sum c_t [r o t],
+
+    with Y_S depending only on S and H_r only on r, and the two agree iff
+    every table of Y_S lies in S and rank o Y_S equals X_r, where
+    H_r = X_r o r term by term (each table of H_r constant on the fibres
+    of r).  Likewise s * [p] == [p] iff rank o Y_S is the identity of
+    {0..m-1} with coefficient 1, and [p] * s == [p] iff X_r is.  Both
+    normal forms are computed once per image and once per r, and
+    interned as ints (a sentinel of its own for each side that fails to
+    factor), so each map costs its image, one composite and two dict
+    lookups.  Every table is composed by `morphisms`' helpers and is of
+    L's `table_type`, those into {0..m-1} too.  Raises SignatureMismatch
+    if s is not over Z.
     """
     if s.ring != ZZ:
         raise SignatureMismatch(f"products with maps are decided over int, not {s.ring}")
-    outer, inner, at = composition(s.source, s.target)
-    signed = _signed_tables(s)
-    if signed is None:
-        coeffs = list(s.terms.values())
-        negated = [-c for c in coeffs]
-        outers, inners = list(map(outer, s.terms)), list(map(inner, s.terms))
+    L = s.source
+    outer, inner, at = composition(L, L)
+    coeffs = list(s.terms.values())
+    outers, inners = list(map(outer, s.terms)), list(map(inner, s.terms))
+    interned = {}
 
-        def commutes(p):
-            after, apply, args = at(p)
-            return _cancels(zip(map(after, outers), coeffs),
-                            zip(map(apply, inners, args), negated))
+    def intern(terms):
+        return interned.setdefault(frozenset(terms.items()), len(interned))
 
-        def fixes(p):
-            after, apply, args = at(p)
-            minus_p = ((p, -1),)
-            return (_cancels(zip(map(after, outers), coeffs), minus_p)
-                    and _cancels(zip(map(apply, inners, args), coeffs), minus_p))
+    def by_image(image):
+        # (the id of rank o Y_S, the table of rank, the id of the identity)
+        m = len(image)
+        rank = [0] * L.n
+        for i, v in enumerate(image):
+            rank[v] = i
+        rank = as_table(L, rank)
+        unit = intern({as_table(L, range(m)): 1})
+        after = at(image)[0]
+        ys = {}
+        _accumulate(None, ys, zip(map(after, outers), coeffs))
+        ranked = {}
+        for y, c in ys.items():
+            x = compose_tables(rank, y, L)
+            if compose_tables(image, x, L) != y:
+                return -1, rank, unit
+            ranked[x] = c
+        return intern(ranked), rank, unit
 
-        return commutes, fixes
+    def by_rank(r):
+        # the id of X_r, or -2 if some table of H_r is not constant on
+        # the fibres of r
+        _, apply, args = at(r)
+        hs = {}
+        _accumulate(None, hs, zip(map(apply, inners, args), coeffs))
+        section = as_table(L, [r.index(i) for i in range(max(r) + 1)])
+        xs = {}
+        for h, c in hs.items():
+            x = compose_tables(h, section, L)
+            if compose_tables(x, r, L) != h:
+                return -2
+            xs[x] = c
+        return intern(xs)
 
-    positive, negative = signed
-    pos_out, neg_out = list(map(outer, positive)), list(map(outer, negative))
-    pos_in, neg_in = list(map(inner, positive)), list(map(inner, negative))
+    images, ranks = {}, {}
+
+    def ids(p):
+        # (the id of rank o Y_S, the id of X_r, the id of the identity)
+        image = as_table(L, sorted(set(p)))
+        entry = images.get(image)
+        if entry is None:
+            entry = images[image] = by_image(image)
+        y, rank, unit = entry
+        r = compose_tables(rank, p, L)
+        x = ranks.get(r)
+        if x is None:
+            x = ranks[r] = by_rank(r)
+        return y, x, unit
 
     def commutes(p):
-        after, apply, args = at(p)
-        return (sorted(itertools.chain(map(after, pos_out), map(apply, neg_in, args)))
-                == sorted(itertools.chain(map(after, neg_out), map(apply, pos_in, args))))
+        y, x, _ = ids(p)
+        return y == x
 
     def fixes(p):
-        after, apply, args = at(p)
-        return (sorted(map(after, pos_out)) == sorted([p, *map(after, neg_out)])
-                and sorted(map(apply, pos_in, args))
-                == sorted([p, *map(apply, neg_in, args)]))
+        y, x, unit = ids(p)
+        return y == x == unit
 
     return commutes, fixes
 

@@ -29,12 +29,14 @@ check repeats instead is a small part of the sweep.
 
 `central` compares e o phi with phi o e for every map phi, and
 `identity_on_tot` compares both with psi for every chain-image map psi.
-Neither builds a formal sum per map: `algebra.map_products` prepares the
-tables of `e` once per check and returns the two predicates, which take
-each map's table as the enumerator made it (`bytes` on at most 256
-elements) and compare sorted composites; the tests keep the embedded
-products as the oracle.  The chain-image maps come from the enumerator's
-pruned search, which never builds a map whose image is not a chain.
+Neither builds a formal sum per map: `algebra.map_products` returns the
+two predicates, which take each map's table as the enumerator made it
+(`bytes` on at most 256 elements) and compare the interned normal forms
+of e's products with the map, each computed once per image and once per
+ranking of the map's values; the tests keep the embedded products as the
+oracle.  The maps come from L's compiled enumerator, and the chain-image
+maps from its pruned search, which never builds a map whose image is not
+a chain.
 
 The f_family check certifies the orthogonality of the f_B instead of
 testing each pair.  Lemma: idempotents p_1 ... p_k of a finite-dimensional

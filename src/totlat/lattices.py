@@ -28,8 +28,8 @@ ints above.
 Each Lattice computes its derived structure once: the join table, the
 comparability masks and the strict upper sets on construction, each chain
 family, the chain counts (and with them `max_chain_length`), the outside
-digits off which `morphisms` reads chain retractions, and the opposite
-lattice on first use.
+digits off which `morphisms` reads chain retractions, the opposite
+lattice and the compiled assignment kernels of `morphisms` on first use.
 `Poset.chains()` does not share this code; it stays the slow oracle that
 the chain families and their counts are tested against.
 """
@@ -61,8 +61,9 @@ class Lattice(Poset):
     instance: the join table, the comparability mask and the strict upper
     set of each element, the element of each principal down-set mask,
     every chain family (one depth-first enumeration per kind), the chain
-    counts, the outside digits of each element and the opposite lattice,
-    whose own opposite is this instance.
+    counts, the outside digits of each element, the opposite lattice,
+    whose own opposite is this instance, and the enumerator and tester
+    that `morphisms` compiles for it.
     """
 
     def __init__(self, names, up):
@@ -100,6 +101,7 @@ class Lattice(Poset):
         self._counts = None
         self._outside = None
         self._opposite = None
+        self._kernels = {}
 
     # -- basic structure --------------------------------------------------
 

@@ -40,21 +40,28 @@ built, with their weights, in `algebra.j_upper`; they increase by
 construction and are not validated.
 
 The enumerator and the sampler test assignments of values to the
-join-irreducibles against one schedule of tests, built once per call by
-`_kernel`.  Per irreducible position it holds the elements whose
-extension that position completes, each with the shallower positions
-below it; the irreducibles whose extension must equal their own value;
-and the incomparable pairs whose join the extension must preserve.  Each
-test sits at the deepest position it reads, and costs only join-table
-lookups.  It is the same test that `make_join_map` makes, which stays
-apart from the schedule as the validator of outside tables and the
-oracle of the tests.  The enumerator searches the assignments depth
-first, one position per depth, so a failing prefix is cut with all its
-extensions: the search costs in proportion to the prefixes that pass,
-not to all n ** k assignments.  Asked for the maps with a chain image
-only, it also cuts every prefix whose values are not pairwise
-comparable.  The sampler walks each drawn assignment along the same
-schedule and stops at the first position that fails.
+join-irreducibles against one schedule of tests, built by `_kernel`.  Per
+irreducible position it holds the elements whose extension that position
+completes, each with the shallower positions below it; the irreducibles
+whose extension must equal their own value; and the incomparable pairs
+whose join the extension must preserve.  Each test sits at the deepest
+position it reads, and costs only join-table lookups.  It is the same
+test that `make_join_map` makes, which stays apart from the schedule as
+the validator of outside tables and the oracle of the tests.
+
+The schedule is compiled into Python once per lattice and kept on it
+(`_compiled`): the enumerator is one nested `for` per position, and the
+sampler's tester one straight-line function.  The generated source makes
+one join-table lookup per statement and holds only integer literals and
+fixed names, never a label.  The enumerator searches the assignments
+depth first, one position per loop, so a failing prefix is cut with all
+its extensions: the search costs in proportion to the prefixes that
+pass, not to all n ** k assignments.  Asked for the maps with a chain
+image only, it also skips every value not comparable with those already
+assigned; the full enumeration runs the same function with masks that
+skip nothing.  The tester returns at the first position that fails.
+`_extend_assignment` walks the schedule itself, uncompiled, as the
+tester's oracle.
 """
 
 from __future__ import annotations
@@ -63,7 +70,13 @@ import sys
 from itertools import repeat
 from operator import itemgetter
 
-from .errors import ChainNotInB, ChainNotInZ, NotJoinMorphism, SourceTargetMismatch
+from .errors import (
+    ChainNotInB,
+    ChainNotInZ,
+    FeasibilityLimit,
+    NotJoinMorphism,
+    SourceTargetMismatch,
+)
 from .lattices import Lattice, chain_lattice
 from .posets import Chain
 
@@ -175,9 +188,9 @@ def composition(source: Lattice, target: Lattice):
     `compose_tables(g, p, target)`, and for endomorphisms args repeats
     one argument so that map(apply, inners, args) gives the tables p o f.
     Between byte tables each composite is one `bytes.translate` call, and
-    no closure is bound per map: a sweep makes one `at` call for a few
-    dozen composites, and binding two closures there cost a third of the
-    time of `algebra.map_products`' test.  Otherwise tables are read
+    `at` binds no closure: `algebra.map_products` makes one `at` call per
+    image and per ranking it meets, each for all the terms of a sum.
+    Otherwise tables are read
     through `table_getter` and stored as the target's `table_type`:
     `pi * j` above 256 elements reads a byte table through tuples.
     """
@@ -345,64 +358,130 @@ def enumerate_join_endomorphisms(L: Lattice, tot_only=False):
     each assignment extends by t -> join of the assigned values below t,
     and is kept iff its extension agrees with it on every irreducible and
     passes the join-morphism check.  The assignments are searched depth
-    first, one irreducible position per depth, trying values in ascending
-    order, so the maps come in lexicographic order over assignments, the
-    order of `itertools.product`.  Every test reads only positions up to
-    the depth at which `_kernel`'s schedule holds it, so a prefix that
-    fails one fails every assignment that extends it, and its subtree is
-    cut.
+    first by L's compiled enumerator (`_compiled`), one nested loop per
+    irreducible position, trying values in ascending order, so the maps
+    come in lexicographic order over assignments, the order of
+    `itertools.product`.  Every test reads only positions up to the loop
+    in which `_kernel`'s schedule holds it, so a prefix that fails one
+    fails every assignment that extends it, and its subtree is cut.
 
     With `tot_only`, only the maps whose image is a chain are yielded.
     The image is the irreducibles' values, their joins and bottom, so it
-    is a chain iff those values are pairwise comparable.  The search
+    is a chain iff those values are pairwise comparable.  Each loop
     carries the AND of the comparability masks of the values assigned so
     far and skips every value outside it, so no other map is built; the
-    maps come in the same order as the full enumeration's.
+    maps come in the same order as the full enumeration's.  The full
+    enumeration runs the same loops with every mask all ones.
     """
-    schedule = _kernel(L)
-    n, join, bottom = L.n, L._join, L.bottom
-    ext = [bottom] * n
-    table = L.table_type
-    assigned = [0] * len(schedule)
-    last = len(schedule) - 1
-    full = (1 << n) - 1
     # the values a later position may take given a value here: those
     # comparable with it for chain images, any value otherwise
-    narrow = L._comparable if tot_only else (full,) * n
-
-    def search(depth, allowed):
-        extend, fixed, pairs = schedule[depth]
-        # the join of each element's values at shallower positions is the
-        # same for every value tried here, so its join-table row is looked
-        # up once and each value finishes the element by one entry
-        rows = []
-        for t, shallower in extend:
-            acc = bottom
-            for p in shallower:
-                acc = join[acc][assigned[p]]
-            rows.append((t, join[acc]))
-        for v in range(n):
-            if not allowed >> v & 1:
-                continue
-            assigned[depth] = v
-            for t, row in rows:
-                ext[t] = row[v]
-            for j, p in fixed:
-                if ext[j] != assigned[p]:
-                    break
-            else:
-                for x, y, xy in pairs:
-                    if ext[xy] != join[ext[x]][ext[y]]:
-                        break
-                else:
-                    if depth < last:
-                        yield from search(depth + 1, allowed & narrow[v])
-                    else:
-                        yield table(ext)
-
-    # with no irreducibles L is one point, and the empty assignment its map
-    for values in search(0, full) if schedule else [table(ext)]:
+    narrow = L._comparable if tot_only else ((1 << L.n) - 1,) * L.n
+    for values in _compiled(L, nested=True)(narrow):
         yield JoinMap(L, L, values)
+
+
+def _compiled(L: Lattice, nested):
+    """L's schedule compiled into Python: the enumerator if `nested`, else
+    the tester; built on first use and kept on L.
+
+    Both are made by `make(J, T, R)` from L's join table, its
+    `table_type` and `range(L.n)`.  The enumerator takes the per-value
+    masks of `enumerate_join_endomorphisms` and yields the tables; the
+    tester takes one value per irreducible position and returns the table
+    or None, as `_extend_assignment` does.  A lattice with more
+    irreducibles than CPython nests loops (about 20) has no enumerator,
+    and FeasibilityLimit says so; the sweeps' gate keeps k <= 7.
+    """
+    kernel = L._kernels.get(nested)
+    if kernel is None:
+        try:
+            code = compile(_kernel_source(L, nested), "<totlat kernel>", "exec")
+        except SyntaxError:
+            raise FeasibilityLimit(
+                f"{len(L.join_irreducibles())} join-irreducibles nest more loops "
+                f"than Python compiles"
+            ) from None
+        namespace = {}
+        exec(code, namespace)
+        kernel = L._kernels[nested] = namespace["make"](L._join, L.table_type, range(L.n))
+    return kernel
+
+
+def _kernel_source(L: Lattice, nested):
+    """The source of `_compiled`'s `make`, from `_kernel`'s schedule.
+
+    Position d's value is `v{d}` and element t's extension `e{t}`; each
+    statement makes one join-table lookup.  The join of an element's
+    shallower positions is built a position at a time, each prefix once
+    and as soon as its last position has a value, and held with its
+    join-table row, so that the element's position finishes it by one
+    lookup.  Nested, position d is a `for` over R that skips the values
+    outside the mask `a{d}` and `continue`s at a failing test; straight,
+    the positions follow one another and a failing test returns None.
+    The source holds integer literals and these names only, never a
+    label.
+    """
+    schedule = _kernel(L)
+    k = len(schedule)
+    hoisted = [[] for _ in range(k)]
+    joins, rows = {}, {}
+
+    def row_of(positions):
+        # the name of the row of J at the join of v_p, p in `positions`,
+        # each prefix joined at the body of its last position
+        name = f"v{positions[0]}"
+        for i in range(2, len(positions) + 1):
+            prefix = positions[:i]
+            known = joins.get(prefix)
+            if known is None:
+                known = joins[prefix] = f"s{len(joins)}"
+                hoisted[prefix[-1]].append(f"{known} = J[{name}][v{prefix[-1]}]")
+            name = known
+        row = rows.get(positions)
+        if row is None:
+            row = rows[positions] = f"r{len(rows)}"
+            hoisted[positions[-1]].append(f"{row} = J[{name}]")
+        return row
+
+    fail = "continue" if nested else "return None"
+    bodies, extended = [], {}
+    for d, (extend, fixed, pairs) in enumerate(schedule):
+        body = []
+        for t, shallower in extend:
+            # with no shallower position, the extension is the value itself
+            extended[t] = f"e{t}" if shallower else f"v{d}"
+            if shallower:
+                body.append(f"e{t} = {row_of(shallower)}[v{d}]")
+        body += [f"if {extended[j]} != v{p}: {fail}" for j, p in fixed
+                 if extended[j] != f"v{p}"]
+        body += [f"if {extended[xy]} != J[{extended[x]}][{extended[y]}]: {fail}"
+                 for x, y, xy in pairs]
+        bodies.append(body)
+    values = ", ".join(extended.get(t, str(L.bottom)) for t in range(L.n))
+    table = f"T(({values},))"
+
+    if nested:
+        lines = ["def make(J, T, R):", "    def kernel(N):"]
+        for d, body in enumerate(bodies):
+            pad = "    " * (d + 2)
+            lines.append(f"{pad}for v{d} in R:")
+            inner = pad + "    "
+            if d:
+                lines.append(f"{inner}if not a{d} >> v{d} & 1: continue")
+            lines += [inner + line for line in body]
+            if d + 1 < k:
+                narrowed = f"N[v{d}]" if d == 0 else f"a{d} & N[v{d}]"
+                lines.append(f"{inner}a{d + 1} = {narrowed}")
+            lines += [inner + line for line in hoisted[d]]
+        lines.append("    " * (k + 2) + f"yield {table}")
+    else:
+        params = ", ".join(f"v{d}" for d in range(k))
+        lines = ["def make(J, T, R):", f"    def kernel({params}):"]
+        for d, body in enumerate(bodies):
+            lines += ["        " + line for line in body + hoisted[d]]
+        lines.append(f"        return {table}")
+    lines.append("    return kernel")
+    return "\n".join(lines) + "\n"
 
 
 def _kernel(L: Lattice):
@@ -444,10 +523,10 @@ def _kernel(L: Lattice):
 def _extend_assignment(L: Lattice, schedule, assignment):
     """The value table an irreducible assignment determines, or None.
 
-    The assignment is walked along the schedule, one position at a time as
-    the search takes them, and None comes at the first position where the
-    extension disagrees with the assignment on an irreducible or fails the
-    join-morphism check.  The extension sends bottom to bottom and is
+    The oracle of the compiled tester (`_compiled`) in the tests.  The
+    assignment is walked along the schedule, one position at a time, and
+    None comes at the first position where the extension disagrees with
+    the assignment on an irreducible or fails the join-morphism check.  The extension sends bottom to bottom and is
     monotone, so only incomparable pairs can break
     `ext(x v y) = ext(x) v ext(y)`; the check is `make_join_map`'s, read
     off the tables.
@@ -473,24 +552,26 @@ def sample_join_endomorphisms(L: Lattice, count, rng):
     """Draw `count` valid join-endomorphisms by uniform irreducible assignment.
 
     Rejection sampling; deterministic for a fixed rng state.  Each attempt
-    draws its whole assignment before any test.  A value is drawn as
-    `rng.randrange(L.n)` draws it, by rejecting `getrandbits` values of
-    n's bit length that reach n, so the stream is the same without the
-    method's per-call overhead.
+    draws its whole assignment before any test, and L's compiled tester
+    (`_compiled`) takes it.  A value is drawn as `rng.randrange(L.n)`
+    draws it, by rejecting `getrandbits` values of n's bit length that
+    reach n, so the stream is the same without the method's per-call
+    overhead.
     """
-    schedule = _kernel(L)
+    test = _compiled(L, nested=False)
+    positions = range(len(L.join_irreducibles()))
     n = L.n
     bits = n.bit_length()
     getrandbits = rng.getrandbits
     out = []
     while len(out) < count:
         assignment = []
-        for _ in schedule:
+        for _ in positions:
             v = getrandbits(bits)
             while v >= n:
                 v = getrandbits(bits)
             assignment.append(v)
-        values = _extend_assignment(L, schedule, assignment)
+        values = test(*assignment)
         if values is not None:
             out.append(JoinMap(L, L, values))
     return out

@@ -207,7 +207,8 @@ class Poset:
         """mu(x, y) as the alternating count of chains x = z_0 < ... < z_i = y.
 
         Independent of `mobius`: counts chains of each cardinality by dynamic
-        programming over the strict order, then takes sum_i (-1)^i c_i.
+        programming over the strict order, then takes sum_i (-1)^i c_i.  The
+        steps up from v are the bits of up[v] & down[y] other than v.
         """
         if not self.leq(x, y):
             raise NotComparable(f"{self.names[x]} is not <= {self.names[y]}")
@@ -217,10 +218,9 @@ class Poset:
         def chains_from(v):
             if v not in counts:
                 acc: dict[int, int] = {}
-                for w in range(self.n):
-                    if self.lt(v, w) and self.leq(w, y):
-                        for k, c in chains_from(w).items():
-                            acc[k + 1] = acc.get(k + 1, 0) + c
+                for w in bit_indices(self.up[v] & self.down[y] & ~(1 << v)):
+                    for k, c in chains_from(w).items():
+                        acc[k + 1] = acc.get(k + 1, 0) + c
                 counts[v] = acc
             return counts[v]
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 
 from .algebra import FormalSum, Ring
 from .errors import ParseError, UnsupportedRing
@@ -94,6 +93,10 @@ def parse_lattice_file(text) -> Lattice:
 
 def _coeff_to_json(ring: Ring, c):
     if ring.kind == "rat":
+        if type(c) is int:
+            return str(c)
+        from fractions import Fraction
+
         return str(Fraction(c))
     return int(c)
 
@@ -106,6 +109,8 @@ def _coeff_from_json(ring: Ring, v):
     if ring.kind != "rat":
         raise UnsupportedRing(f"coefficient {v!r} is not an integer")
     if type(v) is str:
+        from fractions import Fraction
+
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):

@@ -1,10 +1,13 @@
-"""A command-line call loads neither OpenSSL nor inspect.
+"""A command-line call loads neither OpenSSL nor inspect, nor fractions
+over the integers.
 
     PYTHONPATH=src python tests/lean_cli_imports.py
 
-Runs five `totlat.cli.main` calls in this fresh interpreter, then exits 1
-if any of `hashlib`, `_hashlib` (OpenSSL), `inspect` or `dataclasses` was
-imported on the way.  Only after that does it load hashlib, to check that
+Runs four `totlat.cli.main` calls over the integers in this fresh
+interpreter and exits 1 if any of `hashlib`, `_hashlib` (OpenSSL),
+`inspect`, `dataclasses`, `fractions` or `decimal` was imported on the
+way; then one call over the rationals, after which only the first four
+may not have been imported.  Only after that does it load hashlib, to check that
 `Lattice.fingerprint()` is the first 16 hex digits of hashlib's SHA-256 of
 the canonical cover text on a few lattices and their opposites.  Needs
 nothing outside the standard library, so it runs on every supported Python
@@ -17,25 +20,28 @@ import sys
 
 from totlat.cli import main
 
-CALLS = (
+INT_CALLS = (
     ["info", "pentagon"],
     ["idempotent", "pentagon", "--format", "json"],
-    ["idempotent", "divisor:12", "--method", "original", "--ring", "rat", "--format", "json"],
     ["verify", "pentagon", "--format", "json"],
     ["mobius", "boolean:2", "--chain", "0,a"],
 )
+RAT_CALLS = (
+    ["idempotent", "divisor:12", "--method", "original", "--ring", "rat", "--format", "json"],
+)
 HEAVY = ("hashlib", "_hashlib", "inspect", "dataclasses")
+RATIONAL = ("fractions", "decimal")
 FINGERPRINTED = ("pentagon", "divisor:60", "partition:5", "boolean:6",
                  "product:boolean:2,chain:1")
 
 
-def run_calls():
-    for argv in CALLS:
+def run_calls(calls, unloaded):
+    for argv in calls:
         with contextlib.redirect_stdout(io.StringIO()):
             status = main(argv)
         if status != 0:
             sys.exit(f"{' '.join(argv)}: exit status {status}")
-    loaded = [name for name in HEAVY if name in sys.modules]
+    loaded = [name for name in unloaded if name in sys.modules]
     if loaded:
         sys.exit(f"a command-line call loaded {', '.join(loaded)}")
 
@@ -55,7 +61,9 @@ def check_fingerprints():
 
 
 if __name__ == "__main__":
-    run_calls()
+    run_calls(INT_CALLS, HEAVY + RATIONAL)
+    run_calls(RAT_CALLS, HEAVY)
     check_fingerprints()
-    print(f"{len(CALLS)} calls loaded none of {', '.join(HEAVY)}; "
+    print(f"{len(INT_CALLS)} calls over int loaded none of {', '.join(HEAVY + RATIONAL)}, "
+          f"{len(RAT_CALLS)} over rat none of {', '.join(HEAVY)}; "
           f"fingerprints match hashlib on {len(FINGERPRINTED)} lattices and their opposites")

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,6 @@ from totlat.algebra import (
     mu_chain_infinity,
     mu_chain_infinity_oracle,
 )
-from totlat.algebra import _signed_tables  # the multiset cap
 from totlat.checks import DEFAULT_CORPUS
 from totlat.errors import (
     ChainNotInA,
@@ -270,10 +270,11 @@ def sums_to_compose(L):
 
     e is central and fixes exactly the chain-image maps; on partition:3
     and diamond:5 it has the coefficients -2 and -4.  The retractions,
-    weighted 1 and weighted 2, 3, 4, 2, 3, ..., commute with few maps; the
-    first are compared as multisets, the second repeat too many tables
-    and are accumulated.  e + 3 (alpha_B - alpha_C) still fixes the
-    constant map to bottom, which both retractions fix on either side.
+    weighted 1 and weighted 2, 3, 4, 2, 3, ..., commute with few maps.
+    e + 3 (alpha_B - alpha_C) still fixes the constant map to bottom,
+    which both retractions fix on either side, and alpha_B - alpha_C
+    cancels on both sides of a product with it: its normal forms there
+    are zero.
     """
     chains = list(L.chain_family("Z"))
     retractions = [alpha_of_chain(L, B).values for B in chains]
@@ -282,17 +283,18 @@ def sums_to_compose(L):
     weighted = FormalSum(ZZ, L, L, [(r, k % 3 + 2) for k, r in enumerate(retractions)])
     sums = [e, unit, weighted]
     if len(chains) > 1:
-        sums.append(e + FormalSum(ZZ, L, L, [(retractions[0], 3), (retractions[1], -3)]))
+        cancelling = FormalSum(ZZ, L, L, [(retractions[0], 1), (retractions[1], -1)])
+        sums += [e + cancelling.scale(3), cancelling]
     return sums
 
 
 def assert_map_products_match_embedded_products(L, maps, ring=ZZ):
-    """The Z-level predicates agree with the Z-level products, and what
-    they decide holds over `ring`: an identity that holds over Z holds
-    in its image, and over int and rat only those identities hold."""
-    outcomes, folded = set(), set()
+    """The Z-level predicates agree with the Z-level products, both as
+    `FormalSum.__mul__` and as `product_oracle` multiply them out, and
+    what they decide holds over `ring`: an identity that holds over Z
+    holds in its image, and over int and rat only those identities hold."""
+    outcomes = set()
     for x in sums_to_compose(L):
-        folded.add(_signed_tables(x) is None)
         commutes, fixes = map_products(x)
         x_r = x.map_ring(ring)
         for phi in maps:
@@ -300,6 +302,11 @@ def assert_map_products_match_embedded_products(L, maps, ring=ZZ):
             left, right = x * s, s * x
             outcome = (commutes(phi.values), fixes(phi.values))
             assert outcome == (left == right, left == s == right)
+            left, right = product_oracle(x, s), product_oracle(s, x)
+            assert outcome == (left == right, left == s == right)
+            outcomes.add(outcome)
+            if ring == ZZ:
+                continue
             s_r = embed(phi, ring)
             left_r, right_r = x_r * s_r, s_r * x_r
             over_r = (left_r == right_r, left_r == s_r == right_r)
@@ -307,8 +314,6 @@ def assert_map_products_match_embedded_products(L, maps, ring=ZZ):
                 assert all(r or not z for z, r in zip(outcome, over_r))
             else:
                 assert over_r == outcome
-            outcomes.add(outcome)
-    assert folded == {False, True}
     return outcomes
 
 
@@ -346,11 +351,42 @@ def test_map_products_key_tables_by_lattice_size(spec, table_key):
                 assert list(product.terms.items()) == list(oracle.terms.items())
 
 
+@pytest.mark.parametrize("spec, count", [("divisor:60", None), ("boolean:4", 300)])
+def test_map_products_match_product_oracles_on_larger_lattices(spec, count):
+    # every map of divisor:60 and a seeded subset of boolean:4's 65,536,
+    # against both products, for every sum of `sums_to_compose`
+    L = generate(spec)
+    maps = list(enumerate_join_endomorphisms(L))
+    if count is not None:
+        maps = random.Random(1).sample(maps, count)
+    outcomes = assert_map_products_match_embedded_products(L, maps)
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("spec", SMALL_CORPUS)
+def test_map_products_of_single_maps_match_composition(spec):
+    # s = [t] and s = [t] - [u] for maps t, u: the composites of a map
+    # t o p may leave p's image, which no retraction or e does
+    L = generate(spec)
+    tables = [phi.values for phi in enumerate_join_endomorphisms(L)]
+    outcomes = set()
+    for t, u in zip(tables, tables[1:] + tables[:1]):
+        for s in (FormalSum(ZZ, L, L, [(t, 1)]), FormalSum(ZZ, L, L, [(t, 1), (u, -1)])):
+            commutes, fixes = map_products(s)
+            for p in tables:
+                x = embed(JoinMap(L, L, p))
+                left, right = product_oracle(s, x), product_oracle(x, s)
+                outcome = (commutes(p), fixes(p))
+                assert outcome == (left == right, left == x == right)
+                outcomes.add(outcome)
+    if L.n > 1:
+        assert outcomes == {(True, True), (True, False), (False, False)}
+
+
 def test_large_coefficients_are_accumulated_not_repeated():
     # The retractions of diamond:255 weighted 1..256 have sum |c| = 32,896
-    # over 256 terms; repeating each table |c| times would sort ~33k
-    # composites per map, 150x slower than folding them, so the
-    # predicates fold the composites instead.
+    # over 256 terms; the normal forms hold each composite once with its
+    # coefficient, however large
     L = generate("diamond:255")
     retractions = [alpha_of_chain(L, B).values for B in L.chain_family("Z")]
     assert len(retractions) == 256
@@ -359,10 +395,7 @@ def test_large_coefficients_are_accumulated_not_repeated():
     swap[a], swap[b] = b, a
     maps = ([identity_map(L), constant_bottom(L), JoinMap(L, L, tuple(swap))]
             + [JoinMap(L, L, r) for r in retractions[:3]])
-    unit = FormalSum(ZZ, L, L, [(r, 1) for r in retractions])
-    assert _signed_tables(unit) is not None
     s = FormalSum(ZZ, L, L, [(r, k) for k, r in enumerate(retractions, 1)])
-    assert _signed_tables(s) is None
     commutes, fixes = map_products(s)
     outcomes = set()
     for phi in maps:

@@ -422,7 +422,9 @@ def test_cli_calls_load_neither_openssl_nor_inspect():
     proc = subprocess.run([sys.executable, str(script)], capture_output=True,
                           text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("5 calls loaded none of hashlib, _hashlib, inspect, dataclasses;")
+    assert proc.stdout.startswith(
+        "4 calls over int loaded none of hashlib, _hashlib, inspect, dataclasses, "
+        "fractions, decimal, 1 over rat none of hashlib, _hashlib, inspect, dataclasses;")
 
 
 def assert_ends_quietly_on_closed_stdout(*argv):

@@ -8,6 +8,7 @@ from totlat.checks import DEFAULT_CORPUS
 from totlat.errors import (
     ChainNotInB,
     ChainNotInZ,
+    FeasibilityLimit,
     NotJoinMorphism,
     SourceTargetMismatch,
 )
@@ -31,7 +32,9 @@ from totlat.morphisms import (
     pi_of_chain,
     sample_join_endomorphisms,
 )
+from totlat.morphisms import _compiled, _extend_assignment, _kernel, _kernel_source
 from totlat.posets import Chain, bit_indices
+from totlat.serialize import parse_lattice_file
 
 
 def z_chain(L, *labels):
@@ -590,6 +593,91 @@ def test_kernel_sampling_matches_method_calls(spec, relabel_seed):
     for seed in range(5):
         drawn = sample_join_endomorphisms(L, 10, random.Random(seed))
         assert [phi.values for phi in drawn] == _method_call_sample(L, 10, random.Random(seed))
+
+
+# -- the compiled kernel -----------------------------------------------------
+
+
+# labels that are Python code, some of them names the kernel's source uses
+CODE_LABELS = ['__import__("os").system("false")', "v0", "e1", "J", ")", "r0"]
+
+
+def _code_labelled_file():
+    """A six-element lattice file labelled by CODE_LABELS, and its twin
+    labelled x0 ... x5: bottom < two atoms < their join < top, and a
+    third atom below the top only."""
+    covers = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 5), (0, 4), (4, 5)]
+    texts = []
+    for labels in (CODE_LABELS, [f"x{i}" for i in range(6)]):
+        lines = [f"elements: {' '.join(labels)}", "covers:"]
+        lines += [f"{labels[a]} {labels[b]}" for a, b in covers]
+        texts.append("\n".join(lines) + "\n")
+    return texts
+
+
+def test_code_labels_enumerate_like_their_relabelled_twin():
+    coded, twin = (parse_lattice_file(text) for text in _code_labelled_file())
+    assert list(coded.names) == CODE_LABELS
+    # the source is the twin's, so it holds no label
+    for nested in (True, False):
+        assert _kernel_source(coded, nested) == _kernel_source(twin, nested)
+    for tot_only in (False, True):
+        maps = [phi.values for phi in enumerate_join_endomorphisms(coded, tot_only=tot_only)]
+        assert maps == [phi.values for phi in enumerate_join_endomorphisms(twin, tot_only=tot_only)]
+    assert [phi.values for phi in enumerate_join_endomorphisms(coded)] == list(
+        _method_call_enumeration(coded))
+    drawn = sample_join_endomorphisms(coded, 10, random.Random(3))
+    assert [phi.values for phi in drawn] == [
+        phi.values for phi in sample_join_endomorphisms(twin, 10, random.Random(3))]
+
+
+def test_kernels_are_compiled_once_per_lattice():
+    L = generate("divisor:60")
+    assert _compiled(L, nested=True) is _compiled(L, nested=True)
+    assert _compiled(L, nested=False) is _compiled(L, nested=False)
+    assert _compiled(L, nested=True) is not _compiled(L, nested=False)
+    # the opposite is another lattice, with kernels of its own
+    assert _compiled(L.opposite(), nested=True) is not _compiled(L, nested=True)
+
+
+def test_diamond_255_tester_compiles_and_enumerator_is_refused():
+    # one straight-line function for 255 irreducibles and 32,385 pair
+    # tests; the enumerator would nest 255 loops, past CPython's 20
+    L = generate("diamond:255")
+    irr = L.join_irreducibles()
+    assert len(irr) == 255
+    test = _compiled(L, nested=False)
+    assert test(*irr) == tuple(range(L.n))
+    assert test(*[L.bottom] * len(irr)) == (L.bottom,) * L.n
+    swapped = [irr[1], irr[0], *irr[2:]]
+    assert test(*swapped) == _extend_assignment(L, _kernel(L), swapped) is not None
+    # two atoms to one: their join, the top, is not sent to it
+    broken = [irr[1], *irr[1:]]
+    assert test(*broken) is None is _extend_assignment(L, _kernel(L), broken)
+    with pytest.raises(FeasibilityLimit, match="255 join-irreducibles"):
+        next(enumerate_join_endomorphisms(L))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("spec", RELABELLED + ["partition:4", "boolean:3"])
+def test_compiled_tester_matches_extend_assignment(spec, seed):
+    # on random assignments, nearly all refused, and on those of every map
+    L = _relabelled(generate(spec), seed)
+    schedule = _kernel(L)
+    test = _compiled(L, nested=False)
+    irr = L.join_irreducibles()
+    rng = random.Random(seed)
+    assignments = [[rng.randrange(L.n) for _ in irr] for _ in range(300)]
+    assignments += [[phi.values[j] for j in irr]
+                    for phi in itertools.islice(enumerate_join_endomorphisms(L), 300)]
+    outcomes = set()
+    for assignment in assignments:
+        table = test(*assignment)
+        assert table == _extend_assignment(L, schedule, assignment)
+        outcomes.add(table is None)
+    # on a Boolean lattice every assignment of the atoms extends
+    every = spec in ("chain:0", "product:boolean:2,chain:1", "boolean:3")
+    assert outcomes == ({False} if every else {False, True})
 
 
 def test_join_map_equality_hash_and_repr():
