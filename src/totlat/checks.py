@@ -400,6 +400,7 @@ def check_opposite_involution(ws: Workspace):
     if not ws.enumerable:
         return ws.report("opposite_involution", "skipped", note=SKIPPED_ABOVE_GATE)
     L = ws.L
+    join = L._join
     count = 0
     for phi in enumerate_join_endomorphisms(L):
         count += 1
@@ -408,9 +409,12 @@ def check_opposite_involution(ws: Workspace):
             return ws.report("opposite_involution", "fail",
                              counterexample={"phi": phi.table_labels()})
         if phi.is_surjective():
+            # the join of each fibre, folded in one pass over the table
+            sup = [L.bottom] * L.n
+            for t, tp in enumerate(phi.values):
+                sup[tp] = join[sup[tp]][t]
             for tp in range(L.n):
-                fiber = [t for t in range(L.n) if phi.values[t] == tp]
-                if op.values[tp] != L.join_all(fiber):
+                if op.values[tp] != sup[tp]:
                     return ws.report(
                         "opposite_involution", "fail",
                         counterexample={"phi": phi.table_labels(),

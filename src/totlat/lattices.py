@@ -29,7 +29,8 @@ Each Lattice computes its derived structure once: the join table, the
 comparability masks and the strict upper sets on construction, each chain
 family, the chain counts (and with them `max_chain_length`), the outside
 digits off which `morphisms` reads chain retractions, the opposite
-lattice and the compiled assignment kernels of `morphisms` on first use.
+lattice, and the compiled assignment kernels and down-set indicators of
+`morphisms` on first use.
 `Poset.chains()` does not share this code; it stays the slow oracle that
 the chain families and their counts are tested against.
 """
@@ -62,8 +63,9 @@ class Lattice(Poset):
     set of each element, the element of each principal down-set mask,
     every chain family (one depth-first enumeration per kind), the chain
     counts, the outside digits of each element, the opposite lattice,
-    whose own opposite is this instance, and the enumerator and tester
-    that `morphisms` compiles for it.
+    whose own opposite is this instance, the enumerator and tester that
+    `morphisms` compiles for it, and the down-set indicators off which
+    `morphisms` reads adjoints.
     """
 
     def __init__(self, names, up):
@@ -102,6 +104,7 @@ class Lattice(Poset):
         self._outside = None
         self._opposite = None
         self._kernels = {}
+        self._indicators = None
 
     # -- basic structure --------------------------------------------------
 

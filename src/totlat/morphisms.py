@@ -19,12 +19,14 @@ computed.  Tables are composed only here: one at a time by
 `compose_tables`, and many, for the products of `algebra`, by the kit of
 `composition`.
 
-The per-map tests of the exhaustive sweeps run on bitmasks: a table has a
-chain image iff the mask of its values lies inside the comparability mask
-of each value (`has_chain_image`), and the opposite of a map is read off
-the masks of its fibres, each union of fibres looked up as a principal
-down-set (`opposite_morphism`).  The pairwise scan and the `join_all` form
-they replace are kept in the tests as their oracles.
+The per-map tests of the exhaustive sweeps read masks and whole tables:
+a table has a chain image iff the mask of its values lies inside the
+comparability mask of each value (`has_chain_image`), and the opposite
+of a map reads the map's table through the 0/1 table of each down-set
+of its target, one composite per element, and looks each composite up
+among the down-set indicators of its source (`opposite_morphism`).  The
+pairwise scan, the `join_all` form and the union of fibre masks they
+replace are kept in the tests as their oracles.
 
 Also provided: the surjection onto a chain's index total order and the
 retraction onto the chain, both read off one sum of the members'
@@ -77,7 +79,7 @@ from .errors import (
     NotJoinMorphism,
     SourceTargetMismatch,
 )
-from .lattices import Lattice, chain_lattice
+from .lattices import _BIT_BYTES, Lattice, chain_lattice
 from .posets import Chain
 
 
@@ -229,26 +231,39 @@ def opposite_morphism(phi: JoinMap) -> JoinMap:
 
     A join-morphism from the opposite of the target to the opposite of the
     source; applying it twice returns the original map.  The t with
-    phi(t) <= t' form the union of the fibres of the v <= t', each fibre
-    a mask over the source.  phi preserves joins, so the union is the
-    principal down-set of its join, which the source's dict from down-set
-    mask to element names.  For a table that is not a join-map the union
-    may be no principal down-set; the lookup then raises KeyError.
+    phi(t) <= t' are those at which phi's table, read through the 0/1
+    table of t''s down-set, reads 1.  phi preserves joins, so they form
+    the principal down-set of their join, which the source's dict from
+    down-set indicator to element names.  For a table that is not a
+    join-map they may form no principal down-set; the lookup then raises
+    KeyError.
     """
     S, T = phi.source, phi.target
-    fibre = [0] * T.n
-    for t, v in enumerate(phi.values):
-        fibre[v] |= 1 << t
-    image = [(1 << v, f) for v, f in enumerate(fibre) if f]
-    by_down = S._by_down
-    values = []
-    for below in T.down:
-        union = 0
-        for bit, f in image:
-            if below & bit:
-                union |= f
-        values.append(by_down[union])
+    downs, _, at = _down_indicators(T)
+    element_of = _down_indicators(S)[1]
+    values = map(element_of.__getitem__, map(at(phi.values)[0], downs))
     return JoinMap(T.opposite(), S.opposite(), values)
+
+
+def _down_indicators(L: Lattice):
+    """(downs, element_of, at) for L, built on first use and kept on L.
+
+    The 0/1 table of each element's down-set is a map from L into the
+    two-element chain.  `downs` holds them prepared by that map's
+    `composition` kit, whose `at` reads them through a table into L;
+    `element_of` holds each element under its own table.
+    """
+    if L._indicators is None:
+        indicators = [
+            format(d, f"0{L.n}b")[::-1].encode().translate(_BIT_BYTES) for d in L.down
+        ]
+        outer, _, at = composition(L, chain_lattice(1))
+        L._indicators = (
+            tuple(map(outer, indicators)),
+            {table: t for t, table in enumerate(indicators)},
+            at,
+        )
+    return L._indicators
 
 
 def has_chain_image(L: Lattice, values) -> bool:

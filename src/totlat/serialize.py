@@ -20,9 +20,11 @@ canonical (value-table) order.  parse(serialize(s)) == s.
 
 A document is byte for byte `json.dumps(formal_sum_to_document(s), indent=2,
 ensure_ascii=False)`, but it is written one term at a time:
-`formal_sum_json_chunks` encodes each source and target label and each
-distinct coefficient once per document and yields the header and then one
-finished string per term, so a writer never holds the whole document.
+`formal_sum_json_chunks` yields the header and then one finished string
+per term, so a writer never holds the whole document.  Each distinct
+coefficient is encoded once per document, and each line `"x": "v"` of a
+table once, the first time its pair occurs, into the row of x; a term is
+its table's lines read from the rows, one C-level lookup per element.
 `formal_sum_to_document` stays the plain-`json` form: the input of
 `formal_sum_from_document` and the oracle the chunked writer is tested
 against.
@@ -166,6 +168,24 @@ def formal_sum_from_document(doc: dict, source: Lattice, target: Lattice) -> For
         raise ParseError(f"malformed formal-sum document: {exc}") from None
 
 
+class _Lines(dict):
+    """The JSON lines of one source element's slot, by target index.
+
+    A line is made the first time its value occurs, so a row holds only
+    the pairs some term has, and is then one dict lookup per slot.
+    """
+
+    __slots__ = ("key", "values")
+
+    def __init__(self, key, values):
+        self.key = key
+        self.values = values
+
+    def __missing__(self, v):
+        line = self[v] = self.key + self.values[v]
+        return line
+
+
 def formal_sum_json_chunks(s: FormalSum):
     """The JSON document of `s` as strings to be written in order: the header,
     one string per term in canonical order, then the closing brackets."""
@@ -182,31 +202,33 @@ def formal_sum_json_chunks(s: FormalSum):
         yield head + "]\n}"
         return
     yield head
-    # one %-template per document, with slots for the separator, the
-    # coefficient and the value at each source element; a lattice has at
-    # least one element, so no table is the empty object
-    template = (
-        '%s\n    {\n      "coeff": %s,\n      "table": {'
-        + ",".join(
-            "\n        " + encode(name).replace("%", "%%") + ": %s"
-            for name in s.source.names
-        )
-        + "\n      }\n    }"
-    )
+    # one row of lines per source element, the first without the comma
+    # that separates it from the slot before; a lattice has at least one
+    # element, so no table is the empty object
     values = [encode(name) for name in s.target.names]
+    rows = [
+        _Lines(",\n        " + encode(name) + ": ", values) for name in s.source.names
+    ]
+    rows[0].key = rows[0].key[1:]
+    # dict's own lookup, which falls back to `_Lines.__missing__`
+    line = dict.__getitem__
     # a document holds few distinct coefficients, each encoded once
-    coeffs = {}
-    separator = ""
+    # into the text that opens its terms
+    opening = {}
+    separator = "\n    {"
     # the tables alone are sorted and each coefficient looked up as it is
     # written, so no list of (table, coefficient) pairs is built
     terms = s.terms
     for table in sorted(terms):
         c = terms[table]
-        coeff = coeffs.get(c)
-        if coeff is None:
-            coeff = coeffs[c] = encode(_coeff_to_json(s.ring, c))
-        yield template % (separator, coeff, *map(values.__getitem__, table))
-        separator = ","
+        text = opening.get(c)
+        if text is None:
+            text = opening[c] = (
+                '\n      "coeff": ' + encode(_coeff_to_json(s.ring, c))
+                + ',\n      "table": {'
+            )
+        yield "".join([separator, text, *map(line, rows, table), "\n      }\n    }"])
+        separator = ",\n    {"
     yield "\n  ]\n}"
 
 

@@ -14,6 +14,7 @@ from totlat.checks import DEFAULT_CORPUS
 from totlat.cli import main
 from totlat.errors import NotJoinMorphism, ParseError, TotlatError, UnsupportedRing
 from totlat.lattices import boolean_lattice, generate
+from totlat.morphisms import alpha_of_chain, enumerate_join_endomorphisms
 from totlat.serialize import (
     formal_sum_from_document,
     formal_sum_to_document,
@@ -220,6 +221,49 @@ def test_formal_sum_to_json_coefficient_above_64_bits(ring):
     text = formal_sum_to_json(e)
     assert text == indent_json(e)
     assert str(2**70 + 3) in text
+
+
+# tuple tables past 256 elements, and the lattices of the `construct`
+# benchmark workload
+@pytest.mark.parametrize("ring", ["int", "mod:3", "rat"])
+@pytest.mark.parametrize(
+    "spec", ["diamond:255", "boolean:6", "partition:5", "product:boolean:3,chain:3"]
+)
+def test_formal_sum_to_json_matches_indent_encoder_at_scale(spec, ring):
+    e = idempotent_direct(generate(spec)).map_ring(Ring.parse(ring))
+    assert formal_sum_to_json(e) == indent_json(e)
+
+
+def signed_multiples(L, tables, ring):
+    """The sum over `ring` of (-1)^k (k + 1) times the k-th table, the first
+    added a second time with the opposite sign, so that it cancels, and the
+    last times 2^70 + 3; over rat, times 2/3."""
+    coeffs = [(-1) ** k * (k + 1) for k in range(len(tables))]
+    coeffs[-1] *= 2**70 + 3
+    pairs = list(zip(tables, coeffs)) + [(tables[0], -coeffs[0])]
+    s = FormalSum(Ring.parse("int"), L, L, pairs).map_ring(Ring.parse(ring))
+    return s.scale(Fraction(2, 3)) if ring == "rat" else s
+
+
+@pytest.mark.parametrize("ring", ["int", "mod:3", "rat"])
+def test_formal_sum_to_json_of_signed_join_endomorphisms(ring):
+    L = generate("boolean:3")
+    tables = [phi.values for phi in enumerate_join_endomorphisms(L)][::7]
+    s = signed_multiples(L, tables, ring)
+    assert tables[0] not in s.terms
+    text = formal_sum_to_json(s)
+    assert text == indent_json(s)
+    assert formal_sum_from_document(json.loads(text), L, L) == s
+
+
+@pytest.mark.parametrize("ring", ["int", "mod:3", "rat"])
+def test_formal_sum_to_json_of_retractions_past_one_byte(ring):
+    L = generate("chain:300")
+    chains = [(0, 300), (0, 150, 300), tuple(range(301)), (0, 1, 299, 300), (0, 7, 300)]
+    tables = [alpha_of_chain(L, members).values for members in chains]
+    assert all(type(table) is tuple for table in tables)
+    s = signed_multiples(L, tables, ring)
+    assert formal_sum_to_json(s) == indent_json(s)
 
 
 def test_formal_sum_to_json_escapes_labels(tmp_path, capsys):

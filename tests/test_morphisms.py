@@ -281,6 +281,25 @@ def opposite_morphism_oracle(phi):
     return JoinMap(T.opposite(), S.opposite(), values)
 
 
+def opposite_morphism_fibre_oracle(phi):
+    """t' -> the element whose down-set is the union of the fibres of the
+    v <= t', each fibre a mask over the source; KeyError if it is none."""
+    S, T = phi.source, phi.target
+    fibre = [0] * T.n
+    for t, v in enumerate(phi.values):
+        fibre[v] |= 1 << t
+    image = [(1 << v, f) for v, f in enumerate(fibre) if f]
+    by_down = {mask: t for t, mask in enumerate(S.down)}
+    values = []
+    for below in T.down:
+        union = 0
+        for bit, f in image:
+            if below & bit:
+                union |= f
+        values.append(by_down[union])
+    return JoinMap(T.opposite(), S.opposite(), values)
+
+
 MASK_SPECS = list(DEFAULT_CORPUS) + ["divisor:60", "diamond:5"]
 
 
@@ -292,7 +311,8 @@ def test_mask_paths_match_oracles_on_every_endomorphism(spec):
         expected = image_chain_oracle(phi)
         assert has_chain_image(L, phi.values) == (expected is not None)
         assert (chain and chain.members) == (expected and expected.members)
-        assert opposite_morphism(phi) == opposite_morphism_oracle(phi)
+        op = opposite_morphism(phi)
+        assert op == opposite_morphism_oracle(phi) == opposite_morphism_fibre_oracle(phi)
 
 
 @pytest.mark.parametrize("spec", MASK_SPECS)
@@ -301,10 +321,38 @@ def test_opposite_matches_oracle_on_index_surjections(spec):
     L = generate(spec)
     for B in L.chain_family("B"):
         pi = pi_of_chain(L, B)
-        assert opposite_morphism(pi) == opposite_morphism_oracle(pi)
+        op = opposite_morphism(pi)
+        assert op == opposite_morphism_oracle(pi) == opposite_morphism_fibre_oracle(pi)
     point = chain_lattice(0)
     pi = pi_of_chain(point, (0,))
     assert opposite_morphism(pi) == opposite_morphism_oracle(pi)
+
+
+@pytest.mark.parametrize("spec", ["diamond:255", "chain:300"])
+def test_opposite_past_one_byte(spec):
+    # 257 and 301 elements: tables into them are tuples; the index order
+    # of a chain of 257 or more members is itself past one byte
+    L = generate(spec)
+    top_ended = [(L.top,), tuple(range(1, L.n)) if spec == "chain:300" else (1, L.top)]
+    maps = [identity_map(L), alpha_of_chain(L, (L.bottom, L.top))]
+    maps += [pi_of_chain(L, B) for B in top_ended]
+    for phi in maps:
+        op = opposite_morphism(phi)
+        assert op == opposite_morphism_oracle(phi) == opposite_morphism_fibre_oracle(phi)
+        assert opposite_morphism(op) == phi
+
+
+def test_opposite_of_a_table_that_is_no_join_map_raises_key_error():
+    # on boolean:2, a and b go to a, so {t : phi(t) <= a} = {0, a, b},
+    # which is the down-set of no element
+    L = boolean_lattice(2)
+    a = L.index_of("a")
+    phi = JoinMap(L, L, [L.bottom, a, a, L.top])
+    assert not is_join_map(L, L, phi.values)
+    with pytest.raises(KeyError):
+        opposite_morphism_fibre_oracle(phi)
+    with pytest.raises(KeyError):
+        opposite_morphism(phi)
 
 
 @pytest.mark.parametrize("spec", MASK_SPECS + ["partition:4", "boolean:4"])
