@@ -10,7 +10,6 @@ from .algebra import (
     f_of_chain,
     idempotent_direct,
     idempotent_original,
-    identity_sum,
     j_upper,
     mu_chain_infinity,
     mu_chain_infinity_oracle,

@@ -4,14 +4,16 @@ constructions.
 A formal sum holds its ring, source and target lattices once and keys
 each term by the map's value table, so a product composes tables directly.
 A table is of its target's `table_type`: `bytes` on at most 256 elements
-and a tuple above.  Tables are composed only by `morphisms`: products
-prepare them by its `composition`, which makes each composite between
-byte tables one `bytes.translate` call.
+and a tuple above.  Tables are composed only by `morphisms`, and
+products by its `composition` kit `(prepare, read)`: each outer table is
+prepared once, each inner table gives one reader of the prepared tables,
+and between byte tables each composite is one `bytes.translate` call.
 `map_products` tests the products of one sum over Z with many single
-maps.  It factors each map p through its image, s * [p] and [p] * s
-through normal forms that depend only on p's image and only on p's
-ranks there, and decides each map by comparing two interned ints; the
-normal forms are computed once per image and once per ranking.
+maps, each given as its value table, as the enumerator yields it.  It
+factors each map p through its image, s * [p] and [p] * s through normal
+forms that depend only on p's image and only on p's ranks there, and
+decides each map by comparing two interned ints; the normal forms are
+computed once per image and once per ranking.
 Coefficients live in an exact commutative ring (integers, integers mod m,
 or rationals); no floating point anywhere.  Over the rationals an
 integer stays an int, so `fractions` is loaded only for a value that is
@@ -63,7 +65,6 @@ from .morphisms import (
     as_table,
     compose_tables,
     composition,
-    identity_map,
     pi_of_chain,
     retraction_table,
 )
@@ -274,10 +275,10 @@ class FormalSum:
             raise SignatureMismatch("formal sums over different rings")
         if other.target != self.source:
             raise SourceTargetMismatch("inner target differs from outer source")
-        outer, _, at = composition(self.source, self.target)
-        inner = [(at(f)[0], cf) for f, cf in other.terms.items()]
-        prepared = ((outer(g), cg) for g, cg in self.terms.items())
-        pairs = ((read(g), cg * cf) for g, cg in prepared for read, cf in inner)
+        prepare, read = composition(self.source, self.target)
+        readers = [(read(f), cf) for f, cf in other.terms.items()]
+        prepared = ((prepare(g), cg) for g, cg in self.terms.items())
+        pairs = ((after(g), cg * cf) for g, cg in prepared for after, cf in readers)
         acc = {}
         _accumulate(self.ring.modulus, acc, pairs)
         return FormalSum._of(self.ring, other.source, self.target, acc)
@@ -343,16 +344,18 @@ def map_products(s: FormalSum):
     normal forms are computed once per image and once per r, and
     interned as ints (a sentinel of its own for each side that fails to
     factor), so each map costs its image, one composite and two dict
-    lookups.  Every table is composed by `morphisms`' helpers and is of
-    L's `table_type`, those into {0..m-1} too.  Raises SignatureMismatch
-    if s is not over Z.
+    lookups.  The terms of s are prepared once for the kit of
+    `composition`: Y_S reads them all through the image, and H_r applies
+    each term's reader to r, prepared once.  Every table is composed by
+    `morphisms`' helpers and is of L's `table_type`, those into
+    {0..m-1} too.  Raises SignatureMismatch if s is not over Z.
     """
     if s.ring != ZZ:
         raise SignatureMismatch(f"products with maps are decided over int, not {s.ring}")
     L = s.source
-    outer, inner, at = composition(L, L)
+    prepare, read = composition(L, L)
     coeffs = list(s.terms.values())
-    outers, inners = list(map(outer, s.terms)), list(map(inner, s.terms))
+    prepared, readers = list(map(prepare, s.terms)), list(map(read, s.terms))
     interned = {}
 
     def intern(terms):
@@ -366,9 +369,8 @@ def map_products(s: FormalSum):
             rank[v] = i
         rank = as_table(L, rank)
         unit = intern({as_table(L, range(m)): 1})
-        after = at(image)[0]
         ys = {}
-        _accumulate(None, ys, zip(map(after, outers), coeffs))
+        _accumulate(None, ys, zip(map(read(image), prepared), coeffs))
         ranked = {}
         for y, c in ys.items():
             x = compose_tables(rank, y, L)
@@ -380,9 +382,9 @@ def map_products(s: FormalSum):
     def by_rank(r):
         # the id of X_r, or -2 if some table of H_r is not constant on
         # the fibres of r
-        _, apply, args = at(r)
+        ready = prepare(r)
         hs = {}
-        _accumulate(None, hs, zip(map(apply, inners, args), coeffs))
+        _accumulate(None, hs, zip([after(ready) for after in readers], coeffs))
         section = as_table(L, [r.index(i) for i in range(max(r) + 1)])
         xs = {}
         for h, c in hs.items():
@@ -416,10 +418,6 @@ def map_products(s: FormalSum):
         return y == x == unit
 
     return commutes, fixes
-
-
-def identity_sum(L: Lattice, ring: Ring = ZZ) -> FormalSum:
-    return embed(identity_map(L), ring)
 
 
 def embed(jm: JoinMap, ring: Ring = ZZ) -> FormalSum:

@@ -22,10 +22,14 @@ idempotent `e` over Z once, on first use, for every check that needs it;
 `formula_equivalence` builds the family construction and
 `ring_functoriality` a second direct sum independently.  `crapo` builds
 no sum: it walks the bottom-to-top chains and decides each from its
-Moebius value.  The join-endomorphisms are not kept: each check streams
-them from the enumerator.  Held as JoinMaps, they raised the peak RSS of
-the `sweep` benchmark by 11.7 % when tried; the enumeration that each
-check repeats instead is a small part of the sweep.
+Moebius value.  A swept join-endomorphism is its value table, of L's
+`table_type`, as the enumerator and the sampler yield it; only
+`opposite_involution` wraps each in a JoinMap, to take its opposite, and
+a failing report wraps its witness, for the labels.  The tables are not
+kept: each check streams them from the enumerator.  Held in the
+Workspace as JoinMaps, they raised the peak RSS of the `sweep` benchmark
+by 11.7 % when tried; the enumeration that each check repeats instead is
+a small part of the sweep.
 
 `central` compares e o phi with phi o e for every map phi, and
 `identity_on_tot` compares both with psi for every chain-image map psi.
@@ -87,6 +91,7 @@ from .algebra import (
 from .errors import FeasibilityLimit, UnknownCheck
 from .lattices import Lattice
 from .morphisms import (
+    JoinMap,
     enumerate_join_endomorphisms,
     has_chain_image,
     opposite_morphism,
@@ -216,10 +221,10 @@ def check_identity_on_tot(ws: Workspace):
     count = 0
     for psi in enumerate_join_endomorphisms(ws.L, tot_only=True):
         count += 1
-        if not fixes(psi.values):
+        if not fixes(psi):
             return ws.report(
                 "identity_on_tot", "fail",
-                counterexample={"psi": psi.table_labels()},
+                counterexample={"psi": JoinMap(ws.L, ws.L, psi).table_labels()},
                 counts={"examined": count},
             )
     return ws.report("identity_on_tot", "pass", counts={"tot_endomorphisms": count})
@@ -241,10 +246,10 @@ def check_central(ws: Workspace):
     count = 0
     for phi in endos:
         count += 1
-        if not commutes(phi.values):
+        if not commutes(phi):
             return ws.report(
                 "central", "fail",
-                counterexample={"phi": phi.table_labels()},
+                counterexample={"phi": JoinMap(ws.L, ws.L, phi).table_labels()},
                 counts={"examined": count, "mode": mode}, seed=used_seed,
             )
     return ws.report("central", "pass", counts={"endomorphisms": count, "mode": mode},
@@ -402,8 +407,9 @@ def check_opposite_involution(ws: Workspace):
     L = ws.L
     join = L._join
     count = 0
-    for phi in enumerate_join_endomorphisms(L):
+    for table in enumerate_join_endomorphisms(L):
         count += 1
+        phi = JoinMap(L, L, table)
         op = opposite_morphism(phi)
         if opposite_morphism(op) != phi:
             return ws.report("opposite_involution", "fail",
@@ -411,7 +417,7 @@ def check_opposite_involution(ws: Workspace):
         if phi.is_surjective():
             # the join of each fibre, folded in one pass over the table
             sup = [L.bottom] * L.n
-            for t, tp in enumerate(phi.values):
+            for t, tp in enumerate(table):
                 sup[tp] = join[sup[tp]][t]
             for tp in range(L.n):
                 if op.values[tp] != sup[tp]:
@@ -462,19 +468,18 @@ def check_ideal_closure(ws: Workspace):
         return ws.report("ideal_closure", "skipped",
                          note="restricted to exhaustively enumerable lattices with <= 6 elements")
     alls = list(enumerate_join_endomorphisms(L))
-    tots = [alpha for alpha in alls if has_chain_image(L, alpha.values)]
+    tots = [alpha for alpha in alls if has_chain_image(L, alpha)]
     passed = set()
     for alpha in tots:
-        image = frozenset(alpha.values)
+        image = frozenset(alpha)
         if image in passed:
             continue
-        for phi in alls:
-            p = phi.values
+        for p in alls:
             if not has_chain_image(L, [p[v] for v in image]):
                 return ws.report(
                     "ideal_closure", "fail",
-                    counterexample={"alpha": alpha.table_labels(),
-                                    "phi": phi.table_labels()},
+                    counterexample={"alpha": JoinMap(L, L, alpha).table_labels(),
+                                    "phi": JoinMap(L, L, p).table_labels()},
                 )
         passed.add(image)
     return ws.report("ideal_closure", "pass", counts={"tot": len(tots), "all": len(alls)})

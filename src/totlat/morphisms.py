@@ -4,10 +4,11 @@ A join-morphism preserves all joins including the empty one (bottom goes
 to bottom).  For finite lattices, checking the empty join plus all binary
 joins suffices, by induction on finite joins; `make_join_map` checks
 exactly that, and tests cross-validate against full subset checking on
-tiny lattices.  A `JoinMap` is built without validation; the enumerator,
-`compose` and the retractions build theirs that way.  It is a plain class
-with `__slots__`, not a frozen dataclass, so that building one costs three
-attribute stores.
+tiny lattices.  A `JoinMap` is built without validation; `compose` and
+the retractions build theirs that way.  It is a plain class with
+`__slots__`, not a frozen dataclass, so that building one costs three
+attribute stores.  The enumerator and the sampler build none: a swept map
+is its value table.
 
 A value table lists, per source element, the index of its image in the
 target.  Its type is the target's `table_type` (`as_table`): `bytes` when
@@ -16,8 +17,9 @@ and a tuple of ints above that.  Byte tables of equal length sort as the
 tuples of their values do, a composite of two of them is one
 `bytes.translate` call, and a `bytes` object keeps its hash once
 computed.  Tables are composed only here: one at a time by
-`compose_tables`, and many, for the products of `algebra`, by the kit of
-`composition`.
+`compose_tables`, and many, for the products of `algebra`, by the
+`(prepare, read)` kit of `composition`, which prepares each outer table
+once and makes one reader per inner table.
 
 The per-map tests of the exhaustive sweeps read masks and whole tables:
 a table has a chain image iff the mask of its values lies inside the
@@ -69,8 +71,7 @@ tester's oracle.
 from __future__ import annotations
 
 import sys
-from itertools import repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import (
     ChainNotInB,
@@ -182,37 +183,26 @@ def translation(table):
 
 
 def composition(source: Lattice, target: Lattice):
-    """(outer, inner, at) for the value tables of maps g: source -> target.
+    """(prepare, read) for the value tables of maps g: source -> target.
 
-    A table t of a sum is prepared once, as outer(t) to be read through
-    maps and as inner(t) to have maps read through it.  For a table p
-    into `source`, at(p) gives (after, apply, args): after(outer(g)) is
-    `compose_tables(g, p, target)`, and for endomorphisms args repeats
-    one argument so that map(apply, inners, args) gives the tables p o f.
-    Between byte tables each composite is one `bytes.translate` call, and
-    `at` binds no closure: `algebra.map_products` makes one `at` call per
-    image and per ranking it meets, each for all the terms of a sum.
-    Otherwise tables are read
-    through `table_getter` and stored as the target's `table_type`:
-    `pi * j` above 256 elements reads a byte table through tuples.
+    prepare(g) is called once per table g, and read(p), for a table p
+    into `source`, takes a prepared g to the table of g o p, as
+    `compose_tables(g, p, target)` makes it.  Between byte tables,
+    prepare is `translation` and read(p) is `p.translate`, so read builds
+    nothing and each composite is one `bytes.translate` call.  Otherwise
+    prepare is the target's `table_type`, and read(p) reads g through
+    `table_getter(p)` and stores the result as that type: `pi * j` above
+    256 elements reads a byte table through tuples.
     """
     if source.table_type is bytes and target.table_type is bytes:
-        return translation, bytes, _bytes_at
+        return translation, attrgetter("translate")
     table = target.table_type
 
-    def at(p):
+    def read(p):
         get = table_getter(p)
-        return (lambda g: table(get(g))), _apply, repeat(p)
+        return lambda g: table(get(g))
 
-    return table, table_getter, at
-
-
-def _bytes_at(p):
-    return p.translate, bytes.translate, repeat(translation(p))
-
-
-def _apply(get, table):
-    return get(table)
+    return table, read
 
 
 def identity_map(L: Lattice) -> JoinMap:
@@ -239,29 +229,29 @@ def opposite_morphism(phi: JoinMap) -> JoinMap:
     KeyError.
     """
     S, T = phi.source, phi.target
-    downs, _, at = _down_indicators(T)
+    downs, _, read = _down_indicators(T)
     element_of = _down_indicators(S)[1]
-    values = map(element_of.__getitem__, map(at(phi.values)[0], downs))
+    values = map(element_of.__getitem__, map(read(phi.values), downs))
     return JoinMap(T.opposite(), S.opposite(), values)
 
 
 def _down_indicators(L: Lattice):
-    """(downs, element_of, at) for L, built on first use and kept on L.
+    """(downs, element_of, read) for L, built on first use and kept on L.
 
     The 0/1 table of each element's down-set is a map from L into the
-    two-element chain.  `downs` holds them prepared by that map's
-    `composition` kit, whose `at` reads them through a table into L;
+    two-element chain.  `downs` holds them prepared by the `composition`
+    kit of such maps, whose `read` reads them through a table into L;
     `element_of` holds each element under its own table.
     """
     if L._indicators is None:
         indicators = [
             format(d, f"0{L.n}b")[::-1].encode().translate(_BIT_BYTES) for d in L.down
         ]
-        outer, _, at = composition(L, chain_lattice(1))
+        prepare, read = composition(L, chain_lattice(1))
         L._indicators = (
-            tuple(map(outer, indicators)),
+            tuple(map(prepare, indicators)),
             {table: t for t, table in enumerate(indicators)},
-            at,
+            read,
         )
     return L._indicators
 
@@ -367,7 +357,8 @@ def table_getter(f):
 
 
 def enumerate_join_endomorphisms(L: Lattice, tot_only=False):
-    """All join-endomorphisms, each exactly once, by join-irreducible assignment.
+    """The value tables of all join-endomorphisms, each exactly once, by
+    join-irreducible assignment: a generator of tables of `L.table_type`.
 
     A join-endomorphism is determined by its values on join-irreducibles;
     each assignment extends by t -> join of the assigned values below t,
@@ -391,8 +382,7 @@ def enumerate_join_endomorphisms(L: Lattice, tot_only=False):
     # the values a later position may take given a value here: those
     # comparable with it for chain images, any value otherwise
     narrow = L._comparable if tot_only else ((1 << L.n) - 1,) * L.n
-    for values in _compiled(L, nested=True)(narrow):
-        yield JoinMap(L, L, values)
+    return _compiled(L, nested=True)(narrow)
 
 
 def _compiled(L: Lattice, nested):
@@ -564,7 +554,8 @@ def _extend_assignment(L: Lattice, schedule, assignment):
 
 
 def sample_join_endomorphisms(L: Lattice, count, rng):
-    """Draw `count` valid join-endomorphisms by uniform irreducible assignment.
+    """The value tables of `count` join-endomorphisms, drawn by uniform
+    irreducible assignment.
 
     Rejection sampling; deterministic for a fixed rng state.  Each attempt
     draws its whole assignment before any test, and L's compiled tester
@@ -588,5 +579,5 @@ def sample_join_endomorphisms(L: Lattice, count, rng):
             assignment.append(v)
         values = test(*assignment)
         if values is not None:
-            out.append(JoinMap(L, L, values))
+            out.append(values)
     return out

@@ -15,7 +15,6 @@ from totlat.algebra import (
     embed,
     idempotent_direct,
     idempotent_original,
-    identity_sum,
     mu_chain_infinity,
     mu_chain_infinity_oracle,
 )
@@ -29,7 +28,9 @@ from totlat.checks import (
 from totlat.cli import main
 from totlat.lattices import chain_lattice, generate
 from totlat.morphisms import (
+    JoinMap,
     enumerate_join_endomorphisms,
+    identity_map,
     opposite_morphism,
     pi_of_chain,
     sample_join_endomorphisms,
@@ -64,14 +65,14 @@ def test_criterion_2_centrality(corpus):
             continue
         e = idempotent_direct(L)
         for phi in enumerate_join_endomorphisms(L):
-            s = embed(phi)
+            s = embed(JoinMap(L, L, phi))
             assert e * s == s * e, (spec, phi)
     import random
 
     big = generate("partition:4")
     e = idempotent_direct(big)
     for phi in sample_join_endomorphisms(big, 500, random.Random(1)):
-        s = embed(phi)
+        s = embed(JoinMap(big, big, phi))
         assert e * s == s * e, phi
     assert time.perf_counter() - t0 < 60.0
     report(2, "centrality: exhaustive on <=8-element corpus lattices, "
@@ -83,7 +84,7 @@ def test_criterion_3_identity_on_ideal(corpus):
     for spec, L in corpus.items():
         e = idempotent_direct(L)
         for psi in enumerate_join_endomorphisms(L, tot_only=True):
-            s = embed(psi)
+            s = embed(JoinMap(L, L, psi))
             assert e * s == s, (spec, psi)
             assert s * e == s, (spec, psi)
     assert time.perf_counter() - t0 < 60.0
@@ -156,14 +157,15 @@ def test_criterion_8_dimension_evidence(corpus):
 def test_criterion_9_total_orders():
     for n in range(7):
         L = chain_lattice(n)
-        assert idempotent_direct(L) == identity_sum(L), n
+        assert idempotent_direct(L) == embed(identity_map(L)), n
     report(9, "on total orders of length 0..6 the idempotent collapses to Id")
 
 
 def test_criterion_10_opposite_involution(corpus):
     for spec, L in corpus.items():
         if L.n <= 6:
-            for phi in enumerate_join_endomorphisms(L):
+            for table in enumerate_join_endomorphisms(L):
+                phi = JoinMap(L, L, table)
                 assert opposite_morphism(opposite_morphism(phi)) == phi, (spec, phi)
         for B in L.chain_family("B"):
             pi = pi_of_chain(L, B)

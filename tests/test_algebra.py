@@ -16,7 +16,6 @@ from totlat.algebra import (
     f_of_chain,
     idempotent_direct,
     idempotent_original,
-    identity_sum,
     j_upper,
     map_products,
     mu_chain_infinity,
@@ -147,7 +146,7 @@ def test_sum_cancelling_term_by_term_stores_no_terms():
 
 def test_total_of_sums():
     L = boolean_lattice(2)
-    x = identity_sum(L)
+    x = embed(identity_map(L))
     y = idempotent_direct(L)
     assert FormalSum.total(ZZ, L, L, []) == FormalSum(ZZ, L, L)
     assert FormalSum.total(ZZ, L, L, iter([x, y, -x])) == y
@@ -157,9 +156,9 @@ def test_total_of_sums():
 def test_total_signature_mismatch():
     L = boolean_lattice(2)
     with pytest.raises(SignatureMismatch):
-        FormalSum.total(ZZ, L, L, [identity_sum(L, Ring("rat"))])
+        FormalSum.total(ZZ, L, L, [embed(identity_map(L), Ring("rat"))])
     with pytest.raises(SignatureMismatch):
-        FormalSum.total(ZZ, L, L, [identity_sum(chain_lattice(2))])
+        FormalSum.total(ZZ, L, L, [embed(identity_map(chain_lattice(2)))])
 
 
 def test_sum_characteristic_two():
@@ -180,7 +179,7 @@ def test_sum_signature_mismatch():
 
 def test_mul_identity_neutral():
     L = boolean_lattice(2)
-    one = identity_sum(L)
+    one = embed(identity_map(L))
     e = idempotent_direct(L)
     assert one * e == e
     assert e * one == e
@@ -214,7 +213,8 @@ def test_products_compose_tables_as_compose_does(spec):
     L = generate(spec)
     e = idempotent_direct(L)
     terms = e.sorted_terms()
-    for phi in itertools.islice(enumerate_join_endomorphisms(L), 200):
+    for table in itertools.islice(enumerate_join_endomorphisms(L), 200):
+        phi = JoinMap(L, L, table)
         s = embed(phi)
         after = [(compose(a, phi).values, c) for a, c in terms]
         before = [(compose(phi, a).values, c) for a, c in terms]
@@ -252,7 +252,7 @@ def test_products_match_list_comprehension_oracle(spec, ring):
     pairs = [(e, e)]
     maps = enumerate_join_endomorphisms(L) if L.table_type is bytes else ()
     for phi in itertools.islice(maps, 50):
-        s = embed(phi, ring)
+        s = embed(JoinMap(L, L, phi), ring)
         pairs += [(e, s), (s, e), (s, s)]
     for B in L.chain_family("B"):
         j, pi = j_upper(L, B).map_ring(ring), embed(pi_of_chain(L, B), ring)
@@ -322,7 +322,7 @@ def assert_map_products_match_embedded_products(L, maps, ring=ZZ):
 def test_map_products_match_products_with_embedded_maps(spec, ring):
     L = generate(spec)
     outcomes = assert_map_products_match_embedded_products(
-        L, list(enumerate_join_endomorphisms(L)), Ring.parse(ring))
+        L, [JoinMap(L, L, t) for t in enumerate_join_endomorphisms(L)], Ring.parse(ring))
     if L.n > 1:
         assert outcomes >= {(True, True), (True, False), (False, False)}
 
@@ -356,7 +356,7 @@ def test_map_products_match_product_oracles_on_larger_lattices(spec, count):
     # every map of divisor:60 and a seeded subset of boolean:4's 65,536,
     # against both products, for every sum of `sums_to_compose`
     L = generate(spec)
-    maps = list(enumerate_join_endomorphisms(L))
+    maps = [JoinMap(L, L, t) for t in enumerate_join_endomorphisms(L)]
     if count is not None:
         maps = random.Random(1).sample(maps, count)
     outcomes = assert_map_products_match_embedded_products(L, maps)
@@ -368,7 +368,7 @@ def test_map_products_of_single_maps_match_composition(spec):
     # s = [t] and s = [t] - [u] for maps t, u: the composites of a map
     # t o p may leave p's image, which no retraction or e does
     L = generate(spec)
-    tables = [phi.values for phi in enumerate_join_endomorphisms(L)]
+    tables = list(enumerate_join_endomorphisms(L))
     outcomes = set()
     for t, u in zip(tables, tables[1:] + tables[:1]):
         for s in (FormalSum(ZZ, L, L, [(t, 1)]), FormalSum(ZZ, L, L, [(t, 1), (u, -1)])):
@@ -518,13 +518,13 @@ def test_oracle_refuses_a_long_chain_without_building_it():
 
 def test_direct_one_element():
     L = chain_lattice(0)
-    assert idempotent_direct(L) == identity_sum(L)
+    assert idempotent_direct(L) == embed(identity_map(L))
 
 
 def test_direct_total_orders_collapse_to_identity():
     for n in range(7):
         L = chain_lattice(n)
-        assert idempotent_direct(L) == identity_sum(L)
+        assert idempotent_direct(L) == embed(identity_map(L))
 
 
 def test_direct_diamond_terms():
@@ -569,7 +569,7 @@ def test_direct_walk_on_a_long_chain_takes_only_the_covers():
     # one chain left is the whole order, with coefficient +1; the chain
     # family Z has 2**59 members
     L = generate("chain:60")
-    assert idempotent_direct(L) == identity_sum(L)
+    assert idempotent_direct(L) == embed(identity_map(L))
 
 
 def test_direct_idempotent_and_fixes_alphas():
@@ -673,9 +673,9 @@ def test_f_of_chain_two_point_lattice():
     f_top = f_of_chain(L, (1,))
     f_both = f_of_chain(L, (0, 1))
     assert f_top == embed(constant_bottom(L))
-    assert f_both == identity_sum(L) - embed(constant_bottom(L))
+    assert f_both == embed(identity_map(L)) - embed(constant_bottom(L))
     assert (f_top * f_both).is_zero() and (f_both * f_top).is_zero()
-    assert f_top + f_both == identity_sum(L)
+    assert f_top + f_both == embed(identity_map(L))
 
 
 FAMILY_ORACLE_SPECS = list(DEFAULT_CORPUS) + ["divisor:60", "diamond:5", "partition:4"]
@@ -764,7 +764,7 @@ def test_original_equals_left_fold(spec, ring):
 def test_original_on_a_chain_is_the_identity(spec):
     # chain:14 has 2**14 top-ended chains, whose f_B all cancel but one
     L = lattice_or_opposite(spec)
-    assert idempotent_original(L) == identity_sum(L)
+    assert idempotent_original(L) == embed(identity_map(L))
 
 
 # -- rings beyond the integers --------------------------------------------

@@ -20,10 +20,10 @@ from totlat.checks import (
     check_crapo_restriction,
     run_suite,
 )
-from totlat.algebra import ZZ, FormalSum, Ring, embed, idempotent_direct, identity_sum
+from totlat.algebra import ZZ, FormalSum, Ring, embed, idempotent_direct
 from totlat.errors import UnknownCheck
 from totlat.lattices import Lattice, boolean_lattice, chain_lattice, generate
-from totlat.morphisms import JoinMap, compose, enumerate_join_endomorphisms
+from totlat.morphisms import JoinMap, compose, enumerate_join_endomorphisms, identity_map
 from totlat.posets import Poset
 
 
@@ -93,7 +93,7 @@ def test_ring_functoriality_also_checks_the_run_ring(monkeypatch):
     def second_build_off(L):
         builds.append(L.n)
         e = real(L)
-        return e + identity_sum(L).scale(30) if len(builds) == 2 else e
+        return e + embed(identity_map(L)).scale(30) if len(builds) == 2 else e
 
     monkeypatch.setattr(checks, "idempotent_direct", second_build_off)
     for ring in ("int", "rat", "mod:2", "mod:3", "mod:5", "mod:7"):
@@ -399,7 +399,7 @@ def test_f_family_one_sided_product_fails_like_the_oracle(monkeypatch, spec, mut
     if mutated_first:
         pairs = [(C, B) for B, C in pairs]
     f = {tuple(B): family_member(L, B) for B in chains}
-    endos = [embed(y) for y in enumerate_join_endomorphisms(L)]
+    endos = [embed(JoinMap(L, L, y)) for y in enumerate_join_endomorphisms(L)]
     B, C, y = next((B, C, y) for B, C in pairs for y in endos
                    if not (f[tuple(B)] * y * f[tuple(C)]).is_zero())
 
@@ -428,7 +428,7 @@ def test_f_family_with_an_idempotent_e_other_than_the_sum_fails_like_the_oracle(
     L = generate(spec)
     first = min(L.chain_family("B"), key=len)
     e = idempotent_direct(L)
-    for other in (FormalSum(ZZ, L, L), identity_sum(L), e - family_member(L, first)):
+    for other in (FormalSum(ZZ, L, L), embed(identity_map(L)), e - family_member(L, first)):
         ws = workspace(L, spec, other)
         assert ws.e_squared == ws.e
         report = report_under(check_f_family, L, spec, ring, other)
@@ -445,7 +445,7 @@ def test_f_family_summing_to_a_non_idempotent_e_fails_like_the_oracle(monkeypatc
     real_j, real_e = checks.j_upper, checks.idempotent_direct
     chains = sorted(L.chain_family("B"), key=len)
     f = {tuple(B): family_member(L, B) for B in chains}
-    endos = [embed(y) for y in enumerate_join_endomorphisms(L)]
+    endos = [embed(JoinMap(L, L, y)) for y in enumerate_join_endomorphisms(L)]
     B, C, y = next((B, C, y) for B in chains for C in chains if B != C for y in endos
                    if not (f[tuple(B)] * y * f[tuple(C)]).is_zero())
     z = f[tuple(B)] * y * f[tuple(C)]
@@ -552,8 +552,9 @@ def central_oracle(ws):
     """check_central's exhaustive report, from `embed` and `FormalSum.__mul__`."""
     e = ws.e
     count = 0
-    for phi in enumerate_join_endomorphisms(ws.L):
+    for table in enumerate_join_endomorphisms(ws.L):
         count += 1
+        phi = JoinMap(ws.L, ws.L, table)
         s = embed(phi)
         if e * s != s * e:
             return ws.report("central", "fail", counterexample={"phi": phi.table_labels()},
@@ -565,8 +566,9 @@ def identity_on_tot_oracle(ws):
     """check_identity_on_tot's report, from `embed` and `FormalSum.__mul__`."""
     e = ws.e
     count = 0
-    for psi in enumerate_join_endomorphisms(ws.L, tot_only=True):
+    for table in enumerate_join_endomorphisms(ws.L, tot_only=True):
         count += 1
+        psi = JoinMap(ws.L, ws.L, table)
         s = embed(psi)
         if e * s != s or s * e != s:
             return ws.report("identity_on_tot", "fail",
@@ -636,7 +638,7 @@ def idempotent_oracle(ws):
 def decomposition_oracle(ws):
     """check_decomposition's report, from the four products it asserts."""
     e = ws.e
-    one = identity_sum(ws.L)
+    one = embed(identity_map(ws.L))
     rest = one - e
     if (rest * rest == rest and (e * rest).is_zero() and (rest * e).is_zero()
             and e + rest == one):
@@ -695,6 +697,10 @@ def _pairwise_chain(phi):
     return all(T.comparable(a, b) for a, b in itertools.combinations(set(phi.values), 2))
 
 
+def _joinmaps(L, tables):
+    return [JoinMap(L, L, t) for t in tables]
+
+
 def ideal_closure_oracle(ws):
     """check_ideal_closure's report, from `compose` and a pairwise chain scan.
 
@@ -705,7 +711,7 @@ def ideal_closure_oracle(ws):
     if not ws.enumerable or L.n > 6:
         return ws.report("ideal_closure", "skipped",
                          note="restricted to exhaustively enumerable lattices with <= 6 elements")
-    alls = list(checks.enumerate_join_endomorphisms(L))
+    alls = _joinmaps(L, checks.enumerate_join_endomorphisms(L))
     tots = [phi for phi in alls if _pairwise_chain(phi)]
     for alpha in tots:
         for phi in alls:
@@ -737,7 +743,7 @@ def broken_at(L, w):
                 if not L.comparable(x, y))
     table = [x] * L.n
     table[w] = y
-    return JoinMap(L, L, tuple(table))
+    return L.table_type(table)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -750,17 +756,17 @@ def test_ideal_closure_mutated_maps_fail_like_the_oracle(monkeypatch, spec, reve
     # taken map first would report the first table.  The maps come in
     # the enumeration's order or reversed, and alpha is first in either.
     L = generate(spec)
-    maps = list(enumerate_join_endomorphisms(L))[::-1 if reverse else 1]
+    maps = _joinmaps(L, enumerate_join_endomorphisms(L))[::-1 if reverse else 1]
     alpha = next(phi for phi in maps if _pairwise_chain(phi) and len(set(phi.values)) > 1)
     image = set(alpha.values)
     inside = max(image - {L.bottom})
     outside = next(w for w in range(L.n) if w not in image)
-    maps = [broken_at(L, outside)] + maps + [broken_at(L, inside)]
-    monkeypatch.setattr(checks, "enumerate_join_endomorphisms", lambda L: iter(maps))
+    tables = [broken_at(L, outside)] + [phi.values for phi in maps] + [broken_at(L, inside)]
+    monkeypatch.setattr(checks, "enumerate_join_endomorphisms", lambda L: iter(tables))
     ws = Workspace(L, descriptor=spec)
     report = check_ideal_closure(ws).to_dict()
     assert report["counterexample"] == {"alpha": alpha.table_labels(),
-                                        "phi": maps[-1].table_labels()}
+                                        "phi": JoinMap(L, L, tables[-1]).table_labels()}
     assert report == ideal_closure_oracle(ws).to_dict()
 
 
@@ -774,7 +780,7 @@ def test_ideal_closure_reads_the_maps_through_every_chain_image(monkeypatch, spe
     # read from the last chain-image map.  (On divisor:12 every such pair
     # lies in two chain images.)
     L = generate(spec)
-    maps = list(enumerate_join_endomorphisms(L))
+    maps = _joinmaps(L, enumerate_join_endomorphisms(L))
     images = {frozenset(phi.values) for phi in maps if _pairwise_chain(phi)}
     x, y = next((x, y) for x, y in itertools.combinations(range(L.n), 2)
                 if not L.comparable(x, y))
@@ -788,8 +794,8 @@ def test_ideal_closure_reads_the_maps_through_every_chain_image(monkeypatch, spe
         (u, v), = alone[:1]
         table[u], table[v] = x, y
         holders = [phi for phi in maps if frozenset(phi.values) == image]
-        injected = ([phi for phi in maps if frozenset(phi.values) != image]
-                    + holders[:1] + [JoinMap(L, L, tuple(table))])
+        injected = ([phi.values for phi in maps if frozenset(phi.values) != image]
+                    + [phi.values for phi in holders[:1]] + [L.table_type(table)])
         monkeypatch.setattr(checks, "enumerate_join_endomorphisms",
                             lambda L: iter(injected))
         ws = Workspace(L, descriptor=spec)
@@ -798,3 +804,75 @@ def test_ideal_closure_reads_the_maps_through_every_chain_image(monkeypatch, spe
         assert report == ideal_closure_oracle(ws).to_dict()
         broken += 1
     assert broken
+
+
+# -- opposite_involution's failing reports ----------------------------------
+# checks.opposite_morphism is replaced by one that corrupts a single answer
+# on pentagon; each report must name the map or the chain it belongs to.
+
+PENTAGON_IDENTITY = (0, 1, 2, 3, 4)
+
+
+def test_opposite_involution_names_a_map_whose_double_opposite_differs(monkeypatch):
+    L = generate("pentagon")
+    real = checks.opposite_morphism
+    broken = (0, 0, 3, 1, 3)  # b -> c, c -> a
+
+    def involution_off(phi):
+        op = real(phi)
+        if phi.source is L.opposite() and tuple(op.values) == broken:
+            return JoinMap(L, L, [L.bottom] * L.n)
+        return op
+
+    monkeypatch.setattr(checks, "opposite_morphism", involution_off)
+    report = check_opposite_involution(Workspace(L, descriptor="pentagon")).to_dict()
+    assert report == {
+        "check": "opposite_involution", "lattice": "pentagon", "status": "fail",
+        "counterexample": {"phi": {"0": "0", "a": "0", "b": "c", "c": "a", "1": "c"}},
+    }
+
+
+def test_opposite_involution_names_a_wrong_value_of_a_surjections_adjoint(monkeypatch):
+    # the identity is pentagon's one surjective endomorphism; its adjoint
+    # is given a wrong value at c, and the wrong adjoint's opposite is
+    # the identity again, so only the sup formula fails
+    L = generate("pentagon")
+    real = checks.opposite_morphism
+    wrong = (0, 1, 2, 1, 4)
+
+    def adjoint_off(phi):
+        if phi.source is L and phi.target is L and tuple(phi.values) == PENTAGON_IDENTITY:
+            return JoinMap(L.opposite(), L.opposite(), wrong)
+        if phi.source is L.opposite() and tuple(phi.values) == wrong:
+            return JoinMap(L, L, PENTAGON_IDENTITY)
+        return real(phi)
+
+    monkeypatch.setattr(checks, "opposite_morphism", adjoint_off)
+    report = check_opposite_involution(Workspace(L, descriptor="pentagon")).to_dict()
+    assert report == {
+        "check": "opposite_involution", "lattice": "pentagon", "status": "fail",
+        "counterexample": {"phi": {"0": "0", "a": "a", "b": "b", "c": "c", "1": "1"},
+                           "at": "c"},
+    }
+
+
+def test_opposite_involution_names_an_index_surjection_with_a_wrong_adjoint(monkeypatch):
+    # pi of the chain 0 < b < 1 gets the adjoint of 0 < a < 1; the chains
+    # are tested shortest first, and this is the first one corrupted
+    L = generate("pentagon")
+    real = checks.opposite_morphism
+    pi = tuple(checks.pi_of_chain(L, (0, 2, 4)).values)
+
+    def index_adjoint_off(phi):
+        op = real(phi)
+        if phi.source is L and phi.target is not L and tuple(phi.values) == pi:
+            return JoinMap(op.source, op.target, (0, 1, 4))
+        return op
+
+    monkeypatch.setattr(checks, "opposite_morphism", index_adjoint_off)
+    report = check_opposite_involution(Workspace(L, descriptor="pentagon")).to_dict()
+    assert report == {
+        "check": "opposite_involution", "lattice": "pentagon", "status": "fail",
+        "counterexample": {"chain": ("0", "b", "1"),
+                           "kind": "index surjection adjoint mismatch"},
+    }

@@ -248,7 +248,7 @@ def signed_multiples(L, tables, ring):
 @pytest.mark.parametrize("ring", ["int", "mod:3", "rat"])
 def test_formal_sum_to_json_of_signed_join_endomorphisms(ring):
     L = generate("boolean:3")
-    tables = [phi.values for phi in enumerate_join_endomorphisms(L)][::7]
+    tables = list(enumerate_join_endomorphisms(L))[::7]
     s = signed_multiples(L, tables, ring)
     assert tables[0] not in s.terms
     text = formal_sum_to_json(s)
@@ -668,6 +668,7 @@ def test_cmd_verify_deterministic_json(capsys):
     ("verify_divisor60_seed1.jsonl", ("divisor:60", "--seed", "1")),
     ("verify_divisor60_rat.jsonl", ("divisor:60", "--ring", "rat")),
     ("verify_divisor60_mod2.jsonl", ("divisor:60", "--ring", "mod:2")),
+    ("verify_diamond5.jsonl", ("diamond:5",)),
 ])
 def test_cmd_verify_matches_golden_reports(capsys, golden, argv):
     code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")

@@ -37,6 +37,11 @@ from totlat.posets import Chain, bit_indices
 from totlat.serialize import parse_lattice_file
 
 
+def endomorphisms(L, tot_only=False):
+    """The enumerator's tables, each as a JoinMap of L."""
+    return [JoinMap(L, L, t) for t in enumerate_join_endomorphisms(L, tot_only)]
+
+
 def z_chain(L, *labels):
     return tuple(L.index_of(s) for s in labels)
 
@@ -74,14 +79,14 @@ def test_values_outside_the_target_are_refused(n, bad):
 
 def test_compose_identity():
     L = boolean_lattice(2)
-    for phi in enumerate_join_endomorphisms(L):
+    for phi in endomorphisms(L):
         assert compose(identity_map(L), phi) == phi
         assert compose(phi, identity_map(L)) == phi
 
 
 def test_compose_constant():
     L = boolean_lattice(2)
-    for phi in enumerate_join_endomorphisms(L):
+    for phi in endomorphisms(L):
         assert compose(constant_bottom(L), phi) == constant_bottom(L)
 
 
@@ -100,7 +105,7 @@ def test_compose_mismatch():
 
 def test_compose_associative():
     L = pentagon_lattice()
-    endos = list(enumerate_join_endomorphisms(L))[:6]
+    endos = endomorphisms(L)[:6]
     for f, g, h in itertools.product(endos, repeat=3):
         assert compose(compose(f, g), h) == compose(f, compose(g, h))
 
@@ -115,7 +120,7 @@ def test_opposite_of_identity():
 def test_opposite_involution_small():
     for spec in ("chain:2", "boolean:2", "diamond:3", "pentagon"):
         L = generate(spec)
-        for phi in enumerate_join_endomorphisms(L):
+        for phi in endomorphisms(L):
             assert opposite_morphism(opposite_morphism(phi)) == phi
 
 
@@ -132,7 +137,7 @@ def test_opposite_alpha_direct_evaluation():
 
 def test_opposite_surjective_sup_formula():
     L = boolean_lattice(2)
-    for phi in enumerate_join_endomorphisms(L):
+    for phi in endomorphisms(L):
         if not phi.is_surjective():
             continue
         op = opposite_morphism(phi)
@@ -193,7 +198,7 @@ def test_alpha_converse():
     # every idempotent endo >= Id with chain image is the retraction onto it
     for spec in ("boolean:2", "pentagon"):
         L = generate(spec)
-        for phi in enumerate_join_endomorphisms(L, tot_only=True):
+        for phi in endomorphisms(L, tot_only=True):
             if compose(phi, phi) != phi:
                 continue
             if not all(L.leq(t, phi.values[t]) for t in range(L.n)):
@@ -306,7 +311,7 @@ MASK_SPECS = list(DEFAULT_CORPUS) + ["divisor:60", "diamond:5"]
 @pytest.mark.parametrize("spec", MASK_SPECS)
 def test_mask_paths_match_oracles_on_every_endomorphism(spec):
     L = generate(spec)
-    for phi in enumerate_join_endomorphisms(L):
+    for phi in endomorphisms(L):
         chain = image_chain(phi)
         expected = image_chain_oracle(phi)
         assert has_chain_image(L, phi.values) == (expected is not None)
@@ -491,14 +496,14 @@ def test_enumeration_matches_brute_force():
             for values in itertools.product(range(L.n), repeat=L.n)
             if is_join_map(L, L, values)
         }
-        enumerated = {phi.values for phi in enumerate_join_endomorphisms(L)}
+        enumerated = set(enumerate_join_endomorphisms(L))
         assert enumerated == brute
 
 
 def test_enumeration_deterministic():
     L = boolean_lattice(2)
-    first = [phi.values for phi in enumerate_join_endomorphisms(L)]
-    second = [phi.values for phi in enumerate_join_endomorphisms(L)]
+    first = list(enumerate_join_endomorphisms(L))
+    second = list(enumerate_join_endomorphisms(L))
     assert first == second
 
 
@@ -520,8 +525,8 @@ def test_ideal_closure():
     # composites with a chain-image endo keep a chain image
     for spec in ("boolean:2", "pentagon", "diamond:3"):
         L = generate(spec)
-        tots = list(enumerate_join_endomorphisms(L, tot_only=True))
-        alls = list(enumerate_join_endomorphisms(L))
+        tots = endomorphisms(L, tot_only=True)
+        alls = endomorphisms(L)
         for alpha in tots:
             for phi in alls:
                 assert image_chain(compose(alpha, phi)) is not None
@@ -532,9 +537,9 @@ def test_sampling_is_deterministic_and_valid():
     L = generate("partition:4")
     a = sample_join_endomorphisms(L, 20, random.Random(7))
     b = sample_join_endomorphisms(L, 20, random.Random(7))
-    assert [x.values for x in a] == [x.values for x in b]
-    for phi in a:
-        assert is_join_map(L, L, phi.values)
+    assert a == b
+    for values in a:
+        assert is_join_map(L, L, values)
 
 
 # -- the assignment schedule against the per-candidate method calls ---------
@@ -573,10 +578,10 @@ def _method_call_sample(L, count, rng):
 def test_kernel_enumeration_matches_method_calls(spec):
     L = generate(spec)
     maps = list(enumerate_join_endomorphisms(L))
-    assert [phi.values for phi in maps] == list(_method_call_enumeration(L))
-    assert all(phi.source is L and phi.target is L for phi in maps)
-    tot = [phi.values for phi in enumerate_join_endomorphisms(L, tot_only=True)]
-    assert tot == [phi.values for phi in maps if image_chain_oracle(phi) is not None]
+    assert maps == list(_method_call_enumeration(L))
+    assert all(type(values) is L.table_type for values in maps)
+    tot = list(enumerate_join_endomorphisms(L, tot_only=True))
+    assert tot == [v for v in maps if image_chain_oracle(JoinMap(L, L, v)) is not None]
 
 
 @pytest.mark.parametrize(
@@ -584,8 +589,8 @@ def test_kernel_enumeration_matches_method_calls(spec):
 )
 def test_pruned_chain_image_enumeration_matches_filtered_enumeration(spec):
     L = generate(spec)
-    filtered = [phi for phi in enumerate_join_endomorphisms(L)
-                if has_chain_image(L, phi.values)]
+    filtered = [values for values in enumerate_join_endomorphisms(L)
+                if has_chain_image(L, values)]
     assert list(enumerate_join_endomorphisms(L, tot_only=True)) == filtered
 
 
@@ -611,9 +616,9 @@ RELABELLED = ["chain:0", "divisor:60", "pentagon", "diamond:4",
 @pytest.mark.parametrize("spec", RELABELLED)
 def test_enumeration_order_matches_method_calls_after_relabelling(spec, seed):
     L = _relabelled(generate(spec), seed)
-    maps = [phi.values for phi in enumerate_join_endomorphisms(L)]
+    maps = list(enumerate_join_endomorphisms(L))
     assert maps == list(_method_call_enumeration(L))
-    tot = [phi.values for phi in enumerate_join_endomorphisms(L, tot_only=True)]
+    tot = list(enumerate_join_endomorphisms(L, tot_only=True))
     assert tot == [v for v in maps if image_chain_oracle(JoinMap(L, L, v)) is not None]
 
 
@@ -640,7 +645,7 @@ def test_kernel_sampling_matches_method_calls(spec, relabel_seed):
         L = _relabelled(L, relabel_seed)
     for seed in range(5):
         drawn = sample_join_endomorphisms(L, 10, random.Random(seed))
-        assert [phi.values for phi in drawn] == _method_call_sample(L, 10, random.Random(seed))
+        assert drawn == _method_call_sample(L, 10, random.Random(seed))
 
 
 # -- the compiled kernel -----------------------------------------------------
@@ -670,13 +675,11 @@ def test_code_labels_enumerate_like_their_relabelled_twin():
     for nested in (True, False):
         assert _kernel_source(coded, nested) == _kernel_source(twin, nested)
     for tot_only in (False, True):
-        maps = [phi.values for phi in enumerate_join_endomorphisms(coded, tot_only=tot_only)]
-        assert maps == [phi.values for phi in enumerate_join_endomorphisms(twin, tot_only=tot_only)]
-    assert [phi.values for phi in enumerate_join_endomorphisms(coded)] == list(
-        _method_call_enumeration(coded))
+        maps = list(enumerate_join_endomorphisms(coded, tot_only=tot_only))
+        assert maps == list(enumerate_join_endomorphisms(twin, tot_only=tot_only))
+    assert list(enumerate_join_endomorphisms(coded)) == list(_method_call_enumeration(coded))
     drawn = sample_join_endomorphisms(coded, 10, random.Random(3))
-    assert [phi.values for phi in drawn] == [
-        phi.values for phi in sample_join_endomorphisms(twin, 10, random.Random(3))]
+    assert drawn == sample_join_endomorphisms(twin, 10, random.Random(3))
 
 
 def test_kernels_are_compiled_once_per_lattice():
@@ -716,8 +719,8 @@ def test_compiled_tester_matches_extend_assignment(spec, seed):
     irr = L.join_irreducibles()
     rng = random.Random(seed)
     assignments = [[rng.randrange(L.n) for _ in irr] for _ in range(300)]
-    assignments += [[phi.values[j] for j in irr]
-                    for phi in itertools.islice(enumerate_join_endomorphisms(L), 300)]
+    assignments += [[values[j] for j in irr]
+                    for values in itertools.islice(enumerate_join_endomorphisms(L), 300)]
     outcomes = set()
     for assignment in assignments:
         table = test(*assignment)

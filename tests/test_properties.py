@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from totlat.algebra import FormalSum, ZZ, embed, idempotent_direct
 from totlat.checks import DEFAULT_CORPUS
 from totlat.lattices import chain_lattice, generate
-from totlat.morphisms import compose, enumerate_join_endomorphisms, pi_of_chain
+from totlat.morphisms import JoinMap, compose, enumerate_join_endomorphisms, pi_of_chain
 from totlat.posets import Poset
 
 LATTICE_SPECS = [
@@ -74,7 +74,7 @@ def test_dual_involution(p):
 @settings(max_examples=40, deadline=None)
 def test_compose_associative_on_random_triples(spec, data):
     L = generate(spec)
-    endos = list(enumerate_join_endomorphisms(L))
+    endos = [JoinMap(L, L, t) for t in enumerate_join_endomorphisms(L)]
     pick = st.sampled_from(endos)
     f, g, h = data.draw(pick), data.draw(pick), data.draw(pick)
     assert compose(compose(f, g), h) == compose(f, compose(g, h))
@@ -84,7 +84,7 @@ def test_compose_associative_on_random_triples(spec, data):
 @settings(max_examples=30, deadline=None)
 def test_sum_mul_bilinear_on_random_sums(spec, data):
     L = generate(spec)
-    endos = list(enumerate_join_endomorphisms(L))
+    endos = [JoinMap(L, L, t) for t in enumerate_join_endomorphisms(L)]
     coeffs = st.integers(min_value=-3, max_value=3)
 
     def random_sum():
@@ -107,7 +107,7 @@ def test_idempotent_absorbs_random_chain_image_endos(spec, data):
     L = generate(spec)
     e = idempotent_direct(L)
     tots = list(enumerate_join_endomorphisms(L, tot_only=True))
-    psi = embed(data.draw(st.sampled_from(tots)))
+    psi = embed(JoinMap(L, L, data.draw(st.sampled_from(tots))))
     assert e * psi == psi
     assert psi * e == psi
 

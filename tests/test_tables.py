@@ -3,8 +3,9 @@
 Every constructor of a map or a formal sum is checked for the type of the
 tables it makes, on lattices whose tables are all bytes, and across the
 boundary on boolean:9 (512 elements), where maps into L are tuples and
-maps into an index chain are bytes.  The kit of `composition` is checked
-on each of the four pairs of table types a signature can have.
+maps into an index chain are bytes.  The kit of `composition`, and the
+products of sums it makes, are checked on each of the four pairs of table
+types a signature can have.
 """
 
 import itertools
@@ -26,6 +27,7 @@ from totlat.algebra import (
 from totlat.checks import DEFAULT_CORPUS
 from totlat.lattices import chain_lattice, generate
 from totlat.morphisms import (
+    JoinMap,
     alpha_of_chain,
     compose,
     compose_tables,
@@ -58,9 +60,11 @@ def assert_sum(s):
 @pytest.mark.parametrize("spec", SPECS)
 def test_maps_hold_their_targets_table_type(spec):
     L = generate(spec)
-    maps = list(itertools.islice(enumerate_join_endomorphisms(L), 200))
-    maps += itertools.islice(enumerate_join_endomorphisms(L, tot_only=True), 200)
-    maps += sample_join_endomorphisms(L, 5, random.Random(0))
+    tables = list(itertools.islice(enumerate_join_endomorphisms(L), 200))
+    tables += itertools.islice(enumerate_join_endomorphisms(L, tot_only=True), 200)
+    tables += sample_join_endomorphisms(L, 5, random.Random(0))
+    assert {type(t) for t in tables} == {expected_type(L)}
+    maps = [JoinMap(L, L, t) for t in tables]
     maps.append(identity_map(L))
     maps += [compose(g, f) for g, f in itertools.product(maps[:8], repeat=2)]
     maps += [opposite_morphism(phi) for phi in maps[:20]]
@@ -122,48 +126,44 @@ def test_tables_across_the_256_boundary():
         assert_map(make_join_map(j.source, L, table))
 
 
-def assert_kit(source, target, gs, ps):
-    """The kit for maps g: source -> target makes each g o p as
-    `compose_tables` and a list comprehension do, as a table of the
-    target's type."""
-    outer, _, at = composition(source, target)
-    prepared = [outer(g) for g in gs]
+def assert_kit(source, target, gs, ps, inner_source):
+    """The kit for maps g: source -> target makes each g o p, for p:
+    inner_source -> source, as `compose_tables` and a list comprehension
+    do, as a table of the target's type; and the product of sums of the
+    g and the p holds the per-pair composites with the products of
+    their coefficients."""
+    prepare, read = composition(source, target)
+    prepared = [prepare(g) for g in gs]
     for p in ps:
-        after = at(p)[0]
+        after = read(p)
         for g, ready in zip(gs, prepared):
             composite = after(ready)
             assert composite == compose_tables(g, p, target)
             assert list(composite) == [g[v] for v in p]
             assert type(composite) is target.table_type
-
-
-def assert_endomorphism_kit(L, tables):
-    """For endomorphisms, map(apply, inners, args) gives each p o f."""
-    _, inner, at = composition(L, L)
-    inners = list(map(inner, tables))
-    for p in tables:
-        _, apply, args = at(p)
-        composites = list(map(apply, inners, args))
-        assert composites == [compose_tables(p, f, L) for f in tables]
-        assert [list(t) for t in composites] == [[p[v] for v in f] for f in tables]
-        assert {type(t) for t in composites} == {L.table_type}
+    x = FormalSum(ZZ, source, target, [(g, k) for k, g in enumerate(gs, 1)])
+    y = FormalSum(ZZ, inner_source, source, [(p, -k) for k, p in enumerate(ps, 2)])
+    expected = {}
+    for g, cg in x.terms.items():
+        for p, cp in y.terms.items():
+            composite = target.table_type([g[v] for v in p])
+            expected[composite] = expected.get(composite, 0) + cg * cp
+    assert (x * y).terms == {t: c for t, c in expected.items() if c}
 
 
 def test_kit_between_byte_tables():
     L = generate("divisor:60")
-    tables = [phi.values for phi in itertools.islice(enumerate_join_endomorphisms(L), 40)]
+    tables = list(itertools.islice(enumerate_join_endomorphisms(L), 40))
     tables += idempotent_direct(L).terms
     assert L.table_type is bytes
-    assert_kit(L, L, tables, tables)
-    assert_endomorphism_kit(L, tables)
+    assert_kit(L, L, tables, tables, L)
 
 
 def test_kit_between_tuple_tables():
     L = generate("diamond:300")
     tables = list(idempotent_direct(L).terms)
     assert L.table_type is tuple and len(tables) > 256
-    assert_kit(L, L, tables, tables[:20])
-    assert_endomorphism_kit(L, tables[:20])
+    assert_kit(L, L, tables, tables[:20], L)
 
 
 def test_kits_between_byte_and_tuple_tables():
@@ -173,5 +173,27 @@ def test_kits_between_byte_and_tuple_tables():
     for B in L.chain_family("B"):
         j, pi = j_upper(L, B), pi_of_chain(L, B)
         assert (j.source.table_type, L.table_type) == (bytes, tuple)
-        assert_kit(j.source, L, list(j.terms), [pi.values])
-        assert_kit(L, pi.target, [pi.values], list(j.terms))
+        assert_kit(j.source, L, list(j.terms), [pi.values], L)
+        assert_kit(L, pi.target, [pi.values], list(j.terms), j.source)
+
+
+def test_kit_on_every_pair_of_table_types_of_boolean_9():
+    # boolean:9 has 512 elements, so maps into it are tuples, and maps
+    # into the index chain I of a chain B are bytes
+    L = generate("boolean:9")
+    members = tuple(L.index_of(s) for s in ("0", "i", "bi", "bgi", "abcdefghi"))
+    j, pi = j_upper(L, members), pi_of_chain(L, members)
+    index = j.source
+    sections, back = list(j.terms), list((embed(pi) * j).terms)
+    assert (index.table_type, L.table_type) == (bytes, tuple)
+    # I -> I after I -> I: bytes through bytes
+    assert_kit(index, index, back, back, index)
+    # I -> L after L -> I: tuples through bytes
+    assert_kit(index, L, sections, [pi.values], L)
+    # L -> I after I -> L: bytes through tuples
+    assert_kit(L, index, [pi.values], sections, index)
+    # L -> L after L -> L: tuples through tuples
+    chains = [members, (0, L.top), tuple(L.index_of(s) for s in ("0", "a", "abcdefghi"))]
+    retractions = [alpha_of_chain(L, B).values for B in chains]
+    assert_kit(L, L, retractions, retractions, L)
+    assert_kit(L, L, list(f_of_chain(L, members).terms), retractions[1:], L)
