@@ -48,8 +48,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
-from array import array
 
 from .errors import (
     ChainNotInA,
@@ -625,20 +623,15 @@ def idempotent_original(L: Lattice) -> FormalSum:
     and the sum of the f_B is S(top).  Joining a fixed block is linear and
     injective, so the terms of S(b') cancel before it is extended; S(b)
     is the family idempotent of the interval [bottom, b].  No chain is
-    listed.  A table is keyed by an int whose bytes, in the machine's
-    byte order, are the table as an array of values, one digit per
-    element, of one byte on at most 256 elements and of two bytes above;
-    `inside[b]` has digit 1 at each t <= b and is built the same way, so
-    joining the block adds a * (inside[b] - inside[b']).  The elements
-    are visited by the size of their down-sets, a linear extension; the
-    picks are read off the support of `L.mobius_row(b')`; and only the
-    keys of S(top) are decoded into tables.  With 1-byte digits the bytes
-    of a key are its table.
+    listed.  A table is keyed by its digit int (`Lattice.digit_table`),
+    and `inside[b]` is the digit int of down(b), so joining the block
+    adds a * (inside[b] - inside[b']).  The elements are visited by the
+    size of their down-sets, a linear extension; the picks are read off
+    the support of `L.mobius_row(b')`; and only the keys of S(top) are
+    decoded into tables.
     """
     n, down = L.n, L.down
-    digits = "B" if L.table_type is bytes else "H"
-    inside = [int.from_bytes(array(digits, [d >> t & 1 for t in range(n)]), sys.byteorder)
-              for d in down]
+    inside = list(map(L.digits, down))
     sums = [None] * n
     for b in sorted(range(n), key=lambda v: down[v].bit_count()):
         acc = {L.bottom * inside[b]: 1}
@@ -649,9 +642,5 @@ def idempotent_original(L: Lattice) -> FormalSum:
             _accumulate(None, acc, ((key + shift, c * m)
                                     for key, c in sums[lo].items() for shift, m in picks))
         sums[b] = acc
-    if L.table_type is bytes:
-        tables = (key.to_bytes(n, sys.byteorder) for key in sums[L.top])
-    else:
-        tables = (tuple(memoryview(key.to_bytes(2 * n, sys.byteorder)).cast("H"))
-                  for key in sums[L.top])
+    tables = map(L.digit_table, sums[L.top])
     return FormalSum._of(ZZ, L, L, dict(zip(tables, sums[L.top].values())))

@@ -25,6 +25,16 @@ source element, of the type the lattice's `table_type` names: `bytes` on
 at most 256 elements, where every index fits in a byte, and a tuple of
 ints above.
 
+The digit codec writes such a table as one int, with a digit per
+element: digit t is the bytes at `width * t` of the int's
+`to_bytes(width * n, sys.byteorder)`, with width 1 where tables are
+`bytes` and 2 above.  Ints of this form add digit by digit as long as no
+digit outgrows its width, and `digit_table` reads the digits back as a
+table, by `to_bytes` on at most 256 elements and `memoryview.cast("H")`
+above, with no step per element in Python.  `indicator` gives the 0/1
+table of a mask and `digits` its int.  These three methods are the only
+code that knows the layout.
+
 Each Lattice computes its derived structure once: the join table, the
 comparability masks and the strict upper sets on construction, each chain
 family, the chain counts (and with them `max_chain_length`), the outside
@@ -209,34 +219,40 @@ class Lattice(Poset):
             }
         return list(self._counts[kind])
 
-    def outside_digits(self):
-        """Per element b, an int with a digit 1 at each t not <= b.
+    # -- the digit codec ---------------------------------------------------
 
-        A digit is one byte where value tables are `bytes` and two bytes
-        above: digit t is the bytes at `width * t` of `to_bytes(width * n,
-        sys.byteorder)`, read as a byte or as `memoryview.cast("H")` reads
-        them.  Over the members of a chain that ends at the top, the sum
-        of their digits holds at t the number of members whose down-set
-        misses t, which is the index of the least member above t.  No
-        digit carries: the top misses no t, so the count is below the
-        number of members, which is at most n <= MAX_ELEMENTS < 2**16.
-        Each int is built from the binary text of the outside mask, by
-        byte operations.
+    def indicator(self, mask):
+        """The 0/1 table of a mask as bytes: byte t is bit t of `mask`."""
+        # bit t of the mask is character t of the reversed binary text
+        return format(mask, f"0{self.n}b")[::-1].encode().translate(_BIT_BYTES)
+
+    def digits(self, mask):
+        """The digit int of a mask: digit t is bit t of `mask`."""
+        width = 1 if self.table_type is bytes else 2
+        # the byte of a digit that holds the values below 256
+        low = 0 if sys.byteorder == "little" else width - 1
+        slots = bytearray(width * self.n)
+        slots[low::width] = self.indicator(mask)
+        return int.from_bytes(slots, sys.byteorder)
+
+    def digit_table(self, total):
+        """The value table, of `table_type`, whose entry t is digit t of `total`."""
+        if self.table_type is bytes:
+            return total.to_bytes(self.n, sys.byteorder)
+        return tuple(memoryview(total.to_bytes(2 * self.n, sys.byteorder)).cast("H"))
+
+    def outside_digits(self):
+        """Per element b, the digit int of the elements not <= b.
+
+        Over the members of a chain that ends at the top, the sum of these
+        ints holds at t the number of members whose down-set misses t,
+        which is the index of the least member above t.  No digit carries:
+        the top misses no t, so the count is below the number of members,
+        which is at most n <= MAX_ELEMENTS < 2**16.
         """
         if self._outside is None:
-            n = self.n
-            full = (1 << n) - 1
-            width = 1 if self.table_type is bytes else 2
-            # the byte of a digit that holds the values below 256
-            low = 0 if sys.byteorder == "little" else width - 1
-            slots = bytearray(width * n)
-            digits = []
-            for d in self.down:
-                # bit t of the mask is character t of the reversed text
-                text = format(full & ~d, f"0{n}b")[::-1]
-                slots[low::width] = text.encode().translate(_BIT_BYTES)
-                digits.append(int.from_bytes(slots, sys.byteorder))
-            self._outside = tuple(digits)
+            full = (1 << self.n) - 1
+            self._outside = tuple(self.digits(full & ~d) for d in self.down)
         return self._outside
 
     def interval_elements(self, x, y):

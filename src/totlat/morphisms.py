@@ -32,16 +32,16 @@ replace are kept in the tests as their oracles.
 
 Also provided: the surjection onto a chain's index total order and the
 retraction onto the chain, both read off one sum of the members'
-`Lattice.outside_digits()`, whose digit at t is t's index in the chain
-(`_first_cover_marks`): on at most 256 elements the sum's bytes are the
-surjection's table, and the retraction's is that table translated
-through the members.  `algebra.idempotent_direct` carries that sum up
-each chain it walks and reads the retraction's table off it the same
-way.  The module also enumerates the join-endomorphism monoid
-exhaustively via join-irreducibles.  The sections of the index order
-that the family construction picks from a chain's step intervals are
-built, with their weights, in `algebra.j_upper`; they increase by
-construction and are not validated.
+`Lattice.outside_digits()`, whose digit at t is t's index in the chain:
+`Lattice.digit_table` decodes it into the surjection's table, and the
+retraction's is that table read through the members.
+`algebra.idempotent_direct` carries that sum up each chain it walks and
+reads the retraction's table off it the same way.  The module also
+enumerates the join-endomorphism monoid exhaustively via
+join-irreducibles.  The sections of the index order that the family
+construction picks from a chain's step intervals are built, with their
+weights, in `algebra.j_upper`; they increase by construction and are not
+validated.
 
 The enumerator and the sampler test assignments of values to the
 join-irreducibles against one schedule of tests, built by `_kernel`.  Per
@@ -70,7 +70,6 @@ tester's oracle.
 
 from __future__ import annotations
 
-import sys
 from operator import attrgetter, itemgetter
 
 from .errors import (
@@ -80,7 +79,7 @@ from .errors import (
     NotJoinMorphism,
     SourceTargetMismatch,
 )
-from .lattices import _BIT_BYTES, Lattice, chain_lattice
+from .lattices import Lattice, chain_lattice
 from .posets import Chain
 
 
@@ -224,7 +223,7 @@ def opposite_morphism(phi: JoinMap) -> JoinMap:
     phi(t) <= t' are those at which phi's table, read through the 0/1
     table of t''s down-set, reads 1.  phi preserves joins, so they form
     the principal down-set of their join, which the source's dict from
-    down-set indicator to element names.  For a table that is not a
+    down-set indicator to element looks up.  For a table that is not a
     join-map they may form no principal down-set; the lookup then raises
     KeyError.
     """
@@ -238,15 +237,13 @@ def opposite_morphism(phi: JoinMap) -> JoinMap:
 def _down_indicators(L: Lattice):
     """(downs, element_of, read) for L, built on first use and kept on L.
 
-    The 0/1 table of each element's down-set is a map from L into the
-    two-element chain.  `downs` holds them prepared by the `composition`
-    kit of such maps, whose `read` reads them through a table into L;
-    `element_of` holds each element under its own table.
+    The 0/1 table of each element's down-set (`Lattice.indicator`) is a
+    map from L into the two-element chain.  `downs` holds them prepared by
+    the `composition` kit of such maps, whose `read` reads them through a
+    table into L; `element_of` holds each element under its own table.
     """
     if L._indicators is None:
-        indicators = [
-            format(d, f"0{L.n}b")[::-1].encode().translate(_BIT_BYTES) for d in L.down
-        ]
+        indicators = list(map(L.indicator, L.down))
         prepare, read = composition(L, chain_lattice(1))
         L._indicators = (
             tuple(map(prepare, indicators)),
@@ -310,7 +307,7 @@ def pi_of_chain(L: Lattice, B) -> JoinMap:
     members = tuple(B)
     if not members or members[-1] != L.top:
         raise ChainNotInB("chain must contain the top element")
-    marks = _first_cover_marks(L, _digit_sum(L, members))
+    marks = L.digit_table(_digit_sum(L, members))
     return JoinMap(L, chain_lattice(len(members) - 1), marks)
 
 
@@ -322,26 +319,11 @@ def retraction_table(L: Lattice, members, total):
     The table is the members, as a table of the index chain into L, read
     at each element's mark.
     """
-    return compose_tables(L.table_type(members), _first_cover_marks(L, total), L)
+    return compose_tables(L.table_type(members), L.digit_table(total), L)
 
 
 def _digit_sum(L: Lattice, members):
     return sum(map(L.outside_digits().__getitem__, members))
-
-
-def _first_cover_marks(L: Lattice, total):
-    """Each element's index in a chain B that ends at the top, from `total`.
-
-    `total` is the sum of B's members' `L.outside_digits()`, so its digit
-    at t counts the members whose down-set misses t: the index of the
-    least member above t.  On at most 256 elements the digits are bytes,
-    and the int's bytes are the marks; above that they are read back as
-    an array of 2-byte integers.  Neither takes a step per element in
-    Python.
-    """
-    if L.table_type is bytes:
-        return total.to_bytes(L.n, sys.byteorder)
-    return tuple(memoryview(total.to_bytes(2 * L.n, sys.byteorder)).cast("H"))
 
 
 def table_getter(f):
@@ -531,10 +513,10 @@ def _extend_assignment(L: Lattice, schedule, assignment):
     The oracle of the compiled tester (`_compiled`) in the tests.  The
     assignment is walked along the schedule, one position at a time, and
     None comes at the first position where the extension disagrees with
-    the assignment on an irreducible or fails the join-morphism check.  The extension sends bottom to bottom and is
-    monotone, so only incomparable pairs can break
-    `ext(x v y) = ext(x) v ext(y)`; the check is `make_join_map`'s, read
-    off the tables.
+    the assignment on an irreducible or fails the join-morphism check.
+    The extension sends bottom to bottom and is monotone, so only
+    incomparable pairs can break `ext(x v y) = ext(x) v ext(y)`; the check
+    is `make_join_map`'s, read off the tables.
     """
     join, bottom = L._join, L.bottom
     ext = [bottom] * L.n

@@ -737,7 +737,9 @@ def lattice_or_opposite(spec):
 
 @pytest.mark.parametrize("spec", SMALL_CORPUS + [
     "boolean:3", "product:boolean:2,chain:1", "boolean:5", "boolean:6", "partition:5",
-    "divisor:360", "divisor:2520", "opposite:partition:5", "opposite:divisor:360"])
+    "divisor:360", "divisor:2520", "opposite:partition:5", "opposite:divisor:360",
+    # past 256 elements, where the family sum keys its tables by 2-byte digits
+    "diamond:255", "product:chain:1,diamond:200"])
 def test_original_equals_direct(spec):
     L = lattice_or_opposite(spec)
     assert idempotent_original(L) == idempotent_direct(L)
@@ -760,9 +762,11 @@ def test_original_equals_left_fold(spec, ring):
     assert fold == idempotent_direct(L).map_ring(ring)
 
 
-@pytest.mark.parametrize("spec", ["chain:0", "chain:14", "chain:60", "opposite:chain:60"])
+@pytest.mark.parametrize(
+    "spec", ["chain:0", "chain:14", "chain:60", "opposite:chain:60", "chain:300"])
 def test_original_on_a_chain_is_the_identity(spec):
-    # chain:14 has 2**14 top-ended chains, whose f_B all cancel but one
+    # chain:14 has 2**14 top-ended chains, whose f_B all cancel but one;
+    # chain:300 has 301 elements, so its tables are tuples
     L = lattice_or_opposite(spec)
     assert idempotent_original(L) == embed(identity_map(L))
 

@@ -468,7 +468,8 @@ def test_cli_calls_load_neither_openssl_nor_inspect():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(
         "4 calls over int loaded none of hashlib, _hashlib, inspect, dataclasses, "
-        "fractions, decimal, 1 over rat none of hashlib, _hashlib, inspect, dataclasses;")
+        "array, fractions, decimal, 1 over rat none of hashlib, _hashlib, inspect, "
+        "dataclasses, array;")
 
 
 def assert_ends_quietly_on_closed_stdout(*argv):

@@ -5,7 +5,8 @@ tables it makes, on lattices whose tables are all bytes, and across the
 boundary on boolean:9 (512 elements), where maps into L are tuples and
 maps into an index chain are bytes.  The kit of `composition`, and the
 products of sums it makes, are checked on each of the four pairs of table
-types a signature can have.
+types a signature can have.  The digit codec of `Lattice` is checked
+against a per-element reference on lattices of both digit widths.
 """
 
 import itertools
@@ -197,3 +198,65 @@ def test_kit_on_every_pair_of_table_types_of_boolean_9():
     retractions = [alpha_of_chain(L, B).values for B in chains]
     assert_kit(L, L, retractions, retractions, L)
     assert_kit(L, L, list(f_of_chain(L, members).terms), retractions[1:], L)
+
+
+# -- the digit codec of `Lattice` -----------------------------------------
+#
+# Each test checks the codec against a per-element reference on lattices
+# of both digit widths: boolean:3 (8 elements, 1-byte digits), diamond:255
+# (257 elements) and boolean:9 (512), both with 2-byte digits.  The codec
+# writes digits in the host's byte order, so only that order is exercised.
+
+CODEC_SPECS = ["boolean:3", "diamond:255", "boolean:9"]
+
+
+def codec_masks(L):
+    """The empty and full masks, each down- and up-set, and 20 random masks."""
+    rng = random.Random(L.n)
+    full = (1 << L.n) - 1
+    return [0, full, *L.down, *L.up, *(rng.getrandbits(L.n) for _ in range(20))]
+
+
+def top_ended_chains(L):
+    """Every top-ended chain on boolean:3; 40 random ones above it, each
+    climbing from a random element by random strict steps to the top."""
+    if L.n <= 8:
+        return [B.members for B in L.chain_family("B")]
+    rng = random.Random(L.n)
+    chains = []
+    for _ in range(40):
+        members = [rng.randrange(L.n)]
+        while members[-1] != L.top:
+            x = members[-1]
+            members.append(rng.choice([y for y in range(L.n) if y != x and L.leq(x, y)]))
+        chains.append(tuple(members))
+    return chains
+
+
+@pytest.mark.parametrize("spec", CODEC_SPECS)
+def test_indicator_holds_each_bit_of_the_mask(spec):
+    L = generate(spec)
+    for mask in codec_masks(L):
+        assert L.indicator(mask) == bytes(mask >> t & 1 for t in range(L.n))
+
+
+@pytest.mark.parametrize("spec", CODEC_SPECS)
+def test_digits_of_a_mask_decode_to_its_zero_one_table(spec):
+    L = generate(spec)
+    for mask in codec_masks(L):
+        table = L.digit_table(L.digits(mask))
+        assert type(table) is expected_type(L)
+        assert list(table) == [mask >> t & 1 for t in range(L.n)]
+
+
+@pytest.mark.parametrize("spec", CODEC_SPECS)
+def test_summed_outside_digits_decode_to_chain_indices(spec):
+    # at t, the index in B of the least member of B above t
+    L = generate(spec)
+    digits = L.outside_digits()
+    for members in top_ended_chains(L):
+        table = L.digit_table(sum(digits[b] for b in members))
+        assert type(table) is expected_type(L)
+        expected = [next(p for p, b in enumerate(members) if L.leq(t, b))
+                    for t in range(L.n)]
+        assert list(table) == expected, members
