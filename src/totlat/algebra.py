@@ -72,6 +72,10 @@ from .posets import Poset, bit_indices
 # its order tests size**2 pairs, so time grows as the square
 CHAIN_POSET_LIMIT = 2000
 
+# the most value-table bytes either construction of e may hold: its terms
+# times the bytes of one table, n for `bytes` and 8n for a tuple
+MAX_TABLE_BYTES = 2**28
+
 
 class Ring:
     """Exact coefficient ring: integers, integers mod m, or rationals.
@@ -518,6 +522,34 @@ def _chains_through(L: Lattice, members):
 # -- the direct construction ----------------------------------------------
 
 
+def direct_term_count(L: Lattice) -> int:
+    """The number of terms of e: the bottom-to-top chains whose every step
+    x < y has mu(x, y) != 0, the chains `idempotent_direct` walks.
+
+    Counted by a dynamic program along a linear extension: the paths to
+    each element, pushed along the support of its `L.mobius_row`, which
+    is filled only for the elements some such path reaches.
+    """
+    down, paths = L.down, [0] * L.n
+    paths[L.bottom] = 1
+    for x in sorted(range(L.n), key=lambda v: down[v].bit_count()):
+        if paths[x]:
+            for y in bit_indices(L.mobius_row(x)[1] & ~(1 << x)):
+                paths[y] += paths[x]
+    return paths[L.top]
+
+
+def _check_table_bytes(L: Lattice):
+    """Raise FeasibilityLimit before a construction of e builds a term, if
+    its value tables would take more than MAX_TABLE_BYTES."""
+    count = direct_term_count(L)
+    size = count * (L.n if L.table_type is bytes else 8 * L.n)
+    if size > MAX_TABLE_BYTES:
+        raise FeasibilityLimit(
+            f"e has {count} terms, {size} bytes of value tables, above the limit {MAX_TABLE_BYTES}"
+        )
+
+
 def idempotent_direct(L: Lattice) -> FormalSum:
     """Minus the sum over bottom-to-top chains B of mu(B, infinity) * alpha_B.
 
@@ -532,6 +564,7 @@ def idempotent_direct(L: Lattice) -> FormalSum:
     Distinct chains have distinct retractions, and every coefficient is a
     nonzero integer, so the terms are kept as they come, over Z.
     """
+    _check_table_bytes(L)
     digits, top = L.outside_digits(), L.top
     steps = [None] * L.n
     terms = {}
@@ -630,6 +663,7 @@ def idempotent_original(L: Lattice) -> FormalSum:
     the support of `L.mobius_row(b')`; and only the keys of S(top) are
     decoded into tables.
     """
+    _check_table_bytes(L)
     n, down = L.n, L.down
     inside = list(map(L.digits, down))
     sums = [None] * n

@@ -14,10 +14,15 @@ file or a generator descriptor ("boolean:3", "divisor:12",
 
 A lattice has at most 1,024 elements; `divisor:M` takes M <= 10^12.
 
-Two constants bound the exhaustive work: `checks.MAX_ASSIGNMENTS` (10^7
-candidate assignments) gates the endomorphism sweeps of `verify`, and
+Three constants bound the exhaustive work: `checks.MAX_ASSIGNMENTS` (10^7
+candidate assignments) gates the endomorphism sweeps of `verify`,
 `algebra.CHAIN_POSET_LIMIT` (2000 chains) the chain-poset Moebius oracle,
-in `verify` and in `mobius --chain`.
+in `verify` and in `mobius --chain`, and `algebra.MAX_TABLE_BYTES` (2^28
+bytes of value tables, counted before any term is built) both
+constructions of the idempotent, in `idempotent` and in `verify`.
+
+A well-formed call is parsed straight from `GRAMMAR`; argparse, built from
+the same table, is loaded only for help and usage errors, and prints them.
 
 Lattice files are read, and all output is written, in UTF-8 whatever the
 locale's encoding.
@@ -30,10 +35,10 @@ signal); no traceback or message is printed then.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .algebra import (
     Ring,
@@ -127,56 +132,114 @@ def integer(text):
     """
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"must be an integer, not {text!r}")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"must be an integer, not {text!r}")
     return int(text)
 
 
 def positive_int(text):
     value = integer(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"must be at least 1, not {value}")
     return value
 
 
+FORMAT = {"dest": "format", "default": "text", "choices": ("text", "json")}
+
+# The grammar of every call, read by both parsers: for each subcommand its
+# function, its help, its positionals (name -> add_argument keywords) and
+# its options (flag -> add_argument keywords, dest always given).  A
+# positional with nargs "?" follows the required ones and defaults to None.
+# No default is a string an option's type would convert: argparse would
+# convert it, and `parse_fast` takes defaults as they are.
+GRAMMAR = {
+    "info": (cmd_info, "structural summary of a lattice", {
+        "input": {"help": "lattice file or generator descriptor"},
+    }, {}),
+    "idempotent": (cmd_idempotent, "compute the total-order idempotent", {"input": {}}, {
+        "--method": {"dest": "method", "default": "direct", "choices": ("direct", "original")},
+        "--ring": {"dest": "ring", "default": "int", "help": "int | mod:m | rat"},
+        "--format": FORMAT,
+    }),
+    "mobius": (cmd_mobius, "Moebius values", {
+        "input": {}, "x": {"nargs": "?"}, "y": {"nargs": "?"},
+    }, {
+        "--chain": {"dest": "chain",
+                    "help": "comma-separated labels of a bottom-rooted chain"},
+    }),
+    "verify": (cmd_verify, "run the verification suite", {
+        "input": {"nargs": "?", "help": "lattice file or generator descriptor; "
+                                        "omit to run the default corpus"},
+    }, {
+        "--checks": {"dest": "checks", "help": "comma-separated check names"},
+        "--ring": {"dest": "ring", "default": "int",
+                   "help": "int | mod:m | rat; identities are decided over the integers, "
+                           "which implies the ring; it sets the term counts and "
+                           "ring_functoriality's extra ring"},
+        "--seed": {"dest": "seed", "type": integer},
+        "--sample-count": {"dest": "sample_count", "default": 500, "type": positive_int},
+        "--format": FORMAT,
+    }),
+}
+
+
+def parse_fast(argv):
+    """The arguments of a well-formed call, as argparse sets them, or None.
+
+    Takes COMMAND, then the leading tokens that do not start with '-' as
+    its positionals, then only `--option value` pairs, each option named
+    exactly and each value not starting with '-', checked against its
+    choices after its type converts it; a repeated option keeps its last
+    value.  Anything else gives None: help, usage errors, abbreviations,
+    `--opt=value`, `--`, values starting with '-' and positionals after
+    options are left to `build_parser`.
+    """
+    if not argv or argv[0] not in GRAMMAR:
+        return None
+    _, _, positionals, options = GRAMMAR[argv[0]]
+    rest = argv[1:]
+    count = next((i for i, token in enumerate(rest) if token.startswith("-")), len(rest))
+    required = sum("nargs" not in spec for spec in positionals.values())
+    pairs = rest[count:]
+    if not required <= count <= len(positionals) or len(pairs) % 2:
+        return None
+    args = dict.fromkeys(positionals)
+    args.update(zip(positionals, rest[:count]))
+    args.update((spec["dest"], spec.get("default")) for spec in options.values())
+    for flag, value in zip(pairs[::2], pairs[1::2]):
+        spec = options.get(flag)
+        if spec is None or value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except Exception:  # argparse converts it again and reports the error
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        args[spec["dest"]] = value
+    args["command"] = argv[0]
+    return args
+
+
 def build_parser():
+    """The argparse parser of GRAMMAR: the one that prints help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="totlat",
         description="Exact lattice endomorphism-algebra idempotent toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_info = sub.add_parser("info", help="structural summary of a lattice")
-    p_info.add_argument("input", help="lattice file or generator descriptor")
-    p_info.set_defaults(func=cmd_info)
-
-    p_idem = sub.add_parser("idempotent", help="compute the total-order idempotent")
-    p_idem.add_argument("input")
-    p_idem.add_argument("--method", choices=("direct", "original"), default="direct")
-    p_idem.add_argument("--ring", default="int", help="int | mod:m | rat")
-    p_idem.add_argument("--format", choices=("text", "json"), default="text")
-    p_idem.set_defaults(func=cmd_idempotent)
-
-    p_mob = sub.add_parser("mobius", help="Moebius values")
-    p_mob.add_argument("input")
-    p_mob.add_argument("x", nargs="?")
-    p_mob.add_argument("y", nargs="?")
-    p_mob.add_argument("--chain", help="comma-separated labels of a bottom-rooted chain")
-    p_mob.set_defaults(func=cmd_mobius)
-
-    p_ver = sub.add_parser("verify", help="run the verification suite")
-    p_ver.add_argument("input", nargs="?",
-                       help="lattice file or generator descriptor; "
-                            "omit to run the default corpus")
-    p_ver.add_argument("--checks", help="comma-separated check names")
-    p_ver.add_argument("--ring", default="int",
-                       help="int | mod:m | rat; identities are decided over the integers, which "
-                            "implies the ring; it sets the term counts and ring_functoriality's "
-                            "extra ring")
-    p_ver.add_argument("--seed", type=integer, default=None)
-    p_ver.add_argument("--sample-count", type=positive_int, default=500)
-    p_ver.add_argument("--format", choices=("text", "json"), default="text")
-    p_ver.set_defaults(func=cmd_verify)
-
+    for command, (_, summary, positionals, options) in GRAMMAR.items():
+        p = sub.add_parser(command, help=summary)
+        for name, spec in positionals.items():
+            p.add_argument(name, **spec)
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
     return parser
 
 
@@ -186,16 +249,20 @@ def main(argv=None):
     for stream in (sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(encoding="utf-8")
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit:
-            # --help and usage errors exit from inside argparse; flush their
-            # text here so that a closed pipe is handled below
-            sys.stdout.flush()
-            raise
-        status = args.func(args)
+        args = parse_fast(argv)
+        if args is None:
+            try:
+                args = vars(build_parser().parse_args(argv))
+            except SystemExit:
+                # --help and usage errors exit from inside argparse; flush
+                # their text here so that a closed pipe is handled below
+                sys.stdout.flush()
+                raise
+        func, *_ = GRAMMAR[args["command"]]
+        status = func(SimpleNamespace(**args))
         sys.stdout.flush()
         return status
     except TotlatError as exc:

@@ -1,17 +1,19 @@
-"""A command-line call loads neither OpenSSL nor inspect nor array, nor
-fractions over the integers.
+"""A command-line call loads neither OpenSSL nor inspect nor array nor
+argparse, nor fractions over the integers.
 
     PYTHONPATH=src python tests/lean_cli_imports.py
 
 Runs four `totlat.cli.main` calls over the integers in this fresh
 interpreter and exits 1 if any of `hashlib`, `_hashlib` (OpenSSL),
-`inspect`, `dataclasses`, `array`, `fractions` or `decimal` was imported
-on the way; then one call over the rationals, after which only the first
-five may not have been imported.  Only after that does it load hashlib,
-to check that `Lattice.fingerprint()` is the first 16 hex digits of
-hashlib's SHA-256 of the canonical cover text on a few lattices and their
-opposites.  Needs nothing outside the standard library, so it runs on
-every supported Python whether or not pytest is installed.
+`inspect`, `dataclasses`, `array`, `argparse`, `gettext`, `fractions` or
+`decimal` was imported on the way; then one call over the rationals, after
+which only the first seven may not have been imported (a well-formed
+call is parsed without argparse, which loads only for help and usage
+errors).  Only after that does it load hashlib, to check that
+`Lattice.fingerprint()` is the first 16 hex digits of hashlib's SHA-256
+of the canonical cover text on a few lattices and their opposites.
+Needs nothing outside the standard library, so it runs on every
+supported Python whether or not pytest is installed.
 """
 
 import contextlib
@@ -29,7 +31,7 @@ INT_CALLS = (
 RAT_CALLS = (
     ["idempotent", "divisor:12", "--method", "original", "--ring", "rat", "--format", "json"],
 )
-HEAVY = ("hashlib", "_hashlib", "inspect", "dataclasses", "array")
+HEAVY = ("hashlib", "_hashlib", "inspect", "dataclasses", "array", "argparse", "gettext")
 RATIONAL = ("fractions", "decimal")
 FINGERPRINTED = ("pentagon", "divisor:60", "partition:5", "boolean:6",
                  "product:boolean:2,chain:1")

@@ -12,6 +12,7 @@ from totlat.algebra import (
     FormalSum,
     Ring,
     ZZ,
+    direct_term_count,
     embed,
     f_of_chain,
     idempotent_direct,
@@ -505,6 +506,27 @@ def test_oracle_limit_counts_the_chain_poset_exactly(monkeypatch, spec):
         monkeypatch.setattr(algebra, "CHAIN_POSET_LIMIT", count - 1)
         with pytest.raises(FeasibilityLimit, match=f"has {count} elements"):
             mu_chain_infinity_oracle(L, A)
+
+
+@pytest.mark.parametrize("spec", list(DEFAULT_CORPUS) + ["boolean:6", "partition:5",
+                                                       "divisor:2520"])
+def test_direct_term_count_is_the_number_of_terms_of_e(spec):
+    L = generate(spec)
+    assert direct_term_count(L) == len(idempotent_direct(L).terms)
+
+
+@pytest.mark.parametrize("construction", [idempotent_direct, idempotent_original])
+@pytest.mark.parametrize("spec, width", [("pentagon", 5), ("diamond:300", 8 * 302)])
+def test_table_bytes_limit_is_exact(monkeypatch, construction, spec, width):
+    # a table of a lattice on at most 256 elements is n bytes, above that
+    # a tuple of n 8-byte slots
+    L = generate(spec)
+    size = direct_term_count(L) * width
+    monkeypatch.setattr(algebra, "MAX_TABLE_BYTES", size)
+    assert construction(L) == idempotent_direct(L)
+    monkeypatch.setattr(algebra, "MAX_TABLE_BYTES", size - 1)
+    with pytest.raises(FeasibilityLimit, match=f"{size} bytes of value tables"):
+        construction(L)
 
 
 def test_oracle_refuses_a_long_chain_without_building_it():

@@ -378,6 +378,14 @@ def test_cmd_idempotent_bad_ring(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("method", ["direct", "original"])
+def test_table_bytes_limit_refuses_idempotent(capsys, monkeypatch, method):
+    monkeypatch.setattr(algebra, "MAX_TABLE_BYTES", 10)
+    code, out, err = run_cli(capsys, "idempotent", "pentagon", "--method", method)
+    assert code == 2 and out == ""
+    assert err == "error: e has 3 terms, 15 bytes of value tables, above the limit 10\n"
+
+
 def test_cmd_mobius_pair(capsys):
     code, out, _ = run_cli(capsys, "mobius", "boolean:2", "0", "ab")
     assert code == 0 and out.strip() == "1"
@@ -468,8 +476,19 @@ def test_cli_calls_load_neither_openssl_nor_inspect():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(
         "4 calls over int loaded none of hashlib, _hashlib, inspect, dataclasses, "
-        "array, fractions, decimal, 1 over rat none of hashlib, _hashlib, inspect, "
-        "dataclasses, array;")
+        "array, argparse, gettext, fractions, decimal, 1 over rat none of hashlib, "
+        "_hashlib, inspect, dataclasses, array, argparse, gettext;")
+
+
+@pytest.mark.parametrize("method", ["direct", "original"])
+def test_idempotent_boolean_9_is_refused_before_any_term(method):
+    # its 7,087,261 terms would take 29 GB of value tables
+    proc = subprocess.run(
+        [sys.executable, "-m", "totlat.cli", "idempotent", "boolean:9", "--method", method],
+        capture_output=True, env=src_env(), timeout=60)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == (b"error: e has 7087261 terms, 29029421056 bytes of value tables, "
+                           b"above the limit 268435456\n")
 
 
 def assert_ends_quietly_on_closed_stdout(*argv):
@@ -500,6 +519,37 @@ def test_help_exits_zero():
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0 and err == b""
     assert out.startswith(b"usage: totlat")
+
+
+HELP_CASES = {
+    "totlat_help": ("--help",),
+    "info_help": ("info", "--help"),
+    "idempotent_help": ("idempotent", "--help"),
+    "mobius_help": ("mobius", "--help"),
+    "verify_help": ("verify", "--help"),
+    "verify_no_such_option": ("verify", "--no-such-option"),
+    "verify_sample_count_0": ("verify", "partition:4", "--sample-count", "0"),
+    "idempotent_method_fast": ("idempotent", "pentagon", "--method", "fast"),
+}
+
+
+def run_help_case(argv):
+    """(stdout, stderr, exit status) of `python -m totlat.cli argv` at 80 columns."""
+    env = dict(src_env(), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "totlat.cli", *argv],
+                          capture_output=True, env=env, timeout=120)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+@pytest.mark.parametrize("case", sorted(HELP_CASES))
+def test_help_and_usage_texts_match_goldens(case):
+    # every help text, usage error and exit status, byte for byte
+    golden = DATA / "cli_help"
+    statuses = json.loads((golden / "exit_status.json").read_text(encoding="utf-8"))
+    out, err, status = run_help_case(HELP_CASES[case])
+    assert status == statuses[case]
+    assert out == (golden / f"{case}.stdout").read_bytes()
+    assert err == (golden / f"{case}.stderr").read_bytes()
 
 
 def test_usage_error_exits_two():
