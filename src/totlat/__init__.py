@@ -5,7 +5,6 @@ suite for every algebraic property it is supposed to satisfy."""
 from .algebra import (
     FormalSum,
     Ring,
-    ZZ,
     embed,
     f_of_chain,
     idempotent_direct,

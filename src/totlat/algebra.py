@@ -1,8 +1,8 @@
 """Formal linear combinations of join-morphisms and the two idempotent
 constructions.
 
-A formal sum holds its ring, source and target lattices once and keys
-each term by the map's value table, so a product composes tables directly.
+A formal sum holds its source and target lattices once and keys each
+term by the map's value table, so a product composes tables directly.
 A table is of its target's `table_type`: `bytes` on at most 256 elements
 and a tuple above.  Tables are composed only by `morphisms`, and
 products by its `composition` kit `(prepare, read)`: each outer table is
@@ -14,13 +14,15 @@ factors each map p through its image, s * [p] and [p] * s through normal
 forms that depend only on p's image and only on p's ranks there, and
 decides each map by comparing two interned ints; the normal forms are
 computed once per image and once per ranking.
-Coefficients live in an exact commutative ring (integers, integers mod m,
-or rationals); no floating point anywhere.  Over the rationals an
-integer stays an int, so `fractions` is loaded only for a value that is
-not one.  Every coefficient that occurs
-is a Moebius value, so both constructions take only the lattice and build
-over Z.  Z -> R is the unique ring map, and it commutes with the sums and
-products that build e, so `FormalSum.map_ring` is the one way into R.
+
+Every coefficient is an int and every sum is over Z: each coefficient
+that occurs is a Moebius value, so both constructions take only the
+lattice.  A coefficient that is not an int is refused, so no float or
+fraction ever enters a sum.  Z -> R is the unique ring map into any
+commutative ring R, and it commutes with the sums and products that
+build e, so e over R is the image of e over Z.  Hence a ring is only an
+output spec: `Ring.reduce` gives the terms of a sum's image, where it is
+written or counted.
 
 The headline objects:
 
@@ -78,11 +80,12 @@ MAX_TABLE_BYTES = 2**28
 
 
 class Ring:
-    """Exact coefficient ring: integers, integers mod m, or rationals.
+    """How the coefficients of a sum over Z are written and counted:
+    as integers, as integers mod m, or as rationals.
 
-    A rational is held as an int when it is given as one, and as a
-    Fraction otherwise; the two compare and hash alike when equal.  Equal,
-    and hashed, on (kind, modulus).  Not to be mutated.
+    Over int and rat the terms are those over Z (an integer is an exact
+    rational); modulo m each coefficient is reduced and the terms that
+    vanish are dropped.  Not to be mutated.
     """
 
     __slots__ = ("kind", "modulus")
@@ -100,17 +103,6 @@ class Ring:
         self.kind = kind  # "int" | "mod" | "rat"
         self.modulus = modulus
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kind == other.kind and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash((self.kind, self.modulus))
-
-    def __repr__(self):
-        return f"Ring(kind={self.kind!r}, modulus={self.modulus!r})"
-
     @classmethod
     def parse(cls, text):
         text = text.strip()
@@ -127,63 +119,37 @@ class Ring:
             return cls("mod", int(digits))
         raise UnsupportedRing(f"unknown ring {text!r}")
 
-    def coerce(self, c):
-        if self.kind == "int":
-            if type(c) is int:
-                return c
-            return _exact_integer(c)
-        if self.kind == "mod":
-            if type(c) is int:
-                return c % self.modulus
-            return _exact_integer(c) % self.modulus
-        if type(c) is int:
-            # an int is an exact rational, and stays one under the sums
-            # and products of formal sums
-            return c
-        # loaded only here and where a rational is read or written, so a
-        # call over integer coefficients loads neither fractions nor decimal
-        from fractions import Fraction
-
-        if type(c) is Fraction:
-            return c
-        return Fraction(c)
+    def reduce(self, terms):
+        """The terms (value table -> int) of a sum over Z, as they are in
+        this ring: modulo m each coefficient reduced and the vanishing
+        ones dropped, otherwise `terms` itself."""
+        m = self.modulus
+        if m is None:
+            return terms
+        return {table: r for table, c in terms.items() if (r := c % m)}
 
     def __str__(self):
         return f"mod:{self.modulus}" if self.kind == "mod" else self.kind
 
 
-ZZ = Ring("int")
+def _integer(c):
+    """c if it is an int; a bool, a float or a Fraction is refused, even
+    when its value is integral."""
+    if type(c) is not int:
+        raise UnsupportedRing(f"coefficient {c!r} is not an int")
+    return c
 
 
-def _exact_integer(c):
-    """c as an int; a value with a fractional part is refused, not truncated."""
-    from fractions import Fraction
-
-    try:
-        q = Fraction(c)
-    except (TypeError, ValueError, OverflowError):
-        raise UnsupportedRing(f"{c!r} is not an exact number") from None
-    if q.denominator != 1:
-        raise UnsupportedRing(f"{c} is not an integer")
-    return q.numerator
-
-
-def _accumulate(modulus, acc, terms, coerce=None):
+def _accumulate(acc, terms):
     """Add (value table, coeff) pairs into the dict `acc` in place.
 
-    `coerce` is given where the coefficients come from outside the ring;
-    sums and products of ring elements are not coerced again.  Modulo m
-    every inserted coefficient is reduced.  A key is deleted as soon as
-    its coefficient becomes zero, so `acc` always holds a normalised sum.
+    A key is deleted as soon as its coefficient becomes zero, so `acc`
+    always holds a normalised sum.
     """
     for table, c in terms:
-        if coerce is not None:
-            c = coerce(c)
         old = acc.get(table)
         if old is not None:
             c += old
-        if modulus is not None:
-            c %= modulus
         if c:
             acc[table] = c
         elif old is not None:
@@ -191,65 +157,56 @@ def _accumulate(modulus, acc, terms, coerce=None):
 
 
 class FormalSum:
-    """Finite linear combination of join-morphisms with a shared signature.
+    """Finite linear combination, over Z, of join-morphisms with a shared
+    signature.
 
-    The sum holds its ring, source and target once; each term is keyed by
-    its value table, one target index per source element, of the target's
+    The sum holds its source and target once; each term is keyed by its
+    value table, one target index per source element, of the target's
     `table_type`, which also gives the canonical serialization order.
     Normalized: zero coefficients are dropped on construction, so
     equality is plain term-by-term comparison.  The constructor stores
-    the tables it is given through `as_table` and coerces the
-    coefficients into the ring; sums built from sums are neither
-    converted nor coerced again.
+    the tables it is given through `as_table` and refuses a coefficient
+    that is not an int; sums built from sums are not checked again.
     """
 
-    __slots__ = ("ring", "source", "target", "terms")
+    __slots__ = ("source", "target", "terms")
 
-    def __init__(self, ring: Ring, source: Lattice, target: Lattice, terms=()):
-        self.ring = ring
+    def __init__(self, source: Lattice, target: Lattice, terms=()):
         self.source = source
         self.target = target
-        self.terms: dict[bytes | tuple[int, ...], object] = {}
+        self.terms: dict[bytes | tuple[int, ...], int] = {}
         pairs = terms.items() if isinstance(terms, dict) else terms
-        _accumulate(ring.modulus, self.terms,
-                    ((as_table(target, table), c) for table, c in pairs), ring.coerce)
+        _accumulate(self.terms, ((as_table(target, table), _integer(c)) for table, c in pairs))
 
     @classmethod
-    def _of(cls, ring, source, target, terms):
+    def _of(cls, source, target, terms):
         """The sum whose terms are the normalised dict `terms`, taken as is."""
         s = cls.__new__(cls)
-        s.ring, s.source, s.target, s.terms = ring, source, target, terms
+        s.source, s.target, s.terms = source, target, terms
         return s
 
     @classmethod
-    def total(cls, ring, source, target, sums):
+    def total(cls, source, target, sums):
         """The sum of an iterable of formal sums, added up in one pass.
 
         Each summand is consumed as it comes and folded into one running
         dict, so neither the partial sums nor the raw terms are kept.
         """
-        acc: dict[bytes | tuple[int, ...], object] = {}
+        acc: dict[bytes | tuple[int, ...], int] = {}
         for s in sums:
-            if s.ring != ring or s.source != source or s.target != target:
+            if s.source != source or s.target != target:
                 raise SignatureMismatch("formal sums have different signatures")
-            _accumulate(ring.modulus, acc, s.terms.items())
+            _accumulate(acc, s.terms.items())
         # a copy: the running dict keeps room for every key it ever held,
         # and most cancel in f_family's sum of the f_B
-        return cls._of(ring, source, target, dict(acc))
-
-    def _require_same_signature(self, other):
-        if (
-            self.ring != other.ring
-            or self.source != other.source
-            or self.target != other.target
-        ):
-            raise SignatureMismatch("formal sums have different signatures")
+        return cls._of(source, target, dict(acc))
 
     def __add__(self, other):
-        self._require_same_signature(other)
+        if self.source != other.source or self.target != other.target:
+            raise SignatureMismatch("formal sums have different signatures")
         acc = dict(self.terms)
-        _accumulate(self.ring.modulus, acc, other.terms.items())
-        return FormalSum._of(self.ring, self.source, self.target, acc)
+        _accumulate(acc, other.terms.items())
+        return FormalSum._of(self.source, self.target, acc)
 
     def __neg__(self):
         return self.scale(-1)
@@ -258,10 +215,10 @@ class FormalSum:
         return self + (-other)
 
     def scale(self, c):
-        c = self.ring.coerce(c)
+        c = _integer(c)
         acc = {}
-        _accumulate(self.ring.modulus, acc, ((table, c * v) for table, v in self.terms.items()))
-        return FormalSum._of(self.ring, self.source, self.target, acc)
+        _accumulate(acc, ((table, c * v) for table, v in self.terms.items()))
+        return FormalSum._of(self.source, self.target, acc)
 
     def __mul__(self, other):
         """Composition product: (self * other) means self after other.
@@ -273,8 +230,6 @@ class FormalSum:
         """
         if not isinstance(other, FormalSum):
             return NotImplemented
-        if self.ring != other.ring:
-            raise SignatureMismatch("formal sums over different rings")
         if other.target != self.source:
             raise SourceTargetMismatch("inner target differs from outer source")
         prepare, read = composition(self.source, self.target)
@@ -282,13 +237,12 @@ class FormalSum:
         prepared = ((prepare(g), cg) for g, cg in self.terms.items())
         pairs = ((after(g), cg * cf) for g, cg in prepared for after, cf in readers)
         acc = {}
-        _accumulate(self.ring.modulus, acc, pairs)
-        return FormalSum._of(self.ring, other.source, self.target, acc)
+        _accumulate(acc, pairs)
+        return FormalSum._of(other.source, self.target, acc)
 
     def __eq__(self, other):
         return (
             isinstance(other, FormalSum)
-            and self.ring == other.ring
             and self.source == other.source
             and self.target == other.target
             and self.terms == other.terms
@@ -306,15 +260,6 @@ class FormalSum:
             (JoinMap(self.source, self.target, table), c)
             for table, c in sorted(self.terms.items())
         ]
-
-    def map_ring(self, ring: Ring):
-        """Reinterpret the coefficients in another ring (e.g. reduce mod m).
-        Sums are not mutated, so in its own ring the sum itself is returned."""
-        if ring == self.ring:
-            return self
-        acc = {}
-        _accumulate(ring.modulus, acc, self.terms.items(), ring.coerce)
-        return FormalSum._of(ring, self.source, self.target, acc)
 
     def __repr__(self):
         bits = " + ".join(f"{c}*{jm!r}" for jm, c in self.sorted_terms())
@@ -350,10 +295,8 @@ def map_products(s: FormalSum):
     `composition`: Y_S reads them all through the image, and H_r applies
     each term's reader to r, prepared once.  Every table is composed by
     `morphisms`' helpers and is of L's `table_type`, those into
-    {0..m-1} too.  Raises SignatureMismatch if s is not over Z.
+    {0..m-1} too.
     """
-    if s.ring != ZZ:
-        raise SignatureMismatch(f"products with maps are decided over int, not {s.ring}")
     L = s.source
     prepare, read = composition(L, L)
     coeffs = list(s.terms.values())
@@ -372,7 +315,7 @@ def map_products(s: FormalSum):
         rank = as_table(L, rank)
         unit = intern({as_table(L, range(m)): 1})
         ys = {}
-        _accumulate(None, ys, zip(map(read(image), prepared), coeffs))
+        _accumulate(ys, zip(map(read(image), prepared), coeffs))
         ranked = {}
         for y, c in ys.items():
             x = compose_tables(rank, y, L)
@@ -386,7 +329,7 @@ def map_products(s: FormalSum):
         # the fibres of r
         ready = prepare(r)
         hs = {}
-        _accumulate(None, hs, zip([after(ready) for after in readers], coeffs))
+        _accumulate(hs, zip([after(ready) for after in readers], coeffs))
         section = as_table(L, [r.index(i) for i in range(max(r) + 1)])
         xs = {}
         for h, c in hs.items():
@@ -422,8 +365,8 @@ def map_products(s: FormalSum):
     return commutes, fixes
 
 
-def embed(jm: JoinMap, ring: Ring = ZZ) -> FormalSum:
-    return FormalSum(ring, jm.source, jm.target, [(jm.values, 1)])
+def embed(jm: JoinMap) -> FormalSum:
+    return FormalSum(jm.source, jm.target, [(jm.values, 1)])
 
 
 # -- Moebius values of chains ---------------------------------------------
@@ -580,7 +523,7 @@ def idempotent_direct(L: Lattice) -> FormalSum:
             steps[x] = [(y, -mu, digits[y]) for y in L._above[x]
                         if (mu := L.mobius(x, y))][::-1]
         stack.extend((members + (y,), total + d, c * m) for y, m, d in steps[x])
-    return FormalSum._of(ZZ, L, L, terms)
+    return FormalSum._of(L, L, terms)
 
 
 # -- the family construction ----------------------------------------------
@@ -618,10 +561,10 @@ def j_upper(L: Lattice, B) -> FormalSum:
     Every section is a join-morphism as built: its source is a chain, and
     it increases because a_p <= b_p <= b_{q-1} <= a_q for p < q.  The
     sections are distinct and their coefficients nonzero integers, so the
-    terms are taken as they come; `map_ring` gives j^B over another ring.
+    terms are taken as they come.
     """
     members = tuple(B)
-    return FormalSum._of(ZZ, chain_lattice(len(members) - 1), L, dict(_sections(L, members)))
+    return FormalSum._of(chain_lattice(len(members) - 1), L, dict(_sections(L, members)))
 
 
 def f_of_chain(L: Lattice, B) -> FormalSum:
@@ -634,7 +577,7 @@ def f_of_chain(L: Lattice, B) -> FormalSum:
     members = tuple(B)
     sections = _sections(L, members)
     pi = pi_of_chain(L, members).values
-    return FormalSum._of(ZZ, L, L, {compose_tables(table, pi, L): c for table, c in sections})
+    return FormalSum._of(L, L, {compose_tables(table, pi, L): c for table, c in sections})
 
 
 def idempotent_original(L: Lattice) -> FormalSum:
@@ -673,8 +616,8 @@ def idempotent_original(L: Lattice) -> FormalSum:
             values, support = L.mobius_row(lo)
             block = inside[b] - inside[lo]
             picks = [(a * block, -values[a]) for a in bit_indices(support & down[b])]
-            _accumulate(None, acc, ((key + shift, c * m)
-                                    for key, c in sums[lo].items() for shift, m in picks))
+            _accumulate(acc, ((key + shift, c * m)
+                              for key, c in sums[lo].items() for shift, m in picks))
         sums[b] = acc
     tables = map(L.digit_table, sums[L.top])
-    return FormalSum._of(ZZ, L, L, dict(zip(tables, sums[L.top].values())))
+    return FormalSum._of(L, L, dict(zip(tables, sums[L.top].values())))

@@ -6,20 +6,20 @@ re-verified independently of the check that produced it.  A CheckReport is
 a plain class with `__slots__`, not a dataclass (see `posets`), and each
 report gets a `counts` dict of its own.
 
-Every identity is decided once, over Z: the sums compared (e, the f_B,
-j^B, pi^B, single maps) have integer coefficients, e over a ring R is the
-image of e over Z under Z -> R, and a ring map preserves identities.  The
-run's ring sets only the term counts `idempotent` and
-`formula_equivalence` report and one more ring for `ring_functoriality`.
-Witnesses are the sums over Z: over int and rat each report is what a
-decision in R gives, since Z[M] -> Q[M] is injective and an integral
-rational prints as its integer; modulo m a check fails where the
-identity over Z fails, even if its image modulo m holds.
+Every identity is decided once, over Z: every sum is over Z (see
+`algebra`), e over a ring R is the image of e over Z under Z -> R, and a
+ring map preserves identities.  The run's ring is an output spec:
+`Ring.reduce` gives the term counts `idempotent` and
+`formula_equivalence` report, and `ring_functoriality` compares in it
+too.  Witnesses are the sums over Z: over int and rat each report is
+what a decision in R gives, since Z[M] -> Q[M] is injective and an
+integral rational prints as its integer; modulo m a check fails where
+the identity over Z fails, even if its image modulo m holds.
 
-A Workspace holds one lattice under verification with the ring, the name
-its reports carry and the sampling options.  It computes the direct
-idempotent `e` over Z once, on first use, for every check that needs it;
-`formula_equivalence` builds the family construction and
+A Workspace holds one lattice under verification with the output ring,
+the name its reports carry and the sampling options.  It computes the
+direct idempotent `e` over Z once, on first use, for every check that
+needs it; `formula_equivalence` builds the family construction and
 `ring_functoriality` a second direct sum independently.  `crapo` builds
 no sum: it walks the bottom-to-top chains and decides each from its
 Moebius value.  A swept join-endomorphism is its value table, of L's
@@ -79,7 +79,6 @@ from functools import cached_property
 from .algebra import (
     FormalSum,
     Ring,
-    ZZ,
     embed,
     idempotent_direct,
     idempotent_original,
@@ -162,7 +161,7 @@ class Workspace:
     """One lattice under verification and what its checks share; `e` and
     `e_squared` are over Z, where every check decides."""
 
-    def __init__(self, L: Lattice, ring: Ring = ZZ, descriptor="?", seed=None,
+    def __init__(self, L: Lattice, ring: Ring = Ring("int"), descriptor="?", seed=None,
                  sample_count=500):
         self.L = L
         self.ring = ring
@@ -188,7 +187,7 @@ class Workspace:
 
     def ring_terms(self, s: FormalSum):
         """The number of terms of the sum s over Z left in the workspace ring."""
-        return len(s.map_ring(self.ring).terms)
+        return len(self.ring.reduce(s.terms))
 
     def report(self, name, status, **kw):
         return CheckReport(name=name, lattice=self.descriptor, status=status, **kw)
@@ -296,7 +295,7 @@ def check_f_family(ws: Workspace):
         if j * (pi * j) != j:
             return ws.report("f_family", "fail",
                              counterexample={"chain": B.labels(), "kind": "not idempotent"})
-    total = FormalSum.total(ZZ, L, L, (j * pi for _, j, pi in sides))
+    total = FormalSum.total(L, L, (j * pi for _, j, pi in sides))
     if total != ws.e or ws.e_squared != ws.e:
         pair = _nonorthogonal_pair(sides)
         if pair is not None:
@@ -486,18 +485,18 @@ def check_ideal_closure(ws: Workspace):
 
 
 def check_ring_functoriality(ws: Workspace):
-    """The shared e and a second direct build, each mapped by `map_ring`,
-    agree in Z/m for m = 2, 3, 5 and in the workspace ring if it is none
-    of these nor Z.  This catches a rebuild on the same lattice, its
-    Moebius rows and outside digits already memoized, that disagrees
-    with the first modulo some ring."""
+    """The shared e and a second direct build, each reduced by
+    `Ring.reduce`, agree in Z/m for m = 2, 3, 5 and in the workspace ring
+    if it is none of these nor Z.  This catches a rebuild on the same
+    lattice, its Moebius rows and outside digits already memoized, that
+    disagrees with the first modulo some ring."""
     moduli = (2, 3, 5)
     rings = [(Ring("mod", m), {"modulus": m}) for m in moduli]
-    if ws.ring != ZZ and ws.ring.modulus not in moduli:
+    if ws.ring.kind != "int" and ws.ring.modulus not in moduli:
         rings.append((ws.ring, {"ring": str(ws.ring)}))
     rebuilt = idempotent_direct(ws.L)
     for ring, witness in rings:
-        if ws.e.map_ring(ring) != rebuilt.map_ring(ring):
+        if ring.reduce(ws.e.terms) != ring.reduce(rebuilt.terms):
             return ws.report("ring_functoriality", "fail", counterexample=witness)
     return ws.report("ring_functoriality", "pass", counts={"moduli": list(moduli)})
 
@@ -518,7 +517,7 @@ CHECKS = {
 }
 
 
-def run_suite(corpus=DEFAULT_CORPUS, ring: Ring = ZZ, checks=None, seed=None,
+def run_suite(corpus=DEFAULT_CORPUS, ring: Ring = Ring("int"), checks=None, seed=None,
               sample_count=500):
     """Run the selected checks over each corpus entry, in order.
 

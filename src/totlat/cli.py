@@ -70,13 +70,13 @@ def cmd_idempotent(args):
     L = load_lattice(args.input)
     ring = Ring.parse(args.ring)
     build = idempotent_direct if args.method == "direct" else idempotent_original
-    e = build(L).map_ring(ring)
+    e = build(L)
     if args.format == "json":
         # written term by term, so the document is never held whole
-        sys.stdout.writelines(formal_sum_json_chunks(e))
+        sys.stdout.writelines(formal_sum_json_chunks(e, ring))
         sys.stdout.write("\n")
     else:
-        print(formal_sum_to_text(e))
+        print(formal_sum_to_text(e, ring))
     return 0
 
 

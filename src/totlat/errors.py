@@ -49,7 +49,7 @@ class SourceTargetMismatch(TotlatError):
 
 
 class SignatureMismatch(TotlatError):
-    """Formal sums with different ring/source/target were combined."""
+    """Formal sums with different source or target lattices were added."""
 
 
 class NotAChain(TotlatError, ValueError):
@@ -73,7 +73,7 @@ class UnsupportedSpec(TotlatError):
 
 
 class UnsupportedRing(TotlatError):
-    """Unknown coefficient ring descriptor."""
+    """Unknown ring descriptor, or a coefficient that is not an int."""
 
 
 class FeasibilityLimit(TotlatError):

@@ -9,7 +9,7 @@ Hall's alternating chain count (`mobius_hall`), which serves as the oracle
 for everything downstream.
 
 `Chain`, `morphisms.JoinMap`, `algebra.Ring` and `checks.CheckReport` are
-plain classes with `__slots__`, the first three with their own `__eq__`
+plain classes with `__slots__`, the first two with their own `__eq__`
 and `__hash__`, not dataclasses: importing `dataclasses` loads `inspect`,
 which cost every command-line call 7.3 ms CPU and 1 MiB of peak RSS
 before it started (Python 3.11.7, 2-vCPU Xeon VM).

@@ -14,20 +14,21 @@ Its grammar (blank lines and '#' comments ignored):
 There is exactly one 'elements:' line, and it names at least one and at
 most MAX_ELEMENTS elements, each under its own label.
 
-Formal sums serialize to a JSON document carrying the ring, source and
-target lattice fingerprints, and the coefficient/value-table terms in
-canonical (value-table) order.  parse(serialize(s)) == s.
+A formal sum over Z is written in an output ring (`algebra.Ring`): each
+writer takes the ring, writes the terms that `ring.reduce` leaves and,
+over the rationals, each coefficient as a string.  The JSON document
+carries the ring, the source and target lattice fingerprints, and the
+coefficient/value-table terms in canonical (value-table) order.
 
-A document is byte for byte `json.dumps(formal_sum_to_document(s), indent=2,
-ensure_ascii=False)`, but it is written one term at a time:
+A document is byte for byte `json.dumps(formal_sum_to_document(s, ring),
+indent=2, ensure_ascii=False)`, but it is written one term at a time:
 `formal_sum_json_chunks` yields the header and then one finished string
 per term, so a writer never holds the whole document.  Each distinct
 coefficient is encoded once per document, and each line `"x": "v"` of a
 table once, the first time its pair occurs, into the row of x; a term is
 its table's lines read from the rows, one C-level lookup per element.
-`formal_sum_to_document` stays the plain-`json` form: the input of
-`formal_sum_from_document` and the oracle the chunked writer is tested
-against.
+`formal_sum_to_document` stays the plain-`json` form, the oracle the
+chunked writer is tested against.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ import json
 import os
 
 from .algebra import FormalSum, Ring
-from .errors import ParseError, UnsupportedRing
+from .errors import ParseError
 from .lattices import MAX_ELEMENTS, Lattice, generate
-from .morphisms import alpha_of_chain, image_chain, make_join_map
+from .morphisms import JoinMap, alpha_of_chain, image_chain
 
 
 def load_lattice(spec) -> Lattice:
@@ -94,78 +95,25 @@ def parse_lattice_file(text) -> Lattice:
 
 
 def _coeff_to_json(ring: Ring, c):
-    if ring.kind == "rat":
-        if type(c) is int:
-            return str(c)
-        from fractions import Fraction
-
-        return str(Fraction(c))
-    return int(c)
+    return str(c) if ring.kind == "rat" else c
 
 
-def _coeff_from_json(ring: Ring, v):
-    # only what _coeff_to_json writes: a JSON float or boolean would be
-    # rounded or read as 0 or 1, so it is refused
-    if type(v) is int:
-        return ring.coerce(v)
-    if ring.kind != "rat":
-        raise UnsupportedRing(f"coefficient {v!r} is not an integer")
-    if type(v) is str:
-        from fractions import Fraction
-
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ParseError(f"coefficient {v!r} is not a rational number")
+def _sorted_maps(s: FormalSum, ring: Ring):
+    """(JoinMap, coeff) pairs of s in `ring`, in canonical order."""
+    return [(JoinMap(s.source, s.target, table), c)
+            for table, c in sorted(ring.reduce(s.terms).items())]
 
 
-def formal_sum_to_document(s: FormalSum) -> dict:
+def formal_sum_to_document(s: FormalSum, ring: Ring) -> dict:
     return {
-        "ring": str(s.ring),
+        "ring": str(ring),
         "source": s.source.fingerprint(),
         "target": s.target.fingerprint(),
         "terms": [
-            {"coeff": _coeff_to_json(s.ring, c), "table": jm.table_labels()}
-            for jm, c in s.sorted_terms()
+            {"coeff": _coeff_to_json(ring, c), "table": jm.table_labels()}
+            for jm, c in _sorted_maps(s, ring)
         ],
     }
-
-
-def formal_sum_from_document(doc: dict, source: Lattice, target: Lattice) -> FormalSum:
-    """Rebuild a formal sum, validating each table as a join-morphism.
-
-    Every malformed document raises a TotlatError: ParseError for its
-    structure, a table key that names no source element, a table value
-    that is not a string or a coefficient that is not a rational number,
-    UnsupportedRing for its ring or a non-integer coefficient over int or
-    mod:m, UnknownLabel or NotJoinMorphism for a table.
-    """
-    try:
-        ring = Ring.parse(str(doc["ring"]))
-        if doc["source"] != source.fingerprint():
-            raise ParseError("document source fingerprint does not match the lattice")
-        if doc["target"] != target.fingerprint():
-            raise ParseError("document target fingerprint does not match the lattice")
-        terms = []
-        for term in doc["terms"]:
-            table = term["table"]
-            labels = [table[name] for name in source.names]
-            if not all(type(label) is str for label in labels):
-                raise ParseError(f"table values must be labels: {labels!r}")
-            values = tuple(target.index_of(label) for label in labels)
-            extra = set(table) - set(source.names)
-            if extra:
-                raise ParseError(
-                    f"table names no source element: {', '.join(sorted(extra))}"
-                )
-            terms.append((
-                make_join_map(source, target, values).values,
-                _coeff_from_json(ring, term["coeff"]),
-            ))
-        return FormalSum(ring, source, target, terms)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed formal-sum document: {exc}") from None
 
 
 class _Lines(dict):
@@ -186,19 +134,21 @@ class _Lines(dict):
         return line
 
 
-def formal_sum_json_chunks(s: FormalSum):
-    """The JSON document of `s` as strings to be written in order: the header,
-    one string per term in canonical order, then the closing brackets."""
+def formal_sum_json_chunks(s: FormalSum, ring: Ring):
+    """The JSON document of `s` in `ring` as strings to be written in order:
+    the header, one string per term in canonical order, then the closing
+    brackets."""
     def encode(value):
         return json.dumps(value, ensure_ascii=False)
 
     head = (
-        '{\n  "ring": ' + encode(str(s.ring))
+        '{\n  "ring": ' + encode(str(ring))
         + ',\n  "source": ' + encode(s.source.fingerprint())
         + ',\n  "target": ' + encode(s.target.fingerprint())
         + ',\n  "terms": ['
     )
-    if not s.terms:
+    terms = ring.reduce(s.terms)
+    if not terms:
         yield head + "]\n}"
         return
     yield head
@@ -218,13 +168,12 @@ def formal_sum_json_chunks(s: FormalSum):
     separator = "\n    {"
     # the tables alone are sorted and each coefficient looked up as it is
     # written, so no list of (table, coefficient) pairs is built
-    terms = s.terms
     for table in sorted(terms):
         c = terms[table]
         text = opening.get(c)
         if text is None:
             text = opening[c] = (
-                '\n      "coeff": ' + encode(_coeff_to_json(s.ring, c))
+                '\n      "coeff": ' + encode(_coeff_to_json(ring, c))
                 + ',\n      "table": {'
             )
         yield "".join([separator, text, *map(line, rows, table), "\n      }\n    }"])
@@ -232,14 +181,15 @@ def formal_sum_json_chunks(s: FormalSum):
     yield "\n  ]\n}"
 
 
-def formal_sum_to_json(s: FormalSum) -> str:
-    return "".join(formal_sum_json_chunks(s))
+def formal_sum_to_json(s: FormalSum, ring: Ring) -> str:
+    return "".join(formal_sum_json_chunks(s, ring))
 
 
-def formal_sum_to_text(s: FormalSum) -> str:
-    """Human-readable signed terms; chain retractions print as their chain."""
+def formal_sum_to_text(s: FormalSum, ring: Ring) -> str:
+    """Human-readable signed terms of `s` in `ring`; chain retractions print
+    as their chain."""
     lines = []
-    for jm, c in s.sorted_terms():
+    for jm, c in _sorted_maps(s, ring):
         label = None
         if jm.source == jm.target:
             img = image_chain(jm)

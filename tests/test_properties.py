@@ -4,7 +4,7 @@ import itertools
 
 from hypothesis import assume, given, settings, strategies as st
 
-from totlat.algebra import FormalSum, ZZ, embed, idempotent_direct
+from totlat.algebra import FormalSum, embed, idempotent_direct
 from totlat.checks import DEFAULT_CORPUS
 from totlat.lattices import chain_lattice, generate
 from totlat.morphisms import JoinMap, compose, enumerate_join_endomorphisms, pi_of_chain
@@ -89,7 +89,7 @@ def test_sum_mul_bilinear_on_random_sums(spec, data):
 
     def random_sum():
         k = data.draw(st.integers(min_value=1, max_value=3))
-        total = FormalSum(ZZ, L, L)
+        total = FormalSum(L, L)
         for _ in range(k):
             total = total + embed(data.draw(st.sampled_from(endos))).scale(
                 data.draw(coeffs)
@@ -140,7 +140,7 @@ def test_right_composition_by_index_surjection_keeps_every_term(spec, data):
         return tuple(values)
 
     k = data.draw(st.integers(min_value=1, max_value=4))
-    X = FormalSum(ZZ, P, L, [(chain_map(), data.draw(coeff)) for _ in range(k)])
+    X = FormalSum(P, L, [(chain_map(), data.draw(coeff)) for _ in range(k)])
     assume(not X.is_zero())
     Y = X * embed(pi_of_chain(L, B))
     assert not Y.is_zero()
